@@ -11,59 +11,5 @@ Layers, bottom to top:
   squashed-entanglement bounds.
 * verification / cli: property suites and the command-line front end.
 """
-from .config import GridConfig
-from .contangle import (
-    EntanglementReport,
-    SqueezingParams,
-    StrongMonogamyResult,
-    g_function,
-    interpair_contangle,
-    monogamy_residual,
-    one_vs_rest_contangle,
-    one_vs_rest_m,
-    pairwise_contangle,
-    pairwise_m,
-    residual_contangle,
-    separability_threshold,
-    strong_monogamy_check,
-    tripartite_bound,
-    bounding_tripartite_state,
-)
-from .four_mode import build_state, full_inseparability_check, full_report
-from .gaussian import (
-    CovarianceMatrix,
-    InconclusiveSeparabilityError,
-    ModePartition,
-    SymplecticTransform,
-    apply,
-    compose,
-    is_ppt_separable,
-    log_negativity,
-    partial_transpose,
-    permute_modes,
-    reduce,
-    symplectic_eigenvalues,
-    symplectic_form,
-    two_mode_squeezer,
-    vacuum_cm,
-    von_neumann_entropy,
-)
-from .qudit import (
-    DensityMatrix,
-    PureStateVector,
-    QuditTangleReport,
-    SquashedBounds,
-    build_psi,
-    concurrence,
-    ghz3,
-    negativity,
-    nongaussianity,
-    party_qubits,
-    reduced_density,
-    squashed_bounds,
-    tangle_report,
-    vn_entropy,
-    w3,
-)
 
 __version__ = "0.1.0"

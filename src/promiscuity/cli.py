@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import contangle, four_mode, qudit, verification
 from .config import GridConfig, load_config
-
-THREADS_ENV = "PROMISCUITY_THREADS"
 
 REPORT_FIELDS = (
     "a",
@@ -109,13 +104,13 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_bytes(text.encode("ascii"))
 
 
-def _report_row(params: contangle.SqueezingParams) -> dict:
-    report = four_mode.full_report(params)
-    tau = report.pairwise_contangle
-    rest = report.one_vs_rest_contangle
+def _closed_form_columns(forms: contangle.ClosedForms) -> dict:
+    # the columns that sweep rows and report rows share
+    tau = forms.pairwise_contangle
+    rest = forms.one_vs_rest_contangle
     return {
-        "a": params.a,
-        "s": params.s,
+        "a": forms.params.a,
+        "s": forms.params.s,
         "tau_12": tau[(1, 2)],
         "tau_13": tau[(1, 3)],
         "tau_14": tau[(1, 4)],
@@ -126,11 +121,18 @@ def _report_row(params: contangle.SqueezingParams) -> dict:
         "tau_2_rest": rest[2],
         "tau_3_rest": rest[3],
         "tau_4_rest": rest[4],
-        "tau_pairblock": report.interpair_contangle,
-        "tau_res": report.residual,
-        "tau_tri_bound": report.tripartite_bound,
-        "monogamy_ok": report.monogamy_ok,
-        "strong_monogamy_ok": report.strong_monogamy_ok,
+        "tau_pairblock": forms.interpair_contangle,
+        "tau_res": forms.residual,
+        "tau_tri_bound": forms.tripartite_bound,
+        "monogamy_ok": forms.monogamy_ok,
+        "strong_monogamy_ok": forms.strong_monogamy_ok,
+    }
+
+
+def _report_row(params: contangle.SqueezingParams) -> dict:
+    report = four_mode.full_report(params)
+    return {
+        **_closed_form_columns(report),
         "near_threshold": report.near_threshold,
         "consistent": report.consistent,
         "max_route_deviation": report.max_route_deviation,
@@ -147,34 +149,8 @@ def _format_table(fields: tuple[str, ...], row: dict, style: str) -> str:
 
 
 def _sweep_row(params: contangle.SqueezingParams) -> str:
-    strong = contangle.strong_monogamy_check(params)
-    values = {
-        "a": params.a,
-        "s": params.s,
-        "tau_12": contangle.pairwise_contangle(params, (1, 2)),
-        "tau_23": contangle.pairwise_contangle(params, (2, 3)),
-        "tau_14": contangle.pairwise_contangle(params, (1, 4)),
-        "tau_pairblock": contangle.interpair_contangle(params),
-        "tau_1_rest": contangle.one_vs_rest_contangle(params, 1),
-        "tau_res": strong.residual,
-        "tau_tri_bound": strong.tripartite_bound,
-        "monogamy_ok": contangle.monogamy_residual(params) >= -contangle.MONOGAMY_TOL,
-        "strong_monogamy_ok": strong.ok,
-    }
-    return ",".join(_text(values[name]) for name in SWEEP_FIELDS)
-
-
-def _worker_count(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        parser.error(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
+    row = _closed_form_columns(contangle.closed_forms(params))
+    return ",".join(_text(row[name]) for name in SWEEP_FIELDS)
 
 
 def _nonnegative(label: str):
@@ -210,20 +186,9 @@ def cmd_fourmode_sweep(args, parser) -> int:
     if args.config:
         cfg = load_config(args.config, base=cfg)
     s_values = cfg.s_values()
-
-    def one_row_block(a: float) -> list[str]:
-        return [_sweep_row(contangle.SqueezingParams(a, s)) for s in s_values]
-
-    workers = _worker_count(parser)
-    a_values = cfg.a_values()
-    if workers == 1:
-        blocks = [one_row_block(a) for a in a_values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(one_row_block, a_values))
     lines = [",".join(SWEEP_FIELDS)]
-    for block in blocks:
-        lines.extend(block)
+    for a in cfg.a_values():
+        lines.extend(_sweep_row(contangle.SqueezingParams(a, s)) for s in s_values)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -47,32 +47,25 @@ class SqueezingParams:
 
 
 @dataclass(frozen=True)
-class StrongMonogamyResult:
-    residual: float
-    tripartite_bound: float
-    ok: bool
+class ClosedForms:
+    """Every closed-form contangle statistic of one four-mode state.
 
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Bundle of every contangle statistic of one four-mode state.
-
-    Closed-form values, with the spectral cross-checks folded into
-    `consistent` / `max_route_deviation` by four_mode.full_report.
-    Pair keys are sorted 1-based tuples; probe keys are 1-based labels.
+    Filled by closed_forms.  Pair keys are sorted 1-based tuples; probe
+    keys are 1-based labels.  probe1_slack is g[m_{1|rest}^2] - tau_{1|2},
+    monogamy_slack the minimum sharing slack over the inequivalent probes,
+    and residual the probe-1 slack clamped at 0.
     """
 
     params: SqueezingParams
     pairwise_contangle: dict[tuple[int, int], float]
     one_vs_rest_contangle: dict[int, float]
     interpair_contangle: float
+    probe1_slack: float
+    monogamy_slack: float
     residual: float
     tripartite_bound: float
     monogamy_ok: bool
     strong_monogamy_ok: bool
-    near_threshold: bool
-    consistent: bool
-    max_route_deviation: float
 
 
 def g_function(x: float) -> float:
@@ -172,66 +165,9 @@ def interpair_contangle(params: SqueezingParams) -> float:
     return 4.0 * params.s * params.s
 
 
-def residual_contangle(params: SqueezingParams) -> float:
-    """Residual contangle of probe 1: g[m_{1|rest}^2] - 4a^2.
-
-    Everything not accounted for by the pairwise term; zero on both axes
-    (a = 0 or s = 0) and strictly positive inside the quadrant.  Float
-    cancellation can land within -1e-9 of zero, which is clamped to 0.
-    """
-    value = one_vs_rest_contangle(params, 1) - pairwise_contangle(params, (1, 2))
-    if value < -MONOGAMY_TOL:
-        raise ArithmeticError(
-            f"residual contangle {value} below tolerance at a={params.a}, s={params.s}"
-        )
-    return max(0.0, value)
-
-
-def monogamy_residual(params: SqueezingParams) -> float:
-    """Minimum slack of the sharing inequality over the inequivalent probes.
-
-    Probe 1 keeps g[m_{1|rest}^2] - tau_{1|2}; probe 2 keeps
-    g[m_{2|rest}^2] - tau_{1|2} - tau_{2|3}.  Probes 4 and 3 duplicate
-    them by the mode-exchange symmetry.  Both quantities must stay above
-    -MONOGAMY_TOL; the probe-1 branch attains the minimum throughout the
-    sampled parameter range.
-    """
-    tau_pair = pairwise_contangle(params, (1, 2))
-    probe1 = one_vs_rest_contangle(params, 1) - tau_pair
-    probe2 = (
-        one_vs_rest_contangle(params, 2)
-        - tau_pair
-        - pairwise_contangle(params, (2, 3))
-    )
-    smallest = min(probe1, probe2)
-    if smallest < -MONOGAMY_TOL:
-        raise ArithmeticError(
-            f"monogamy violated ({smallest}) at a={params.a}, s={params.s}"
-        )
-    return smallest
-
-
 def _bound_m_3_vs_12(params: SqueezingParams) -> float:
     ratio = (math.tanh(params.s) / math.cosh(params.a)) ** 2
     return (1.0 + ratio) / (1.0 - ratio)
-
-
-def _bound_m_1_vs_23(params: SqueezingParams) -> float:
-    return math.cosh(params.a) ** 2 + _bound_m_3_vs_12(params) * math.sinh(params.a) ** 2
-
-
-def tripartite_bound(params: SqueezingParams) -> float:
-    """Upper bound on the genuine tripartite contangle of modes 1, 2, 3.
-
-    min of g[m_bound_{1|(23)}^2] - tau_{1|2} and g[m_bound_{3|(12)}^2]
-    - tau_{2|3}, where the bound-m values are sqrt-dets of the pure
-    three-mode state returned by bounding_tripartite_state.  Non-negative,
-    zero at a = 0 and at s = 0; along each fixed-s row it rises to a single
-    interior peak and then decays for large a.
-    """
-    term1 = g_function(_bound_m_1_vs_23(params) ** 2) - pairwise_contangle(params, (1, 2))
-    term2 = g_function(_bound_m_3_vs_12(params) ** 2) - pairwise_contangle(params, (2, 3))
-    return max(0.0, min(term1, term2))
 
 
 def bounding_tripartite_state(params: SqueezingParams) -> gaussian.CovarianceMatrix:
@@ -251,15 +187,71 @@ def bounding_tripartite_state(params: SqueezingParams) -> gaussian.CovarianceMat
     return gaussian.apply(transform, gaussian.vacuum_cm(3))
 
 
-def strong_monogamy_check(params: SqueezingParams) -> StrongMonogamyResult:
-    """Residual vs tripartite bound: ok iff residual >= bound >= 0.
+def closed_forms(params: SqueezingParams) -> ClosedForms:
+    """All closed-form statistics of gamma(a, s), each computed once.
 
-    Comparisons carry a MONOGAMY_TOL slack.  A true result certifies that
-    the residual entanglement not stored in pairs exceeds everything the
-    three-mode reductions could account for, i.e. genuine four-partite
-    entanglement bracketed from below.
+    Monogamy: probe 1 keeps g[m_{1|rest}^2] - tau_{1|2}; probe 2 keeps
+    g[m_{2|rest}^2] - tau_{1|2} - tau_{2|3}.  Probes 4 and 3 duplicate
+    them by the mode-exchange symmetry.  Both slacks must stay above
+    -MONOGAMY_TOL, else ArithmeticError; the probe-1 branch attains the
+    minimum throughout the sampled parameter range.  The residual is the
+    probe-1 slack with float cancellation near zero clamped to 0; it is
+    zero on both axes (a = 0 or s = 0) and strictly positive inside the
+    quadrant.
+
+    The tripartite bound caps the genuine tripartite contangle of modes
+    1, 2, 3: min of g[m_bound_{1|(23)}^2] - tau_{1|2} and
+    g[m_bound_{3|(12)}^2] - tau_{2|3}, where the bound-m values are
+    sqrt-dets of the pure three-mode state returned by
+    bounding_tripartite_state.  Non-negative, zero at a = 0 and at s = 0;
+    along each fixed-s row it rises to a single interior peak and then
+    decays for large a.
+
+    Strong monogamy holds iff residual >= bound >= 0, with MONOGAMY_TOL
+    slack.  It certifies that the residual entanglement not stored in
+    pairs exceeds everything the three-mode reductions could account for,
+    i.e. genuine four-partite entanglement bracketed from below.
+
+    The evaluation order fixes which error a point outside the float64
+    domain raises first.
     """
-    residual = residual_contangle(params)
-    bound = tripartite_bound(params)
-    ok = residual >= bound - MONOGAMY_TOL and bound >= -MONOGAMY_TOL
-    return StrongMonogamyResult(residual=residual, tripartite_bound=bound, ok=ok)
+    a, s = params.a, params.s
+    tau_1_rest = one_vs_rest_contangle(params, 1)
+    tau_12 = pairwise_contangle(params, (1, 2))
+    probe1 = tau_1_rest - tau_12
+    if probe1 < -MONOGAMY_TOL:
+        raise ArithmeticError(f"residual contangle {probe1} below tolerance at a={a}, s={s}")
+    m_3 = _bound_m_3_vs_12(params)
+    m_1 = math.cosh(a) ** 2 + m_3 * math.sinh(a) ** 2
+    term1 = g_function(m_1 ** 2) - tau_12
+    tau_23 = pairwise_contangle(params, (2, 3))
+    bound = max(0.0, min(term1, g_function(m_3 ** 2) - tau_23))
+    tau_2_rest = one_vs_rest_contangle(params, 2)
+    slack = min(probe1, tau_2_rest - tau_12 - tau_23)
+    if slack < -MONOGAMY_TOL:
+        raise ArithmeticError(f"monogamy violated ({slack}) at a={a}, s={s}")
+    residual = max(0.0, probe1)
+    return ClosedForms(
+        params=params,
+        pairwise_contangle={
+            (1, 2): tau_12,
+            (1, 3): pairwise_contangle(params, (1, 3)),
+            (1, 4): pairwise_contangle(params, (1, 4)),
+            (2, 3): tau_23,
+            (2, 4): pairwise_contangle(params, (2, 4)),
+            (3, 4): pairwise_contangle(params, (3, 4)),
+        },
+        one_vs_rest_contangle={
+            1: tau_1_rest,
+            2: tau_2_rest,
+            3: one_vs_rest_contangle(params, 3),
+            4: one_vs_rest_contangle(params, 4),
+        },
+        interpair_contangle=interpair_contangle(params),
+        probe1_slack=probe1,
+        monogamy_slack=slack,
+        residual=residual,
+        tripartite_bound=bound,
+        monogamy_ok=slack >= -MONOGAMY_TOL,
+        strong_monogamy_ok=residual >= bound - MONOGAMY_TOL and bound >= -MONOGAMY_TOL,
+    )

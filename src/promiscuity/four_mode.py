@@ -13,8 +13,10 @@ User-facing mode labels are 1-based; the gaussian layer underneath is
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import contangle, gaussian
-from .contangle import EntanglementReport, SqueezingParams
+from .contangle import SqueezingParams
 
 ROUTE_TOL = 1e-6
 THRESHOLD_FLAG_TOL = 1e-6
@@ -31,6 +33,20 @@ PPT_MARGIN = 1e-6
 _SQUEEZER_LABELS = ((3, 4), (1, 2), (2, 3))
 
 
+@dataclass(frozen=True)
+class EntanglementReport(contangle.ClosedForms):
+    """Closed-form statistics of one four-mode state with their cross-checks.
+
+    The spectral cross-checks of full_report are folded into
+    `consistent` / `max_route_deviation`; `near_threshold` flags points
+    whose middle-pair verdict was not compared.
+    """
+
+    near_threshold: bool
+    consistent: bool
+    max_route_deviation: float
+
+
 def build_state(params: SqueezingParams) -> gaussian.CovarianceMatrix:
     """Covariance matrix of gamma(a, s); rejects negative squeezing degrees."""
     degrees = {(3, 4): params.a, (1, 2): params.a, (2, 3): params.s}
@@ -43,29 +59,31 @@ def build_state(params: SqueezingParams) -> gaussian.CovarianceMatrix:
     return gaussian.apply(transform, gaussian.vacuum_cm(4))
 
 
-def _pair_partition(i: int, j: int) -> gaussian.ModePartition:
-    return gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1}))
-
-
-def _probe_partition(probe: int) -> gaussian.ModePartition:
+def probe_partition(probe: int) -> gaussian.ModePartition:
+    """Cut of the probe mode (1-based label) against the other three."""
     rest = frozenset(m - 1 for m in contangle.PROBES if m != probe)
     return gaussian.ModePartition(frozenset({probe - 1}), rest)
 
 
-_PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
+PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
 _TWO_VS_TWO = (
-    _PAIRBLOCK,
+    PAIRBLOCK,
     gaussian.ModePartition(frozenset({0, 2}), frozenset({1, 3})),
     gaussian.ModePartition(frozenset({0, 3}), frozenset({1, 2})),
 )
+_PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
+
+
+def pair_pt_nu_min(state: gaussian.CovarianceMatrix, i: int, j: int) -> float:
+    """Smallest partially transposed symplectic eigenvalue of the pair i, j (1-based)."""
+    reduced = gaussian.reduce(state, [i - 1, j - 1])
+    transposed = gaussian.partial_transpose(reduced, _PAIR_CUT)
+    return float(gaussian.symplectic_eigenvalues(transposed).min())
 
 
 def pair_ppt_separable(state: gaussian.CovarianceMatrix, i: int, j: int) -> bool:
     """PPT verdict for the reduced pair (1-based labels i, j)."""
-    reduced = gaussian.reduce(state, [i - 1, j - 1])
-    return gaussian.is_ppt_separable(
-        reduced, gaussian.ModePartition(frozenset({0}), frozenset({1}))
-    )
+    return pair_pt_nu_min(state, i, j) >= 1.0 - gaussian.SEPARABILITY_TOL
 
 
 def full_report(params: SqueezingParams) -> EntanglementReport:
@@ -81,35 +99,26 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     and PPT_MARGIN).
     """
     state = build_state(params)
+    forms = contangle.closed_forms(params)
 
-    pairwise = {pair: contangle.pairwise_contangle(params, pair) for pair in contangle.PAIRS}
-    one_rest = {p: contangle.one_vs_rest_contangle(params, p) for p in contangle.PROBES}
-    interpair = contangle.interpair_contangle(params)
-    monogamy_min = contangle.monogamy_residual(params)
-    strong = contangle.strong_monogamy_check(params)
-
+    one_rest = forms.one_vs_rest_contangle
     deviations = [
-        abs(gaussian.log_negativity(state, _probe_partition(p)) ** 2 - one_rest[p])
+        abs(gaussian.log_negativity(state, probe_partition(p)) ** 2 - one_rest[p])
         for p in contangle.PROBES
     ]
-    deviations.append(abs(gaussian.log_negativity(state, _PAIRBLOCK) ** 2 - interpair))
+    deviations.append(
+        abs(gaussian.log_negativity(state, PAIRBLOCK) ** 2 - forms.interpair_contangle)
+    )
 
     near = abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
     verdicts_ok = True
-    pair_cut = gaussian.ModePartition(frozenset({0}), frozenset({1}))
     for (i, j) in contangle.PAIRS:
         if near and (i, j) == (2, 3):
             continue
-        closed_tau = pairwise[(i, j)]
+        closed_tau = forms.pairwise_contangle[(i, j)]
         if 0.0 < closed_tau <= FAINT_TAU:
             continue
-        nu_min = float(
-            gaussian.symplectic_eigenvalues(
-                gaussian.partial_transpose(
-                    gaussian.reduce(state, [i - 1, j - 1]), pair_cut
-                )
-            ).min()
-        )
+        nu_min = pair_pt_nu_min(state, i, j)
         if 0.0 < 1.0 - nu_min <= PPT_MARGIN:
             continue
         spectral_separable = nu_min >= 1.0 - gaussian.SEPARABILITY_TOL
@@ -118,14 +127,7 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
 
     max_deviation = max(deviations)
     return EntanglementReport(
-        params=params,
-        pairwise_contangle=pairwise,
-        one_vs_rest_contangle=one_rest,
-        interpair_contangle=interpair,
-        residual=strong.residual,
-        tripartite_bound=strong.tripartite_bound,
-        monogamy_ok=monogamy_min >= -contangle.MONOGAMY_TOL,
-        strong_monogamy_ok=strong.ok,
+        **vars(forms),
         near_threshold=near,
         consistent=verdicts_ok and max_deviation <= ROUTE_TOL,
         max_route_deviation=max_deviation,
@@ -139,5 +141,5 @@ def full_inseparability_check(params: SqueezingParams) -> bool:
     squeezing degrees are strictly positive.
     """
     state = build_state(params)
-    partitions = [_probe_partition(p) for p in contangle.PROBES] + list(_TWO_VS_TWO)
+    partitions = [probe_partition(p) for p in contangle.PROBES] + list(_TWO_VS_TWO)
     return all(gaussian.log_negativity(state, part) > WITNESS_TOL for part in partitions)

@@ -8,8 +8,7 @@ system); d is the family's own size label, not the party dimension.
 
 Tangles compose additively over copies, which lets every report be
 computed from per-copy brute force on 8-dimensional vectors and then
-assembled in exact rational arithmetic.  Full state vectors are
-materialized only for d <= MATERIALIZE_CAP.
+assembled in exact rational arithmetic.
 """
 from __future__ import annotations
 
@@ -24,8 +23,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 RATIONAL_SNAP_TOL = 1e-10
-
-MATERIALIZE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -144,40 +141,6 @@ def n_copies(d: int) -> tuple[int, int]:
     return d // 4, d // 4
 
 
-def party_qubits(d: int) -> tuple[tuple[int, ...], ...]:
-    """Qubit indices held by parties (A, B, C) in the built vector.
-
-    Copies are laid out consecutively (GHZ copies first, then W copies),
-    three qubits each, and qubit k of copy m sits at index 3m + k and
-    belongs to party k.
-    """
-    d = _validate_d(d)
-    total = 3 * (d // 2)
-    return tuple(tuple(range(k, total, 3)) for k in range(3))
-
-
-def build_psi(d: int) -> PureStateVector:
-    """Materialized vector of the d-family member: GHZ^(d/4) x W^(d/4).
-
-    The tensor factors appear in copy order; party membership of each
-    qubit is given by party_qubits(d).  Materialization is refused above
-    MATERIALIZE_CAP, where reports fall back to per-copy composition.
-    """
-    d = _validate_d(d)
-    if d > MATERIALIZE_CAP:
-        raise ValueError(
-            f"d={d} exceeds the materialization cap {MATERIALIZE_CAP}; "
-            "use the per-copy report functions instead"
-        )
-    ghz_copies, w_copies = n_copies(d)
-    amps = np.ones(1, dtype=complex)
-    for _ in range(ghz_copies):
-        amps = np.kron(amps, ghz3().amplitudes)
-    for _ in range(w_copies):
-        amps = np.kron(amps, w3().amplitudes)
-    return PureStateVector((2,) * (3 * (ghz_copies + w_copies)), amps)
-
-
 def reduced_density(psi: PureStateVector, keep) -> DensityMatrix:
     """Partial trace of |psi><psi| keeping the listed subsystems.
 
@@ -269,13 +232,13 @@ def _per_copy_tangles(psi: PureStateVector) -> tuple[Fraction, Fraction, Fractio
 def nongaussianity(d: int) -> float:
     """Trace-distance-squared gap to the closest Gaussian-reachable state.
 
-    1/2 + 2^(-3d/4 - 1) 3^(-d/4) - 2^(d/2) 3^(-3d/2) 7^(d/4); about
-    0.4824 at d = 4 and converging to 1/2 as d grows.
+    1/2 + 2^(-3d/4 - 1) 3^(-d/4) - 2^(d/2) 3^(-3d/2) 7^(d/4), which with
+    q = d/4 is 1/2 + (1/2)(1/24)^q - (28/729)^q; about 0.4824 at d = 4
+    and converging to 1/2 as d grows.  Both powers have bases below 1, so
+    they underflow to 0 for large d instead of overflowing.
     """
-    d = _validate_d(d)
-    gain = 2.0 ** (-0.75 * d - 1.0) * 3.0 ** (-0.25 * d)
-    loss = 2.0 ** (0.5 * d) * 3.0 ** (-1.5 * d) * 7.0 ** (0.25 * d)
-    return 0.5 + gain - loss
+    q = _validate_d(d) // 4
+    return 0.5 + 0.5 * (1 / 24) ** q - (28 / 729) ** q
 
 
 def squashed_bounds(d: int) -> SquashedBounds:

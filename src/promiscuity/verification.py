@@ -57,7 +57,7 @@ def suite_gaussian_invariants(cfg: GridConfig) -> SuiteResult:
     """Symplectic structure, purity, involution, side-swap symmetry."""
     result = SuiteResult("gaussian_invariants")
     omega = gaussian.symplectic_form(4)
-    probe = gaussian.ModePartition(frozenset({0}), frozenset({1, 2, 3}))
+    probe = four_mode.probe_partition(1)
     sample = [cfg.a_values()[k] for k in sorted({0, len(cfg.a_values()) // 2, len(cfg.a_values()) - 1})]
     for a in sample:
         for s in sample:
@@ -99,10 +99,7 @@ def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
     for params in _params_grid(cfg):
         state = four_mode.build_state(params)
         for probe in contangle.PROBES:
-            rest = frozenset(m - 1 for m in contangle.PROBES if m != probe)
-            spectral = gaussian.log_negativity(
-                state, gaussian.ModePartition(frozenset({probe - 1}), rest)
-            )
+            spectral = gaussian.log_negativity(state, four_mode.probe_partition(probe))
             closed = contangle.one_vs_rest_contangle(params, probe)
             result.check(
                 abs(spectral * spectral - closed) <= ROUTE_TOL,
@@ -114,9 +111,8 @@ def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
 def suite_interpair_agreement(cfg: GridConfig) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    pairblock = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
     for params in _params_grid(cfg):
-        spectral = gaussian.log_negativity(four_mode.build_state(params), pairblock)
+        spectral = gaussian.log_negativity(four_mode.build_state(params), four_mode.PAIRBLOCK)
         result.check(
             abs(spectral * spectral - contangle.interpair_contangle(params)) <= 1e-8,
             f"a={params.a:.6g} s={params.s:.6g}",
@@ -145,14 +141,7 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
         if s <= 0.0:
             continue
         at_threshold = contangle.SqueezingParams(contangle.separability_threshold(s), s)
-        reduced = gaussian.reduce(four_mode.build_state(at_threshold), [1, 2])
-        nu_min = float(
-            gaussian.symplectic_eigenvalues(
-                gaussian.partial_transpose(
-                    reduced, gaussian.ModePartition(frozenset({0}), frozenset({1}))
-                )
-            ).min()
-        )
+        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(at_threshold), 2, 3)
         result.check(abs(nu_min - 1.0) <= 1e-7, f"threshold nu_min at s={s:.6g}")
     return result
 
@@ -162,12 +151,12 @@ def suite_monogamy(cfg: GridConfig) -> SuiteResult:
     result = SuiteResult("monogamy")
     for params in _params_grid(cfg):
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        slack = contangle.monogamy_residual(params)
-        result.check(slack >= -contangle.MONOGAMY_TOL, f"negative slack at {point}")
-        probe1 = contangle.one_vs_rest_contangle(params, 1) - contangle.pairwise_contangle(
-            params, (1, 2)
+        forms = contangle.closed_forms(params)
+        result.check(forms.monogamy_slack >= -contangle.MONOGAMY_TOL, f"negative slack at {point}")
+        result.check(
+            forms.probe1_slack <= forms.monogamy_slack + SLACK,
+            f"probe-1 branch not minimal at {point}",
         )
-        result.check(probe1 <= slack + SLACK, f"probe-1 branch not minimal at {point}")
     return result
 
 
@@ -175,15 +164,15 @@ def suite_strong_monogamy(cfg: GridConfig) -> SuiteResult:
     """residual >= tripartite bound >= 0 everywhere on the grid."""
     result = SuiteResult("strong_monogamy")
     for params in _params_grid(cfg):
-        outcome = contangle.strong_monogamy_check(params)
+        outcome = contangle.closed_forms(params)
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        result.check(outcome.ok, f"chain fails at {point}")
+        result.check(outcome.strong_monogamy_ok, f"chain fails at {point}")
         result.check(
             outcome.residual >= outcome.tripartite_bound - contangle.MONOGAMY_TOL,
             f"residual below bound at {point}",
         )
         result.check(outcome.tripartite_bound >= 0.0, f"negative bound at {point}")
-    big = contangle.tripartite_bound(contangle.SqueezingParams(5.0, 1.0))
+    big = contangle.closed_forms(contangle.SqueezingParams(5.0, 1.0)).tripartite_bound
     result.check(big < 0.01, f"bound at a=5 s=1 not vanishing: {big:.6g}")
     return result
 
@@ -219,12 +208,9 @@ def suite_shape(cfg: GridConfig) -> SuiteResult:
     result = SuiteResult("shape")
     a_values = cfg.a_values()
     for s in cfg.s_values():
-        residuals = [
-            contangle.residual_contangle(contangle.SqueezingParams(a, s)) for a in a_values
-        ]
-        bounds = [
-            contangle.tripartite_bound(contangle.SqueezingParams(a, s)) for a in a_values
-        ]
+        row = [contangle.closed_forms(contangle.SqueezingParams(a, s)) for a in a_values]
+        residuals = [forms.residual for forms in row]
+        bounds = [forms.tripartite_bound for forms in row]
         if a_values[0] == 0.0:
             result.check(bounds[0] == 0.0, f"bound not exactly zero at a=0 s={s:.6g}")
         peak = max(range(len(bounds)), key=bounds.__getitem__)
@@ -238,9 +224,10 @@ def suite_shape(cfg: GridConfig) -> SuiteResult:
                 result.check(bounds[k + 1] >= bounds[k] - SLACK, f"bound dips before its peak at {point}")
             else:
                 result.check(bounds[k + 1] <= bounds[k] + SLACK, f"bound rises after its peak at {point}")
-    growth = contangle.residual_contangle(
-        contangle.SqueezingParams(6.0, 1.0)
-    ) - contangle.residual_contangle(contangle.SqueezingParams(3.0, 1.0))
+    growth = (
+        contangle.closed_forms(contangle.SqueezingParams(6.0, 1.0)).residual
+        - contangle.closed_forms(contangle.SqueezingParams(3.0, 1.0)).residual
+    )
     result.check(growth > 10.0, f"residual growth 3->6 too small: {growth:.6g}")
     return result
 

@@ -30,7 +30,7 @@ def test_acceptance_01_benchmark_point():
     params = contangle.SqueezingParams(1.5, 1.0)
     tau_12 = contangle.pairwise_contangle(params, (1, 2))
     tau_34 = contangle.pairwise_contangle(params, (3, 4))
-    strong = contangle.strong_monogamy_check(params)
+    strong = contangle.closed_forms(params)
     pure_pair = gaussian.apply(
         gaussian.two_mode_squeezer(0, 1, 1.5, 2), gaussian.vacuum_cm(2)
     )
@@ -77,7 +77,7 @@ def test_acceptance_03_monogamy_surface():
     for a in GRID:
         for s in GRID:
             params = contangle.SqueezingParams(a, s)
-            residual = contangle.monogamy_residual(params)
+            residual = contangle.closed_forms(params).monogamy_slack
             if residual < -SLACK:
                 failures.append(f"negative residual {residual:.3e} at a={a:.1f} s={s:.1f}")
             branches = [
@@ -101,13 +101,13 @@ def test_acceptance_04_strong_monogamy_chain():
     failures = []
     for a in GRID:
         for s in GRID:
-            outcome = contangle.strong_monogamy_check(contangle.SqueezingParams(a, s))
+            outcome = contangle.closed_forms(contangle.SqueezingParams(a, s))
             if not outcome.residual >= outcome.tripartite_bound >= 0.0:
                 failures.append(
                     f"chain {outcome.residual:.3e} >= {outcome.tripartite_bound:.3e} >= 0 "
                     f"broken at a={a:.1f} s={s:.1f}"
                 )
-    far = contangle.tripartite_bound(contangle.SqueezingParams(5.0, 1.0))
+    far = contangle.closed_forms(contangle.SqueezingParams(5.0, 1.0)).tripartite_bound
     if not far < 0.01:
         failures.append(f"bound at a=5 s=1 is {far:.4f}, not < 0.01")
     _verdict(4, "strong-monogamy chain", failures)
@@ -221,9 +221,10 @@ def test_acceptance_09_squashed_bounds():
 
 
 def _spectral_tripartite_bound(a: float, s: float) -> float:
-    # second route to contangle.tripartite_bound: squared log-negativities of
-    # the pure bounding state across 1|23 and 3|12 in place of the g[m^2]
-    # closed forms, less the pair contangles tau_12 and tau_23
+    # second route to the tripartite bound of contangle.closed_forms:
+    # squared log-negativities of the pure bounding state across 1|23 and
+    # 3|12 in place of the g[m^2] closed forms, less the pair contangles
+    # tau_12 and tau_23
     params = contangle.SqueezingParams(a, s)
     sigma_p = contangle.bounding_tripartite_state(params)
     cut_1 = gaussian.ModePartition(frozenset({0}), frozenset({1, 2}))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -64,28 +65,25 @@ def test_sweep_rejects_single_step(run_cli, tmp_path):
     assert "steps" in err
 
 
-def test_sweep_is_thread_count_invariant(run_cli, tmp_path):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    code1, _, _ = run_cli(
-        "fourmode", "sweep", "--steps", "9", "--out", str(serial),
-        env={"PROMISCUITY_THREADS": "1"},
-    )
-    code2, _, _ = run_cli(
-        "fourmode", "sweep", "--steps", "9", "--out", str(threaded),
-        env={"PROMISCUITY_THREADS": "7"},
-    )
-    assert code1 == code2 == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_sweep_rejects_garbage_thread_env(run_cli, tmp_path):
-    code, _, err = run_cli(
-        "fourmode", "sweep", "--steps", "3", "--out", str(tmp_path / "x.csv"),
-        env={"PROMISCUITY_THREADS": "many"},
-    )
-    assert code == 2
-    assert "PROMISCUITY_THREADS" in err
+def test_sweep_columns_match_report_columns(run_cli, tmp_path):
+    # sweep rows and report rows come from one record; every sweep column
+    # must carry the report's bytes for the same point
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("a_min = 0.3\na_max = 1.5\ns_min = 0.5\ns_max = 1.0\ngrid_density = 2\n")
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli("fourmode", "sweep", "--out", str(out_file), "--config", str(cfg))
+    assert code == 0
+    header, *rows = out_file.read_text().splitlines()
+    assert len(rows) == 4
+    for row in rows:
+        sweep = dict(zip(header.split(","), row.split(",")))
+        code, out, _ = run_cli(
+            "fourmode", "report", "--a", sweep["a"], "--s", sweep["s"], "--format", "csv"
+        )
+        assert code == 0
+        report_header, report_row = out.splitlines()
+        report = dict(zip(report_header.split(","), report_row.split(",")))
+        assert {name: report[name] for name in sweep} == sweep
 
 
 def test_sweep_unwritable_output_exits_one(run_cli, tmp_path):
@@ -131,6 +129,14 @@ def test_qudit_report_fields(run_cli):
     assert payload["squashed_pairwise_witness"] == pytest.approx(0.412022659167, abs=1e-11)
 
 
+def test_qudit_report_large_dimension(run_cli):
+    code, out, err = run_cli("qudit", "report", "--d", "2000")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["nongaussianity"] == 0.5
+    assert payload["three_tangle_exact"] == "500"
+
+
 def test_qudit_report_rejects_bad_dimension(run_cli):
     code, _, err = run_cli("qudit", "report", "--d", "6")
     assert code == 2
@@ -167,10 +173,13 @@ def test_verify_cli_reports_failure_exit(monkeypatch):
     import contextlib
     import io
 
-    real = contangle.tripartite_bound
-    monkeypatch.setattr(
-        contangle, "tripartite_bound", lambda params: real(params) + 1e-3
-    )
+    real = contangle.closed_forms
+
+    def raised_bound(params):
+        forms = real(params)
+        return dataclasses.replace(forms, tripartite_bound=forms.tripartite_bound + 1e-3)
+
+    monkeypatch.setattr(contangle, "closed_forms", raised_bound)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(["verify", "--grid-density", "5"])

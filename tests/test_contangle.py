@@ -10,17 +10,14 @@ from promiscuity.contangle import (
     PAIRS,
     SqueezingParams,
     bounding_tripartite_state,
+    closed_forms,
     g_function,
     interpair_contangle,
-    monogamy_residual,
     one_vs_rest_contangle,
     one_vs_rest_m,
     pairwise_contangle,
     pairwise_m,
-    residual_contangle,
     separability_threshold,
-    strong_monogamy_check,
-    tripartite_bound,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
@@ -153,53 +150,50 @@ def test_interpair_is_four_s_squared():
     assert interpair_contangle(SqueezingParams(0.0, 0.0)) == 0.0
 
 
+def _residual(a, s):
+    return closed_forms(SqueezingParams(a, s)).residual
+
+
+def _bound(a, s):
+    return closed_forms(SqueezingParams(a, s)).tripartite_bound
+
+
 def test_residual_benchmark_and_edges():
-    assert residual_contangle(SqueezingParams(1.5, 1.0)) == pytest.approx(
-        RESIDUAL_BENCH, abs=1e-11
-    )
-    assert residual_contangle(SqueezingParams(0.0, 1.3)) == pytest.approx(0.0, abs=1e-12)
-    assert residual_contangle(SqueezingParams(1.3, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert _residual(1.5, 1.0) == pytest.approx(RESIDUAL_BENCH, abs=1e-11)
+    assert _residual(0.0, 1.3) == pytest.approx(0.0, abs=1e-12)
+    assert _residual(1.3, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residual_diverges_with_arm_squeezing():
-    growth = residual_contangle(SqueezingParams(6.0, 1.0)) - residual_contangle(
-        SqueezingParams(3.0, 1.0)
-    )
+    growth = _residual(6.0, 1.0) - _residual(3.0, 1.0)
     assert growth == pytest.approx(10.450030536459806, abs=1e-9)
     assert growth > 10.0
 
 
-def test_monogamy_residual_matches_probe_one_branch():
+def test_monogamy_slack_matches_probe_one_branch():
     for a, s in [(0.0, 0.0), (0.4, 1.1), (1.5, 1.0), (2.5, 2.5)]:
-        params = SqueezingParams(a, s)
-        res = monogamy_residual(params)
-        assert res >= 0.0
-        assert res == pytest.approx(residual_contangle(params), abs=1e-12)
+        forms = closed_forms(SqueezingParams(a, s))
+        assert forms.monogamy_slack >= 0.0
+        assert forms.monogamy_slack == pytest.approx(forms.residual, abs=1e-12)
 
 
 def test_tripartite_bound_values():
-    assert tripartite_bound(SqueezingParams(1.5, 1.0)) == pytest.approx(
-        BOUND_BENCH, abs=1e-12
-    )
-    assert tripartite_bound(SqueezingParams(5.0, 1.0)) == pytest.approx(
-        BOUND_AT_5_1, abs=1e-12
-    )
-    assert tripartite_bound(SqueezingParams(5.0, 1.0)) < 0.01
+    assert _bound(1.5, 1.0) == pytest.approx(BOUND_BENCH, abs=1e-12)
+    assert _bound(5.0, 1.0) == pytest.approx(BOUND_AT_5_1, abs=1e-12)
+    assert _bound(5.0, 1.0) < 0.01
 
 
 def test_tripartite_bound_vanishes_without_arm_squeezing():
     # probe mode decouples at a = 0, so the capped quantity is exactly zero
     for s in (0.0, 0.5, 1.0, 2.5):
-        assert tripartite_bound(SqueezingParams(0.0, s)) == 0.0
+        assert _bound(0.0, s) == 0.0
 
 
 def test_tripartite_bound_rises_to_an_interior_peak():
     # the bound is tight at a = 0 and must climb before the large-a decay;
     # this pins the hump so the trend checks stay honest about it
-    assert tripartite_bound(SqueezingParams(0.1, 1.0)) == pytest.approx(
-        BOUND_AT_01_1, abs=1e-12
-    )
-    row = [tripartite_bound(SqueezingParams(0.1 * k, 1.0)) for k in range(26)]
+    assert _bound(0.1, 1.0) == pytest.approx(BOUND_AT_01_1, abs=1e-12)
+    row = [_bound(0.1 * k, 1.0) for k in range(26)]
     peak = max(range(26), key=row.__getitem__)
     assert 0 < peak < 25
     assert all(row[k + 1] >= row[k] - 1e-12 for k in range(peak))
@@ -233,11 +227,24 @@ def test_bounding_state_probe_three_matches_closed_form():
     assert m3_spectral == pytest.approx(m3_closed, abs=1e-10)
 
 
-def test_strong_monogamy_check_benchmark():
-    outcome = strong_monogamy_check(SqueezingParams(1.5, 1.0))
-    assert outcome.ok
+def test_strong_monogamy_benchmark():
+    outcome = closed_forms(SqueezingParams(1.5, 1.0))
+    assert outcome.strong_monogamy_ok
     assert outcome.residual == pytest.approx(5.52, abs=0.05)
     assert outcome.tripartite_bound == pytest.approx(0.45, abs=0.01)
+
+
+@given(a=squeezings, s=squeezings)
+@settings(max_examples=30, deadline=None)
+def test_closed_forms_match_primitives(a, s):
+    params = SqueezingParams(a, s)
+    forms = closed_forms(params)
+    assert forms.params == params
+    assert forms.pairwise_contangle == {pair: pairwise_contangle(params, pair) for pair in PAIRS}
+    rest = {probe: one_vs_rest_contangle(params, probe) for probe in (1, 2, 3, 4)}
+    assert forms.one_vs_rest_contangle == rest
+    assert forms.interpair_contangle == interpair_contangle(params)
+    assert list(forms.pairwise_contangle) == list(PAIRS)
 
 
 def test_pairs_constant_is_the_six_unordered_pairs():
@@ -247,12 +254,11 @@ def test_pairs_constant_is_the_six_unordered_pairs():
 @given(a=squeezings, s=squeezings)
 @settings(max_examples=60, deadline=None)
 def test_monogamy_holds_everywhere(a, s):
-    params = SqueezingParams(a, s)
+    outcome = closed_forms(SqueezingParams(a, s))
     # exact cancellation at s=0 leaves ulp-scale float residue
-    assert monogamy_residual(params) >= -1e-12
-    assert tripartite_bound(params) >= 0.0
-    outcome = strong_monogamy_check(params)
-    assert outcome.ok
+    assert outcome.monogamy_slack >= -1e-12
+    assert outcome.tripartite_bound >= 0.0
+    assert outcome.strong_monogamy_ok
     assert outcome.residual >= outcome.tripartite_bound - 1e-9
 
 

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from promiscuity.qudit import (
     DensityMatrix,
     PureStateVector,
-    build_psi,
     concurrence,
     ghz3,
     n_copies,
     negativity,
     nongaussianity,
     one_vs_rest_tangle_qubit,
-    party_qubits,
     reduced_density,
     squashed_bounds,
     tangle_report,
@@ -74,22 +72,22 @@ def test_dimension_must_be_integral():
 def test_copy_counts_and_party_layout():
     assert n_copies(4) == (1, 1)
     assert n_copies(40) == (10, 10)
-    # qubit 3m + k belongs to party k
-    assert party_qubits(4) == ((0, 3), (1, 4), (2, 5))
-    assert party_qubits(8) == ((0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11))
 
 
-def test_build_psi_is_ghz_tensor_w():
-    psi = build_psi(4)
-    expected = np.kron(ghz3().amplitudes, w3().amplitudes)
-    assert psi.dims == (2,) * 6
-    assert np.allclose(psi.amplitudes, expected, atol=0)
-
-
-def test_build_psi_materialization_cap():
-    build_psi(8)
-    with pytest.raises(ValueError):
-        build_psi(12)
+@pytest.mark.parametrize("d", [4, 8])
+def test_materialized_party_entropy_is_additive_over_copies(d):
+    # GHZ^(d/4) x W^(d/4) with qubit 3m + k of copy m held by party k: each
+    # party's reduced entropy must equal the per-copy sum squashed_bounds uses
+    ghz_copies, w_copies = n_copies(d)
+    amps = np.ones(1, dtype=complex)
+    for copy in [ghz3()] * ghz_copies + [w3()] * w_copies:
+        amps = np.kron(amps, copy.amplitudes)
+    n_qubits = 3 * (ghz_copies + w_copies)
+    psi = PureStateVector((2,) * n_qubits, amps)
+    expected = squashed_bounds(d).one_vs_rest
+    for party in range(3):
+        entropy = vn_entropy(reduced_density(psi, range(party, n_qubits, 3)))
+        assert entropy == pytest.approx(expected, abs=1e-12)
 
 
 def test_reduced_density_of_ghz_and_w():
@@ -162,6 +160,13 @@ def test_nongaussianity_values():
         assert nongaussianity(d) >= 0.48
         # the closed form creeps past 1/2 by ~1e-14 at large d; allow that
         assert nongaussianity(d) <= 0.5 + 1e-12
+
+
+def test_nongaussianity_past_float_power_overflow():
+    # d = 1460 was the first d whose 7^(d/4) factor overflowed a float
+    q = 1460 // 4
+    exact = Fraction(1, 2) + Fraction(1, 2) * Fraction(1, 24) ** q - Fraction(28, 729) ** q
+    assert nongaussianity(1460) == float(exact) == 0.5
 
 
 def test_nongaussianity_increases_with_dimension():
