@@ -34,7 +34,7 @@ def main():
     print(f"  consistent                     {report.consistent}")
 
     tangles = qudit.tangle_report(args.d)
-    bounds = qudit.squashed_bounds(args.d)
+    bounds = tangles.squashed
     print(f"qudit family member d={args.d}")
     print(f"  three-tangle                   {tangles.three_tangle}")
     print(f"  pairwise tangle                {tangles.pairwise_tangle}")

@@ -22,29 +22,6 @@ from pathlib import Path
 from . import contangle, four_mode, qudit, verification
 from .config import GridConfig, load_config
 
-REPORT_FIELDS = (
-    "a",
-    "s",
-    "tau_12",
-    "tau_13",
-    "tau_14",
-    "tau_23",
-    "tau_24",
-    "tau_34",
-    "tau_1_rest",
-    "tau_2_rest",
-    "tau_3_rest",
-    "tau_4_rest",
-    "tau_pairblock",
-    "tau_res",
-    "tau_tri_bound",
-    "monogamy_ok",
-    "strong_monogamy_ok",
-    "near_threshold",
-    "consistent",
-    "max_route_deviation",
-)
-
 SWEEP_FIELDS = (
     "a",
     "s",
@@ -57,24 +34,6 @@ SWEEP_FIELDS = (
     "tau_tri_bound",
     "monogamy_ok",
     "strong_monogamy_ok",
-)
-
-QUDIT_FIELDS = (
-    "d",
-    "three_tangle",
-    "three_tangle_exact",
-    "pairwise_tangle",
-    "pairwise_tangle_exact",
-    "one_vs_rest_tangle",
-    "one_vs_rest_tangle_exact",
-    "monogamy_gap",
-    "monogamy_gap_exact",
-    "nongaussianity",
-    "squashed_one_vs_rest",
-    "squashed_tripartite_lower",
-    "squashed_tripartite_lower_exact",
-    "squashed_pairwise_form",
-    "squashed_pairwise_witness",
 )
 
 
@@ -139,12 +98,12 @@ def _report_row(params: contangle.SqueezingParams) -> dict:
     }
 
 
-def _format_table(fields: tuple[str, ...], row: dict, style: str) -> str:
+def _format_table(row: dict, style: str) -> str:
     if style == "csv":
-        header = ",".join(fields)
-        values = ",".join(_text(row[name]) for name in fields)
+        header = ",".join(row)
+        values = ",".join(_text(value) for value in row.values())
         return f"{header}\n{values}\n"
-    payload = {name: _json_ready(row[name]) for name in fields}
+    payload = {name: _json_ready(value) for name, value in row.items()}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -169,7 +128,7 @@ def _nonnegative(label: str):
 def cmd_fourmode_report(args, parser) -> int:
     params = contangle.SqueezingParams(args.a, args.s)
     row = _report_row(params)
-    _emit(_format_table(REPORT_FIELDS, row, args.format), None)
+    _emit(_format_table(row, args.format), None)
     if not row["consistent"]:
         print("error: closed-form and spectral routes disagree", file=sys.stderr)
         return 1
@@ -194,11 +153,8 @@ def cmd_fourmode_sweep(args, parser) -> int:
 
 
 def cmd_qudit_report(args, parser) -> int:
-    try:
-        report = qudit.tangle_report(args.d)
-        bounds = qudit.squashed_bounds(args.d)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = qudit.tangle_report(args.d)
+    bounds = report.squashed
     row = {
         "d": report.d,
         "three_tangle": float(report.three_tangle),
@@ -210,13 +166,13 @@ def cmd_qudit_report(args, parser) -> int:
         "monogamy_gap": float(report.monogamy_gap),
         "monogamy_gap_exact": str(report.monogamy_gap),
         "nongaussianity": report.nongaussianity,
-        "squashed_one_vs_rest": report.squashed_one_vs_rest,
-        "squashed_tripartite_lower": float(report.squashed_tripartite_lower),
-        "squashed_tripartite_lower_exact": str(report.squashed_tripartite_lower),
+        "squashed_one_vs_rest": bounds.one_vs_rest,
+        "squashed_tripartite_lower": float(bounds.tripartite_lower),
+        "squashed_tripartite_lower_exact": str(bounds.tripartite_lower),
         "squashed_pairwise_form": bounds.pairwise_form,
         "squashed_pairwise_witness": bounds.pairwise_witness,
     }
-    _emit(_format_table(QUDIT_FIELDS, row, args.format), None)
+    _emit(_format_table(row, args.format), None)
     return 0
 
 
@@ -291,7 +247,7 @@ def main(argv=None) -> int:
         return args.handler(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-    except OSError as exc:
+    except (ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -167,6 +167,10 @@ def interpair_contangle(params: SqueezingParams) -> float:
 
 def _bound_m_3_vs_12(params: SqueezingParams) -> float:
     ratio = (math.tanh(params.s) / math.cosh(params.a)) ** 2
+    if ratio == 1.0:
+        raise ArithmeticError(
+            f"tanh(s)/cosh(a) rounds to 1 in float64 at a={params.a}, s={params.s}"
+        )
     return (1.0 + ratio) / (1.0 - ratio)
 
 

@@ -82,7 +82,10 @@ def pair_pt_nu_min(state: gaussian.CovarianceMatrix, i: int, j: int) -> float:
 
 
 def pair_ppt_separable(state: gaussian.CovarianceMatrix, i: int, j: int) -> bool:
-    """PPT verdict for the reduced pair (1-based labels i, j)."""
+    """PPT verdict for the reduced pair (1-based labels i, j).
+
+    PPT decides Gaussian separability only when one side holds a single mode, as here.
+    """
     return pair_pt_nu_min(state, i, j) >= 1.0 - gaussian.SEPARABILITY_TOL
 
 

@@ -11,7 +11,6 @@ Conventions
   describes a pure state iff every symplectic eigenvalue equals 1.
 * Logarithmic negativity uses the natural logarithm, so a two-mode
   squeezed vacuum with squeezing r has log-negativity exactly 2r.
-* Von Neumann entropy is reported in bits (base-2 logarithm).
 
 All mode indices in this module are 0-based.
 """
@@ -27,15 +26,6 @@ SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 SEPARABILITY_TOL = 1e-9
-
-
-class InconclusiveSeparabilityError(ValueError):
-    """Raised when the positive-partial-transpose test cannot decide.
-
-    The PPT criterion is necessary and sufficient for Gaussian states only
-    across 1-vs-M bipartitions; for M-vs-M cuts with both sides holding at
-    least two modes a positive partial transpose proves nothing.
-    """
 
 
 def _as_square_float_array(data, dim: int, what: str) -> np.ndarray:
@@ -76,11 +66,6 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return 2 * self.n_modes
 
-    def physicality_defect(self) -> float:
-        """Most negative eigenvalue of sigma + i*Omega (0 if none)."""
-        herm = self.data.astype(complex) + 1j * symplectic_form(self.n_modes)
-        return min(0.0, float(np.linalg.eigvalsh(herm).min()))
-
     def spectral_noise_floor(self) -> float:
         """Resolution limit of float64 spectral predicates on this matrix.
 
@@ -92,9 +77,6 @@ class CovarianceMatrix:
         the float64 result.
         """
         return 2e-13 * self.dim * float(np.abs(self.data).max())
-
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return self.physicality_defect() >= -max(tol, self.spectral_noise_floor())
 
     def is_pure(self, tol: float = PHYSICALITY_TOL) -> bool:
         band = max(tol, self.spectral_noise_floor())
@@ -312,42 +294,6 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> float:
     if below.size == 0:
         return 0.0
     return max(0.0, float(-np.log(below).sum()))
-
-
-def is_ppt_separable(sigma: CovarianceMatrix, partition: ModePartition) -> bool:
-    """Separability verdict from the partial-transpose spectrum.
-
-    Only valid where PPT is conclusive for Gaussian states: one side of
-    the partition must hold a single mode.  For M-vs-M cuts raises
-    InconclusiveSeparabilityError instead of guessing.
-    """
-    if min(len(partition.side_a), len(partition.side_b)) > 1:
-        raise InconclusiveSeparabilityError(
-            "PPT is necessary and sufficient only for 1-vs-M mode partitions; "
-            f"got {len(partition.side_a)}-vs-{len(partition.side_b)}"
-        )
-    nu_min = float(symplectic_eigenvalues(partial_transpose(sigma, partition)).min())
-    return nu_min >= 1.0 - SEPARABILITY_TOL
-
-
-def von_neumann_entropy(sigma: CovarianceMatrix) -> float:
-    """Entropy of a Gaussian state in bits.
-
-    sum of f(nu_k) with f(nu) = ((nu+1)/2) log2((nu+1)/2)
-    - ((nu-1)/2) log2((nu-1)/2); f(1) = 0, so pure states give 0.
-    Rejects unphysical spectra (any nu < 1 - PHYSICALITY_TOL).
-    """
-    nus = symplectic_eigenvalues(sigma)
-    if float(nus.min()) < 1.0 - PHYSICALITY_TOL:
-        raise ValueError(
-            f"unphysical symplectic spectrum (min {nus.min():.12g}); entropy undefined"
-        )
-    total = 0.0
-    for nu in np.maximum(nus, 1.0):
-        up = (nu + 1.0) / 2.0
-        down = (nu - 1.0) / 2.0
-        total += up * math.log2(up) - (down * math.log2(down) if down > 0.0 else 0.0)
-    return total
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:

@@ -82,8 +82,8 @@ class QuditTangleReport:
     """Tangle statistics of the d-family member, exact where exactness holds.
 
     The three rational tangles and the monogamy gap come from per-copy
-    brute force snapped to exact fractions and composed additively; the
-    remaining fields are floats.
+    brute force snapped to exact fractions and composed additively;
+    nongaussianity is a float and squashed holds the squashed bounds.
     """
 
     d: int
@@ -92,8 +92,7 @@ class QuditTangleReport:
     one_vs_rest_tangle: Fraction
     monogamy_gap: Fraction
     nongaussianity: float
-    squashed_one_vs_rest: float
-    squashed_tripartite_lower: Fraction
+    squashed: SquashedBounds
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,6 @@ def tangle_report(d: int) -> QuditTangleReport:
     one_vs_rest = ghz_copies * ghz_rest + w_copies * w_rest
     pairwise = ghz_copies * ghz_pair + w_copies * w_pair
     three = ghz_copies * ghz_three + w_copies * w_three
-    squashed = squashed_bounds(d)
     return QuditTangleReport(
         d=d,
         three_tangle=three,
@@ -287,6 +285,5 @@ def tangle_report(d: int) -> QuditTangleReport:
         one_vs_rest_tangle=one_vs_rest,
         monogamy_gap=one_vs_rest - 2 * pairwise - three,
         nongaussianity=nongaussianity(d),
-        squashed_one_vs_rest=squashed.one_vs_rest,
-        squashed_tripartite_lower=squashed.tripartite_lower,
+        squashed=squashed_bounds(d),
     )

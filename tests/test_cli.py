@@ -11,6 +11,17 @@ SWEEP_HEADER = (
     "a,s,tau_12,tau_23,tau_14,tau_pairblock,tau_1_rest,"
     "tau_res,tau_tri_bound,monogamy_ok,strong_monogamy_ok"
 )
+REPORT_HEADER = (
+    "a,s,tau_12,tau_13,tau_14,tau_23,tau_24,tau_34,"
+    "tau_1_rest,tau_2_rest,tau_3_rest,tau_4_rest,tau_pairblock,tau_res,tau_tri_bound,"
+    "monogamy_ok,strong_monogamy_ok,near_threshold,consistent,max_route_deviation"
+)
+QUDIT_HEADER = (
+    "d,three_tangle,three_tangle_exact,pairwise_tangle,pairwise_tangle_exact,"
+    "one_vs_rest_tangle,one_vs_rest_tangle_exact,monogamy_gap,monogamy_gap_exact,"
+    "nongaussianity,squashed_one_vs_rest,squashed_tripartite_lower,"
+    "squashed_tripartite_lower_exact,squashed_pairwise_form,squashed_pairwise_witness"
+)
 
 
 def test_report_json_is_deterministic(run_cli):
@@ -55,6 +66,32 @@ def test_sweep_header_and_benchmark_row(run_cli, tmp_path):
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + 26 * 26
     assert BENCH_ROW in lines
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["fourmode", "report", "--a", "1.5", "--s", "1.0"], REPORT_HEADER),
+        (["qudit", "report", "--d", "8"], QUDIT_HEADER),
+    ],
+)
+def test_report_schema(capsys, argv, header):
+    # the key order lives only in the row dicts the commands build
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert ",".join(json.loads(capsys.readouterr().out)) == header
+
+
+def test_sweep_float64_edge_is_one_error_line(run_cli, tmp_path):
+    # at a = 0 and s >= 19.1, tanh(s) rounds to 1 and the 3|12 bound diverges
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run_cli("fourmode", "sweep", "--s-max", "30", "--out", str(out_file))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "s=" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 def test_sweep_rejects_single_step(run_cli, tmp_path):

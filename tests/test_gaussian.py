@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from promiscuity import gaussian
 from promiscuity.gaussian import (
     CovarianceMatrix,
-    InconclusiveSeparabilityError,
     ModePartition,
     SymplecticTransform,
     apply,
     compose,
-    is_ppt_separable,
     log_negativity,
     partial_transpose,
     permute_modes,
@@ -22,7 +20,6 @@ from promiscuity.gaussian import (
     symplectic_form,
     two_mode_squeezer,
     vacuum_cm,
-    von_neumann_entropy,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
@@ -45,7 +42,8 @@ def test_vacuum_is_identity():
     assert vac.n_modes == 4
     assert vac.dim == 8
     assert np.array_equal(vac.data, np.eye(8))
-    assert vac.is_physical() and vac.is_pure()
+    assert symplectic_eigenvalues(vac).min() >= 1 - 1e-9
+    assert vac.is_pure()
 
 
 def test_vacuum_rejects_zero_modes():
@@ -199,43 +197,6 @@ def test_log_negativity_mixed_state_route():
     assert log_negativity(thermal, part) == 0.0
 
 
-def test_ppt_separability_verdicts():
-    part = ModePartition(frozenset({0}), frozenset({1}))
-    assert is_ppt_separable(vacuum_cm(2), part)
-    assert not is_ppt_separable(tmsv(0.3), part)
-
-
-def test_ppt_inconclusive_for_two_vs_two():
-    four = vacuum_cm(4)
-    part = ModePartition(frozenset({0, 1}), frozenset({2, 3}))
-    with pytest.raises(InconclusiveSeparabilityError):
-        is_ppt_separable(four, part)
-
-
-def test_ppt_conclusive_for_one_vs_three():
-    four = vacuum_cm(4)
-    part = ModePartition(frozenset({0}), frozenset({1, 2, 3}))
-    assert is_ppt_separable(four, part)
-
-
-def test_von_neumann_entropy_values():
-    assert von_neumann_entropy(vacuum_cm(1)) == 0.0
-    # nu = 3: ((3+1)/2)log2((3+1)/2) - ((3-1)/2)log2((3-1)/2) = 2 exactly
-    thermal = CovarianceMatrix(1, 3.0 * np.eye(2))
-    assert von_neumann_entropy(thermal) == pytest.approx(2.0, abs=1e-12)
-    red = reduce(tmsv(0.8), {0})
-    nu = math.cosh(1.6)
-    up, down = (nu + 1) / 2, (nu - 1) / 2
-    expected = up * math.log2(up) - down * math.log2(down)
-    assert von_neumann_entropy(red) == pytest.approx(expected, abs=1e-11)
-
-
-def test_von_neumann_entropy_rejects_unphysical():
-    bad = CovarianceMatrix(1, 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        von_neumann_entropy(bad)
-
-
 def test_permute_modes_round_trip():
     state = apply(two_mode_squeezer(0, 1, 0.7, 3), vacuum_cm(3))
     cycled = permute_modes(state, [2, 0, 1])
@@ -247,9 +208,12 @@ def test_permute_modes_round_trip():
 
 
 def test_physicality_of_partial_transpose():
-    flipped = partial_transpose(tmsv(0.5), ModePartition(frozenset({0}), frozenset({1})))
-    assert flipped.physicality_defect() < 0
-    assert not flipped.is_physical()
+    r = 0.5
+    flipped = partial_transpose(tmsv(r), ModePartition(frozenset({0}), frozenset({1})))
+    nu_min = symplectic_eigenvalues(flipped).min()
+    # the flipped state violates the uncertainty bound nu >= 1
+    assert nu_min == pytest.approx(math.exp(-2 * r), abs=1e-12)
+    assert nu_min < 1
 
 
 def test_spectral_noise_floor_scales():
@@ -279,7 +243,9 @@ def test_squeezer_chain_outputs_pure_physical_states(a, s):
         two_mode_squeezer(2, 3, a, 4),
     )
     state = apply(chain, vacuum_cm(4))
-    assert state.is_physical()
+    # at a = s = 2.45 the spectrum sits 3.4e-9 below 1, inside the noise floor
+    band = max(1e-9, state.spectral_noise_floor())
+    assert symplectic_eigenvalues(state).min() >= 1 - band
     assert state.is_pure()
 
 

@@ -142,7 +142,7 @@ def test_tangle_report_exact_rationals(d):
     assert report.one_vs_rest_tangle == Fraction(17 * d, 36)
     assert report.monogamy_gap == Fraction(0)
     assert report.nongaussianity == pytest.approx(nongaussianity(d), abs=0)
-    assert report.squashed_tripartite_lower == Fraction(d, 4)
+    assert report.squashed.tripartite_lower == Fraction(d, 4)
 
 
 def test_monogamy_decomposition_is_additive():
