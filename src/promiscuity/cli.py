@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 internal inconsistency or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -127,7 +128,10 @@ def _nonnegative(label: str):
 
 def cmd_fourmode_report(args, parser) -> int:
     params = contangle.SqueezingParams(args.a, args.s)
-    row = _report_row(params)
+    try:
+        row = _report_row(params)
+    except OverflowError as exc:
+        raise OverflowError(f"float64 overflow ({exc}) at a={params.a}, s={params.s}") from None
     _emit(_format_table(row, args.format), None)
     if not row["consistent"]:
         print("error: closed-form and spectral routes disagree", file=sys.stderr)
@@ -196,7 +200,9 @@ def cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="promiscuity",
         description="Entanglement sharing diagnostics for four-mode squeezed states "

@@ -18,6 +18,7 @@ Natural logarithms throughout, so the pair contangles come out as
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import gaussian
@@ -174,18 +175,27 @@ def _bound_m_3_vs_12(params: SqueezingParams) -> float:
     return (1.0 + ratio) / (1.0 - ratio)
 
 
-def bounding_tripartite_state(params: SqueezingParams) -> gaussian.CovarianceMatrix:
+def bounding_tripartite_state(
+    params: SqueezingParams | Sequence[SqueezingParams],
+) -> gaussian.CovarianceMatrix:
     """Pure three-mode state that majorizes the 1, 2, 3 reduction.
 
     Built from a pair squeezer of degree a on modes 1, 2 followed by an
     interpair squeezer of degree t = arccosh(m_bound_{3|(12)}) / 2 on
     modes 2, 3, acting on vacuum.  The defining property, checked in the
     test suite, is that reduce(state, {1,2,3}) - sigma_p is positive
-    semidefinite for the matching four-mode state.
+    semidefinite for the matching four-mode state.  A sequence of points
+    gives the stack of their states, in order.
     """
-    t = 0.5 * math.acosh(max(1.0, _bound_m_3_vs_12(params)))
+    def degree(point: SqueezingParams) -> float:
+        return 0.5 * math.acosh(max(1.0, _bound_m_3_vs_12(point)))
+
+    if isinstance(params, SqueezingParams):
+        a, t = params.a, degree(params)
+    else:
+        a, t = [p.a for p in params], [degree(p) for p in params]
     transform = gaussian.compose(
-        gaussian.two_mode_squeezer(0, 1, params.a, 3),
+        gaussian.two_mode_squeezer(0, 1, a, 3),
         gaussian.two_mode_squeezer(1, 2, t, 3),
     )
     return gaussian.apply(transform, gaussian.vacuum_cm(3))

@@ -13,6 +13,7 @@ User-facing mode labels are 1-based; the gaussian layer underneath is
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import contangle, gaussian
@@ -47,9 +48,16 @@ class EntanglementReport(contangle.ClosedForms):
     max_route_deviation: float
 
 
-def build_state(params: SqueezingParams) -> gaussian.CovarianceMatrix:
-    """Covariance matrix of gamma(a, s); rejects negative squeezing degrees."""
-    degrees = {(3, 4): params.a, (1, 2): params.a, (2, 3): params.s}
+def build_state(params: SqueezingParams | Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
+    """Covariance matrix of gamma(a, s); rejects negative squeezing degrees.
+
+    A sequence of points gives the stack of their matrices, in order.
+    """
+    if isinstance(params, SqueezingParams):
+        a, s = params.a, params.s
+    else:
+        a, s = [p.a for p in params], [p.s for p in params]
+    degrees = {(3, 4): a, (1, 2): a, (2, 3): s}
     transform = gaussian.compose(
         *(
             gaussian.two_mode_squeezer(i - 1, j - 1, degrees[(i, j)], 4)
@@ -74,15 +82,18 @@ _TWO_VS_TWO = (
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 
 
-def pair_pt_nu_min(state: gaussian.CovarianceMatrix, i: int, j: int) -> float:
-    """Smallest partially transposed symplectic eigenvalue of the pair i, j (1-based)."""
+def pair_pt_nu_min(state: gaussian.CovarianceMatrix, i: int, j: int):
+    """Smallest partially transposed symplectic eigenvalue of the pair i, j (1-based).
+
+    A float for one state, an array for a stack of states.
+    """
     reduced = gaussian.reduce(state, [i - 1, j - 1])
     transposed = gaussian.partial_transpose(reduced, _PAIR_CUT)
-    return float(gaussian.symplectic_eigenvalues(transposed).min())
+    return gaussian.unstack(gaussian.symplectic_eigenvalues(transposed).min(axis=-1))
 
 
-def pair_ppt_separable(state: gaussian.CovarianceMatrix, i: int, j: int) -> bool:
-    """PPT verdict for the reduced pair (1-based labels i, j).
+def pair_ppt_separable(state: gaussian.CovarianceMatrix, i: int, j: int):
+    """PPT verdict for the reduced pair (1-based labels i, j), per state of a stack.
 
     PPT decides Gaussian separability only when one side holds a single mode, as here.
     """
@@ -93,24 +104,25 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     """All contangle statistics of gamma(a, s), cross-checked spectrally.
 
     The closed forms fill the report; independently, log-negativities and
-    PPT verdicts are recomputed from the covariance matrix.  Any value
-    deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
-    inconsistent instead of raising.  Points within THRESHOLD_FLAG_TOL of
-    the middle-pair separability threshold are flagged near_threshold and
-    exempted from the hard verdict comparison, as are pairs whose
-    entanglement is too faint for either route to certify (see FAINT_TAU
-    and PPT_MARGIN).
+    PPT verdicts are recomputed from the covariance matrix, on a stack of
+    one state through the same calls the verify suites make on blocks of
+    points.  Any value deviating beyond ROUTE_TOL, or any verdict
+    mismatch, marks the report inconsistent instead of raising.  Points
+    within THRESHOLD_FLAG_TOL of the middle-pair separability threshold
+    are flagged near_threshold and exempted from the hard verdict
+    comparison, as are pairs whose entanglement is too faint for either
+    route to certify (see FAINT_TAU and PPT_MARGIN).
     """
-    state = build_state(params)
+    state = build_state([params])
     forms = contangle.closed_forms(params)
 
     one_rest = forms.one_vs_rest_contangle
     deviations = [
-        abs(gaussian.log_negativity(state, probe_partition(p)) ** 2 - one_rest[p])
+        abs(gaussian.log_negativity(state, probe_partition(p)).item() ** 2 - one_rest[p])
         for p in contangle.PROBES
     ]
     deviations.append(
-        abs(gaussian.log_negativity(state, PAIRBLOCK) ** 2 - forms.interpair_contangle)
+        abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle)
     )
 
     near = abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
@@ -121,7 +133,7 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
         closed_tau = forms.pairwise_contangle[(i, j)]
         if 0.0 < closed_tau <= FAINT_TAU:
             continue
-        nu_min = pair_pt_nu_min(state, i, j)
+        nu_min = pair_pt_nu_min(state, i, j).item()
         if 0.0 < 1.0 - nu_min <= PPT_MARGIN:
             continue
         spectral_separable = nu_min >= 1.0 - gaussian.SEPARABILITY_TOL

@@ -11,11 +11,16 @@ Conventions
   describes a pure state iff every symplectic eigenvalue equals 1.
 * Logarithmic negativity uses the natural logarithm, so a two-mode
   squeezed vacuum with squeezing r has log-negativity exactly 2r.
+* Matrices may be stacked along leading axes.  Every function acts on
+  the trailing two axes and gives one value per matrix: a Python scalar
+  for a single 2-D matrix, an array for a stack.  Each matrix of a
+  stack is computed exactly as it would be alone.
 
 All mode indices in this module are 0-based.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -30,22 +35,35 @@ SEPARABILITY_TOL = 1e-9
 
 def _as_square_float_array(data, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape != (dim, dim):
+    if arr.shape[-2:] != (dim, dim):
         raise ValueError(f"{what} must have shape {(dim, dim)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
 
+def _check_defect(defect: np.ndarray, tol: float, message: str) -> None:
+    # per-matrix defects; the first matrix of the stack beyond tol is reported
+    bad = defect > tol
+    if bad.any():
+        raise ValueError(f"{message} {defect[bad].flat[0]:.3e}")
+
+
+def unstack(values: np.ndarray):
+    """Per-matrix values as a Python scalar for one matrix, as-is for a stack."""
+    return values.item() if values.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Real symmetric 2N x 2N covariance matrix in qqpp ordering.
+    """Real symmetric 2N x 2N covariance matrix in qqpp ordering, or a stack of them.
 
     The constructor validates shape, finiteness and symmetry (within
-    SYMMETRY_TOL) and stores an exactly symmetrized copy.  Physicality is
-    deliberately not enforced here: partial transposition produces valid
-    instances that violate the uncertainty bound, which is precisely the
-    signal the entanglement tests read off.
+    SYMMETRY_TOL, for every matrix of a stack) and stores an exactly
+    symmetrized copy.  Physicality is deliberately not enforced here:
+    partial transposition produces valid instances that violate the
+    uncertainty bound, which is precisely the signal the entanglement
+    tests read off.
     """
 
     n_modes: int
@@ -55,10 +73,12 @@ class CovarianceMatrix:
         if self.n_modes < 1:
             raise ValueError("n_modes must be a positive integer")
         arr = _as_square_float_array(self.data, 2 * self.n_modes, "covariance matrix")
-        defect = float(np.abs(arr - arr.T).max())
-        if defect > SYMMETRY_TOL:
-            raise ValueError(f"covariance matrix asymmetric beyond tolerance: {defect:.3e}")
-        arr = (arr + arr.T) / 2.0
+        _check_defect(
+            np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)),
+            SYMMETRY_TOL,
+            "covariance matrix asymmetric beyond tolerance:",
+        )
+        arr = (arr + arr.swapaxes(-1, -2)) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -66,7 +86,7 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return 2 * self.n_modes
 
-    def spectral_noise_floor(self) -> float:
+    def spectral_noise_floor(self):
         """Resolution limit of float64 spectral predicates on this matrix.
 
         Backward-stable dense eigensolvers place eigenvalues to within
@@ -76,18 +96,20 @@ class CovarianceMatrix:
         worst sampled case, which pins the true spectrum two decades below
         the float64 result.
         """
-        return 2e-13 * self.dim * float(np.abs(self.data).max())
+        return unstack(2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1)))
 
-    def is_pure(self, tol: float = PHYSICALITY_TOL) -> bool:
-        band = max(tol, self.spectral_noise_floor())
-        return bool(np.abs(symplectic_eigenvalues(self) - 1.0).max() <= band)
+    def is_pure(self, tol: float = PHYSICALITY_TOL):
+        band = np.maximum(tol, self.spectral_noise_floor())
+        deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
+        return unstack(deviation <= band)
 
 
 @dataclass(frozen=True)
 class SymplecticTransform:
     """Linear symplectic transform S acting on covariance matrices by congruence.
 
-    Validates S Omega S^T = Omega within SYMPLECTIC_TOL.
+    One matrix or a stack of them, like CovarianceMatrix.  Validates
+    S Omega S^T = Omega within SYMPLECTIC_TOL for every matrix.
     """
 
     n_modes: int
@@ -98,9 +120,12 @@ class SymplecticTransform:
             raise ValueError("n_modes must be a positive integer")
         arr = _as_square_float_array(self.data, 2 * self.n_modes, "symplectic matrix")
         omega = symplectic_form(self.n_modes)
-        defect = float(np.abs(arr @ omega @ arr.T - omega).max())
-        if defect > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic: defect {defect:.3e}")
+        # entries past ~1e154 overflow the product: no warning is printed, and
+        # the overflow still ends in a ValueError, here or on the finiteness
+        # check of the state the transform produces
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.abs(arr @ omega @ arr.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
+        _check_defect(defect, SYMPLECTIC_TOL, "matrix is not symplectic: defect")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -136,11 +161,13 @@ class ModePartition:
             raise ValueError(f"partition references modes {sorted(out)} outside 0..{sigma.n_modes - 1}")
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Omega = [[0, I], [-I, 0]] for the qqpp ordering."""
+    """Omega = [[0, I], [-I, 0]] for the qqpp ordering; read-only, built once per N."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     omega[:n_modes, n_modes:] = np.eye(n_modes)
     omega[n_modes:, :n_modes] = -np.eye(n_modes)
+    omega.flags.writeable = False
     return omega
 
 
@@ -149,7 +176,7 @@ def vacuum_cm(n_modes: int) -> CovarianceMatrix:
     return CovarianceMatrix(n_modes, np.eye(2 * n_modes))
 
 
-def two_mode_squeezer(i: int, j: int, r: float, n_modes: int) -> SymplecticTransform:
+def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
     """Two-mode squeezing transform on modes i and j embedded in N modes.
 
     The q-block of the active pair is [[cosh r, sinh r], [sinh r, cosh r]]
@@ -160,8 +187,9 @@ def two_mode_squeezer(i: int, j: int, r: float, n_modes: int) -> SymplecticTrans
     ----------
     i, j : int
         Distinct 0-based mode indices in range(n_modes).
-    r : float
-        Squeezing degree, any finite real.
+    r : float or array_like of float
+        Squeezing degree, any finite real; an array of degrees gives a
+        stack of transforms of the same leading shape.
     n_modes : int
         Total number of modes of the embedding transform.
     """
@@ -169,15 +197,19 @@ def two_mode_squeezer(i: int, j: int, r: float, n_modes: int) -> SymplecticTrans
         raise ValueError(f"mode indices ({i}, {j}) out of range for {n_modes} modes")
     if i == j:
         raise ValueError("two-mode squeezer needs two distinct modes")
-    if not math.isfinite(r):
+    degrees = np.asarray(r, dtype=float)
+    if not np.isfinite(degrees).all():
         raise ValueError("squeezing degree must be finite")
-    c, sh = math.cosh(r), math.sinh(r)
-    mat = np.eye(2 * n_modes)
+    # math.cosh/sinh per degree: libm values, and OverflowError past float64
+    flat = degrees.ravel().tolist()
+    c = np.array([math.cosh(x) for x in flat]).reshape(degrees.shape)
+    sh = np.array([math.sinh(x) for x in flat]).reshape(degrees.shape)
+    mat = np.broadcast_to(np.eye(2 * n_modes), degrees.shape + (2 * n_modes, 2 * n_modes)).copy()
     for x, y, sign in ((i, j, 1.0), (n_modes + i, n_modes + j, -1.0)):
-        mat[x, x] = c
-        mat[y, y] = c
-        mat[x, y] = sign * sh
-        mat[y, x] = sign * sh
+        mat[..., x, x] = c
+        mat[..., y, y] = c
+        mat[..., x, y] = sign * sh
+        mat[..., y, x] = sign * sh
     return SymplecticTransform(n_modes, mat)
 
 
@@ -200,7 +232,14 @@ def apply(transform: SymplecticTransform, sigma: CovarianceMatrix) -> Covariance
         raise ValueError(
             f"transform acts on {transform.n_modes} modes, state has {sigma.n_modes}"
         )
-    return CovarianceMatrix(sigma.n_modes, transform.data @ sigma.data @ transform.data.T)
+    return CovarianceMatrix(
+        sigma.n_modes, transform.data @ sigma.data @ transform.data.swapaxes(-1, -2)
+    )
+
+
+def _submatrix(sigma: CovarianceMatrix, modes: list[int]) -> np.ndarray:
+    idx = modes + [sigma.n_modes + m for m in modes]
+    return sigma.data.take(idx, axis=-2).take(idx, axis=-1)
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
@@ -214,8 +253,7 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
         raise ValueError("cannot reduce to an empty set of modes")
     if kept[0] < 0 or kept[-1] >= sigma.n_modes:
         raise ValueError(f"modes {kept} out of range for {sigma.n_modes}-mode state")
-    idx = kept + [sigma.n_modes + m for m in kept]
-    return CovarianceMatrix(len(kept), sigma.data[np.ix_(idx, idx)])
+    return CovarianceMatrix(len(kept), _submatrix(sigma, kept))
 
 
 def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -236,8 +274,29 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     return CovarianceMatrix(sub.n_modes, sub.data * np.outer(signs, signs))
 
 
+def _spectrum(data: np.ndarray, n_modes: int) -> np.ndarray:
+    omega = symplectic_form(n_modes)
+    try:
+        chol = np.linalg.cholesky(data)
+    except np.linalg.LinAlgError:
+        if data.ndim > 2:
+            # only the matrices whose own factorisation fails take the general route
+            flat = data.reshape((-1,) + data.shape[-2:])
+            nu = np.array([_spectrum(matrix, n_modes) for matrix in flat])
+            return nu.reshape(data.shape[:-2] + (n_modes,))
+        moduli = np.abs(np.linalg.eigvals(omega @ data))
+        moduli.sort()
+        return moduli.reshape(n_modes, 2).mean(axis=1)
+    herm = 1j * (chol.swapaxes(-1, -2) @ omega @ chol)
+    spectrum = np.linalg.eigvalsh(herm)
+    # the +/- pairing is exact in math; averaging each half cancels the
+    # antisymmetric part of the solver noise
+    nu = 0.5 * (spectrum[..., n_modes:] - spectrum[..., n_modes - 1 :: -1])
+    return np.sort(nu, axis=-1)
+
+
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum of sigma, ascending.
+    """Symplectic spectrum of sigma, ascending along the last axis.
 
     The eigenvalues of i*Omega*sigma come in pairs +/-nu_k.  For positive
     definite sigma = L L^T they are computed from the Hermitian matrix
@@ -245,55 +304,60 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
     have equal nonzero spectra) but is solvable by a backward-stable
     symmetric eigensolver with error ~ norm(sigma)*eps; both the general
     nonsymmetric solver and an explicit matrix square root lose several
-    digits at deep squeezing.  Indefinite (unphysical) input falls back
+    digits at deep squeezing.  Indefinite (unphysical) matrices fall back
     to the general route: moduli of the spectrum of Omega @ sigma,
     pair-collapsed.
     """
-    omega = symplectic_form(sigma.n_modes)
-    try:
-        chol = np.linalg.cholesky(sigma.data)
-    except np.linalg.LinAlgError:
-        moduli = np.abs(np.linalg.eigvals(omega @ sigma.data))
-        moduli.sort()
-        return moduli.reshape(sigma.n_modes, 2).mean(axis=1)
-    herm = 1j * (chol.T @ omega @ chol)
-    spectrum = np.linalg.eigvalsh(herm)
-    # the +/- pairing is exact in math; averaging each half cancels the
-    # antisymmetric part of the solver noise
-    nu = 0.5 * (spectrum[sigma.n_modes :] - spectrum[: sigma.n_modes][::-1])
-    return np.sort(nu)
+    return _spectrum(sigma.data, sigma.n_modes)
 
 
-def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> float:
+def _pure_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
+    side = min(partition.side_a, partition.side_b, key=len)
+    reduced = reduce(sigma, side)
+    nu = symplectic_eigenvalues(reduced)
+    # arccosh is infinitely steep at 1: solver noise on unsqueezed
+    # directions would surface as sqrt(noise), so values within the
+    # reduced block's own spectral resolution of 1 count as exactly 1;
+    # genuine squeezing above that floor stays resolvable
+    floor = np.expand_dims(reduced.spectral_noise_floor(), -1)
+    nu = np.where(nu <= 1.0 + floor, 1.0, nu)
+    return np.arccosh(nu).sum(axis=-1)
+
+
+def _transposed_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
+    nu = symplectic_eigenvalues(partial_transpose(sigma, partition))
+    # the spectrum is ascending, so the eigenvalues below 1 lead each row
+    # and the log(1) = 0 entries after them leave the sum unchanged
+    logs = np.log(np.where(nu < 1.0, nu, 1.0))
+    return np.maximum(0.0, -logs.sum(axis=-1))
+
+
+def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
     """Logarithmic negativity across a partition, in natural-log units.
 
     -sum(ln nu_k) over the partially transposed symplectic eigenvalues
     below 1; zero when the partial transpose is physical.  Symmetric under
-    swapping the two sides.
+    swapping the two sides.  A float for one matrix, an array for a stack.
 
     Pure states take an equivalent better-conditioned route: their Schmidt
     form is a tensor product of two-mode squeezed pairs across the cut, so
     the partially transposed spectrum is {e^(+/-2r_k)} with cosh(2r_k) the
     reduced-state symplectic spectrum, giving sum(arccosh nu_k) over the
     smaller side.  The direct route loses ~1e-7 at deep squeezing because
-    the smallest PT eigenvalue sits far below the matrix norm.
+    the smallest PT eigenvalue sits far below the matrix norm.  Each
+    matrix of a stack takes the route its own purity selects.
     """
     partition.validate_for(sigma)
-    if sigma.is_pure():
-        side = min(partition.side_a, partition.side_b, key=len)
-        reduced = reduce(sigma, side)
-        nu = symplectic_eigenvalues(reduced)
-        # arccosh is infinitely steep at 1: solver noise on unsqueezed
-        # directions would surface as sqrt(noise), so values within the
-        # reduced block's own spectral resolution of 1 count as exactly 1;
-        # genuine squeezing above that floor stays resolvable
-        nu = np.where(nu <= 1.0 + reduced.spectral_noise_floor(), 1.0, nu)
-        return float(np.arccosh(nu).sum())
-    nu = symplectic_eigenvalues(partial_transpose(sigma, partition))
-    below = nu[nu < 1.0]
-    if below.size == 0:
-        return 0.0
-    return max(0.0, float(-np.log(below).sum()))
+    pure = np.asarray(sigma.is_pure())
+    if pure.all():
+        values = _pure_log_negativity(sigma, partition)
+    elif not pure.any():
+        values = _transposed_log_negativity(sigma, partition)
+    else:
+        values = np.empty(pure.shape)
+        for mask, route in ((pure, _pure_log_negativity), (~pure, _transposed_log_negativity)):
+            values[mask] = route(CovarianceMatrix(sigma.n_modes, sigma.data[mask]), partition)
+    return unstack(values)
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:
@@ -301,5 +365,4 @@ def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMa
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    idx = perm + [sigma.n_modes + m for m in perm]
-    return CovarianceMatrix(sigma.n_modes, sigma.data[np.ix_(idx, idx)])
+    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, perm))

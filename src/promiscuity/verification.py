@@ -27,6 +27,9 @@ PSD_SLACK = -1e-8
 
 QUDIT_DIMS = tuple(range(4, 44, 4))
 NONGAUSSIANITY_DIMS = tuple(range(4, 100, 4))
+# points per stacked spectral call: the speed of a whole-grid stack at a
+# fraction of its memory
+BLOCK_POINTS = 128
 
 
 @dataclass
@@ -53,14 +56,27 @@ def _params_grid(cfg: GridConfig) -> list[contangle.SqueezingParams]:
     ]
 
 
+def _blocks(points: list[contangle.SqueezingParams]):
+    for start in range(0, len(points), BLOCK_POINTS):
+        yield points[start : start + BLOCK_POINTS]
+
+
+def _first_middle_last(values: list[float]) -> list[float]:
+    return [values[k] for k in sorted({0, len(values) // 2, len(values) - 1})]
+
+
+def _ends_and_middle(values: list[float]) -> list[float]:
+    # distinct values only, unlike _first_middle_last on a degenerate axis
+    return sorted({values[0], values[-1], values[len(values) // 2]})
+
+
 def suite_gaussian_invariants(cfg: GridConfig) -> SuiteResult:
     """Symplectic structure, purity, involution, side-swap symmetry."""
     result = SuiteResult("gaussian_invariants")
     omega = gaussian.symplectic_form(4)
     probe = four_mode.probe_partition(1)
-    sample = [cfg.a_values()[k] for k in sorted({0, len(cfg.a_values()) // 2, len(cfg.a_values()) - 1})]
-    for a in sample:
-        for s in sample:
+    for a in _first_middle_last(cfg.a_values()):
+        for s in _first_middle_last(cfg.s_values()):
             params = contangle.SqueezingParams(a, s)
             state = four_mode.build_state(params)
             point = f"a={a:.6g} s={s:.6g}"
@@ -96,27 +112,32 @@ def suite_gaussian_invariants(cfg: GridConfig) -> SuiteResult:
 def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    for params in _params_grid(cfg):
-        state = four_mode.build_state(params)
-        for probe in contangle.PROBES:
-            spectral = gaussian.log_negativity(state, four_mode.probe_partition(probe))
-            closed = contangle.one_vs_rest_contangle(params, probe)
-            result.check(
-                abs(spectral * spectral - closed) <= ROUTE_TOL,
-                f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
-            )
+    for block in _blocks(_params_grid(cfg)):
+        state = four_mode.build_state(block)
+        columns = [
+            gaussian.log_negativity(state, four_mode.probe_partition(probe)).tolist()
+            for probe in contangle.PROBES
+        ]
+        for params, row in zip(block, zip(*columns)):
+            for probe, spectral in zip(contangle.PROBES, row):
+                closed = contangle.one_vs_rest_contangle(params, probe)
+                result.check(
+                    abs(spectral * spectral - closed) <= ROUTE_TOL,
+                    f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
+                )
     return result
 
 
 def suite_interpair_agreement(cfg: GridConfig) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    for params in _params_grid(cfg):
-        spectral = gaussian.log_negativity(four_mode.build_state(params), four_mode.PAIRBLOCK)
-        result.check(
-            abs(spectral * spectral - contangle.interpair_contangle(params)) <= 1e-8,
-            f"a={params.a:.6g} s={params.s:.6g}",
-        )
+    for block in _blocks(_params_grid(cfg)):
+        state = four_mode.build_state(block)
+        for params, spectral in zip(block, gaussian.log_negativity(state, four_mode.PAIRBLOCK).tolist()):
+            result.check(
+                abs(spectral * spectral - contangle.interpair_contangle(params)) <= 1e-8,
+                f"a={params.a:.6g} s={params.s:.6g}",
+            )
     return result
 
 
@@ -127,22 +148,26 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
     skipped for the verdict and instead checked for nu_min = 1.
     """
     result = SuiteResult("pair_separability")
-    for params in _params_grid(cfg):
-        state = four_mode.build_state(params)
-        point = f"a={params.a:.6g} s={params.s:.6g}"
-        threshold = contangle.separability_threshold(params.s)
-        for pair in contangle.PAIRS:
-            if pair == (2, 3) and abs(params.a - threshold) <= THRESHOLD_MARGIN:
-                continue
-            closed = contangle.pairwise_m(params, pair) == 1.0
-            spectral = four_mode.pair_ppt_separable(state, *pair)
-            result.check(spectral == closed, f"pair {pair} at {point}")
-    for s in cfg.s_values():
-        if s <= 0.0:
-            continue
-        at_threshold = contangle.SqueezingParams(contangle.separability_threshold(s), s)
-        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(at_threshold), 2, 3)
-        result.check(abs(nu_min - 1.0) <= 1e-7, f"threshold nu_min at s={s:.6g}")
+    for block in _blocks(_params_grid(cfg)):
+        state = four_mode.build_state(block)
+        columns = [four_mode.pair_ppt_separable(state, *pair).tolist() for pair in contangle.PAIRS]
+        for params, row in zip(block, zip(*columns)):
+            point = f"a={params.a:.6g} s={params.s:.6g}"
+            threshold = contangle.separability_threshold(params.s)
+            for pair, spectral in zip(contangle.PAIRS, row):
+                if pair == (2, 3) and abs(params.a - threshold) <= THRESHOLD_MARGIN:
+                    continue
+                closed = contangle.pairwise_m(params, pair) == 1.0
+                result.check(spectral == closed, f"pair {pair} at {point}")
+    at_threshold = [
+        contangle.SqueezingParams(contangle.separability_threshold(s), s)
+        for s in cfg.s_values()
+        if s > 0.0
+    ]
+    for block in _blocks(at_threshold):
+        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(block), 2, 3)
+        for params, value in zip(block, nu_min.tolist()):
+            result.check(abs(value - 1.0) <= 1e-7, f"threshold nu_min at s={params.s:.6g}")
     return result
 
 
@@ -180,16 +205,16 @@ def suite_strong_monogamy(cfg: GridConfig) -> SuiteResult:
 def suite_bounding_state(cfg: GridConfig) -> SuiteResult:
     """reduce(gamma, {1,2,3}) majorizes the bounding three-mode state."""
     result = SuiteResult("bounding_state")
-    for params in _params_grid(cfg):
-        if params.a <= 0.0 or params.s <= 0.0:
-            continue
-        reduced = gaussian.reduce(four_mode.build_state(params), [0, 1, 2])
-        bound_state = contangle.bounding_tripartite_state(params)
-        min_eig = float(np.linalg.eigvalsh(reduced.data - bound_state.data).min())
-        result.check(
-            min_eig >= PSD_SLACK,
-            f"min eig {min_eig:.3e} at a={params.a:.6g} s={params.s:.6g}",
-        )
+    interior = [params for params in _params_grid(cfg) if params.a > 0.0 and params.s > 0.0]
+    for block in _blocks(interior):
+        reduced = gaussian.reduce(four_mode.build_state(block), [0, 1, 2])
+        bound_state = contangle.bounding_tripartite_state(block)
+        min_eig = np.linalg.eigvalsh(reduced.data - bound_state.data).min(axis=-1)
+        for params, value in zip(block, min_eig.tolist()):
+            result.check(
+                value >= PSD_SLACK,
+                f"min eig {value:.3e} at a={params.a:.6g} s={params.s:.6g}",
+            )
     return result
 
 
@@ -235,9 +260,8 @@ def suite_shape(cfg: GridConfig) -> SuiteResult:
 def suite_inseparability(cfg: GridConfig) -> SuiteResult:
     """Full inseparability iff both squeezing degrees are positive."""
     result = SuiteResult("inseparability")
-    values = sorted({cfg.a_values()[0], cfg.a_values()[-1], cfg.a_values()[len(cfg.a_values()) // 2]})
-    for a in values:
-        for s in values:
+    for a in _ends_and_middle(cfg.a_values()):
+        for s in _ends_and_middle(cfg.s_values()):
             params = contangle.SqueezingParams(a, s)
             expected = a > 0.0 and s > 0.0
             result.check(
@@ -250,9 +274,8 @@ def suite_inseparability(cfg: GridConfig) -> SuiteResult:
 def suite_report_consistency(cfg: GridConfig) -> SuiteResult:
     """full_report flags every sampled point consistent."""
     result = SuiteResult("report_consistency")
-    values = sorted({cfg.a_values()[0], cfg.a_values()[-1], cfg.a_values()[len(cfg.a_values()) // 2]})
-    for a in values:
-        for s in values:
+    for a in _ends_and_middle(cfg.a_values()):
+        for s in _ends_and_middle(cfg.s_values()):
             report = four_mode.full_report(contangle.SqueezingParams(a, s))
             result.check(report.consistent, f"a={a:.6g} s={s:.6g}")
             result.check(report.monogamy_ok, f"monogamy flag at a={a:.6g} s={s:.6g}")

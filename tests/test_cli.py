@@ -51,6 +51,29 @@ def test_report_rejects_negative_squeezing(run_cli):
     assert "non-negative" in err
 
 
+def test_parsed_state_does_not_carry_over_between_calls(capsys):
+    argv = ["fourmode", "report", "--a", "0.5", "--s", "0.25"]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("a,s,tau_12,")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["tau_12"] == 1.0
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_report_beyond_float64_range_is_one_stderr_line(run_cli):
+    # cosh(a) overflows float64: one error line naming the point, exit 1
+    code, out, err = run_cli("fourmode", "report", "--a", "1000", "--s", "0")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "a=1000" in err and "s=0" in err
+    # the symplectic check overflows: usage and error lines only, exit 2
+    code, _, err = run_cli("fourmode", "report", "--a", "400", "--s", "1")
+    assert code == 2
+    assert "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 2
+    assert "not symplectic" in err
+
+
 def test_report_rejects_unknown_flag(run_cli):
     code, _, _ = run_cli("fourmode", "report", "--a", "1", "--s", "1", "--nope")
     assert code == 2

@@ -1,17 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promiscuity import gaussian
-from promiscuity.contangle import SqueezingParams, separability_threshold
+from promiscuity import contangle, gaussian
+from promiscuity.contangle import SqueezingParams, bounding_tripartite_state, separability_threshold
 from promiscuity.four_mode import (
+    PAIRBLOCK,
     build_state,
     full_inseparability_check,
     full_report,
     pair_ppt_separable,
+    pair_pt_nu_min,
+    probe_partition,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
@@ -119,3 +123,51 @@ def test_reports_are_consistent_on_random_draws(a, s):
 @settings(max_examples=30, deadline=None)
 def test_positive_squeezing_gives_full_inseparability(a, s):
     assert full_inseparability_check(SqueezingParams(a, s))
+
+
+def _seeded_points() -> list[SqueezingParams]:
+    rng = random.Random(20)
+    points = [SqueezingParams(rng.uniform(0, 2.5), rng.uniform(0, 2.5)) for _ in range(60)]
+    # the corner of the square where a + s is 4 to 5
+    for _ in range(20):
+        total = rng.uniform(4.0, 5.0)
+        a = rng.uniform(total - 2.5, 2.5)
+        points.append(SqueezingParams(a, total - a))
+    # a + s in [5.5, 6], where some states fail the purity test and take
+    # the transposed route
+    for _ in range(20):
+        total = rng.uniform(5.5, 6.0)
+        a = rng.uniform(0.0, total)
+        points.append(SqueezingParams(a, total - a))
+    points += [SqueezingParams(separability_threshold(s), s) for s in (0.1, 0.5, 1.0, 2.0, 2.5)]
+    return points + [SqueezingParams(0.0, 0.0), SqueezingParams(1.5, 1.0)]
+
+
+def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
+    cuts = [probe_partition(p) for p in contangle.PROBES] + [PAIRBLOCK]
+    values = {
+        "state": states.data,
+        "spectrum": gaussian.symplectic_eigenvalues(states),
+        "pure": states.is_pure(),
+        "floor": states.spectral_noise_floor(),
+    }
+    values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in cuts})
+    values.update({f"nu {pair}": pair_pt_nu_min(states, *pair) for pair in contangle.PAIRS})
+    return {name: np.asarray(value) for name, value in values.items()}
+
+
+def test_stacked_route_equals_stacks_of_one_and_single_states():
+    points = _seeded_points()
+    stacked = _spectral_quantities(build_state(points))
+    of_one = [_spectral_quantities(build_state([p])) for p in points]
+    single = [_spectral_quantities(build_state(p)) for p in points]
+    assert not stacked["pure"].all() and stacked["pure"].any()
+    for name, values in stacked.items():
+        assert values.shape[0] == len(points)
+        assert np.array_equal(values, np.concatenate([row[name] for row in of_one])), name
+        assert np.array_equal(values, np.stack([row[name] for row in single])), name
+    interior = [p for p in points if p.a > 0 and p.s > 0]
+    bounds = bounding_tripartite_state(interior).data
+    for k, p in enumerate(interior):
+        assert np.array_equal(bounds[k], bounding_tripartite_state([p]).data[0])
+        assert np.array_equal(bounds[k], bounding_tripartite_state(p).data)

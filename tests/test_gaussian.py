@@ -259,3 +259,63 @@ def test_partial_transpose_involution_random_partitions(r, seed):
     part = ModePartition(frozenset(modes[:1]), frozenset(modes[1:]))
     twice = partial_transpose(partial_transpose(state, part), part)
     assert np.array_equal(twice.data, state.data)
+
+
+def test_stacked_squeezer_matches_single_degrees():
+    degrees = [0.0, 0.4, 2.5]
+    stacked = two_mode_squeezer(0, 2, degrees, 3)
+    assert stacked.data.shape == (3, 6, 6)
+    for k, r in enumerate(degrees):
+        assert np.array_equal(stacked.data[k], two_mode_squeezer(0, 2, r, 3).data)
+
+
+def test_indefinite_matrix_in_a_stack_alone_takes_the_general_route(monkeypatch):
+    indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
+    stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
+    real_eigvals = np.linalg.eigvals
+    general = []
+
+    def counting_eigvals(matrix):
+        general.append(np.shape(matrix))
+        return real_eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    nu = symplectic_eigenvalues(CovarianceMatrix(2, stack))
+    # one 2-D general-route call, for the indefinite matrix only
+    assert general == [(4, 4)]
+    for k, matrix in enumerate(stack):
+        assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(2, matrix)))
+
+
+def test_stack_with_one_asymmetric_matrix_raises_its_own_error():
+    bad = np.eye(2)
+    bad[0, 1] = 1e-6
+    with pytest.raises(ValueError) as alone:
+        CovarianceMatrix(1, bad)
+    with pytest.raises(ValueError) as stacked:
+        CovarianceMatrix(1, np.stack([np.eye(2), bad, 3.0 * np.eye(2)]))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
+    bad = np.diag([2.0, 3.0])
+    with pytest.raises(ValueError) as alone:
+        SymplecticTransform(1, bad)
+    squeezer = np.diag([2.0, 0.5])
+    with pytest.raises(ValueError) as stacked:
+        SymplecticTransform(1, np.stack([np.eye(2), squeezer, bad, squeezer]))
+    assert str(stacked.value) == str(alone.value)
+    assert "not symplectic" in str(alone.value)
+
+
+def test_each_matrix_of_a_stack_takes_its_own_log_negativity_route():
+    part = ModePartition(frozenset({0}), frozenset({1}))
+    pure = tmsv(0.9)
+    mixed = CovarianceMatrix(2, tmsv(0.9).data + 0.3 * np.eye(4))
+    assert pure.is_pure() and not mixed.is_pure()
+    stack = CovarianceMatrix(2, np.stack([pure.data, mixed.data, pure.data]))
+    assert np.array_equal(stack.is_pure(), [True, False, True])
+    values = log_negativity(stack, part)
+    expected = [log_negativity(pure, part), log_negativity(mixed, part), log_negativity(pure, part)]
+    assert np.array_equal(values, expected)
+    assert 0.0 < values[1] < values[0]
