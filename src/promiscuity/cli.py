@@ -65,7 +65,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _closed_form_columns(forms: contangle.ClosedForms) -> dict:
-    # the columns that sweep rows and report rows share
+    # the closed-form columns of a report row, a superset of SWEEP_FIELDS
     tau = forms.pairwise_contangle
     rest = forms.one_vs_rest_contangle
     return {
@@ -108,9 +108,8 @@ def _format_table(row: dict, style: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sweep_row(params: contangle.SqueezingParams) -> str:
-    row = _closed_form_columns(contangle.closed_forms(params))
-    return ",".join(_text(row[name]) for name in SWEEP_FIELDS)
+def _overflow_at(exc: OverflowError, a: float, s: float) -> OverflowError:
+    return OverflowError(f"float64 overflow ({exc}) at a={a}, s={s}")
 
 
 def _nonnegative(label: str):
@@ -131,7 +130,7 @@ def cmd_fourmode_report(args, parser) -> int:
     try:
         row = _report_row(params)
     except OverflowError as exc:
-        raise OverflowError(f"float64 overflow ({exc}) at a={params.a}, s={params.s}") from None
+        raise _overflow_at(exc, params.a, params.s) from None
     _emit(_format_table(row, args.format), None)
     if not row["consistent"]:
         print("error: closed-form and spectral routes disagree", file=sys.stderr)
@@ -149,9 +148,26 @@ def cmd_fourmode_sweep(args, parser) -> int:
     if args.config:
         cfg = load_config(args.config, base=cfg)
     s_values = cfg.s_values()
+
+    @functools.cache  # on first use, so an s past float64 fails at its own first point
+    def column(s: float) -> tuple:
+        terms = contangle.s_terms(s)
+        return terms, _text(s), _text(terms.tau_pairblock)
+
+    tau_14 = _text(contangle.SEPARABLE_CONTANGLE)
     lines = [",".join(SWEEP_FIELDS)]
-    for a in cfg.a_values():
-        lines.extend(_sweep_row(contangle.SqueezingParams(a, s)) for s in s_values)
+    try:
+        for a in cfg.a_values():
+            s = s_values[0]
+            row = contangle.a_terms(a)
+            a_cell, tau_12 = _text(a), _text(row.tau_pair)
+            for s in s_values:
+                terms, s_cell, tau_pairblock = column(s)
+                tau_1_rest, _, tau_23, _, _, res, bound, mono, strong = contangle.point_forms(row, terms)
+                lines.append(f"{a_cell},{s_cell},{tau_12},{tau_23:.12g},{tau_14},{tau_pairblock},"
+                             f"{tau_1_rest:.12g},{res:.12g},{bound:.12g},{_text(mono)},{_text(strong)}")
+    except OverflowError as exc:
+        raise _overflow_at(exc, a, s) from None
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -184,6 +200,8 @@ def cmd_verify(args, parser) -> int:
     cfg = GridConfig(density=args.grid_density)
     if args.config:
         cfg = load_config(args.config, base=cfg)
+    if cfg.a_min == cfg.a_max:  # the shape suite compares neighbouring a values
+        parser.error(f"verify needs a_min < a_max, got a_min = a_max = {cfg.a_min}")
     results = verification.run_all(cfg)
     failed = False
     for result in results:

@@ -18,6 +18,7 @@ Natural logarithms throughout, so the pair contangles come out as
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PROBES = (1, 2, 3, 4)
 _SQUEEZED_PAIRS = {(1, 2), (3, 4)}
 _SEPARABLE_PAIRS = {(1, 3), (1, 4), (2, 4)}
+SEPARABLE_CONTANGLE = 0.0  # contangle of every pair in _SEPARABLE_PAIRS
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,49 @@ class ClosedForms:
     strong_monogamy_ok: bool
 
 
+# the closed-form terms that depend on a alone and on s alone (a_terms, s_terms)
+ATerms = namedtuple("ATerms", "a cosh cosh_sq sinh_sq tau_pair")
+STerms = namedtuple("STerms", "s cosh_2s sinh_2s cosh_sq tanh threshold tau_pairblock")
+
+
 def g_function(x: float) -> float:
     """g[x] = arcsinh^2(sqrt(x - 1)); monotone, g[1] = 0.
 
     Inputs in [1 - 1e-9, 1) are clamped to 1 (determinants of reduced
     one-mode blocks dip below 1 only by float noise); anything lower is
-    rejected as unphysical.
+    rejected as unphysical; a non-finite one is an overflow upstream.
     """
     if not math.isfinite(x):
-        raise ValueError("g_function argument must be finite")
+        raise OverflowError("g_function argument must be finite")
     if x < 1.0 - M_CLAMP_TOL:
         raise ValueError(f"g_function argument must be >= 1, got {x}")
-    return math.asinh(math.sqrt(max(x, 1.0) - 1.0)) ** 2
+    # max(x, 1.0), spelled out: the builtin costs more than the rest of g
+    return math.asinh(math.sqrt((1.0 if x < 1.0 else x) - 1.0)) ** 2
 
 
 def separability_threshold(s: float) -> float:
     """Pair-strength a above which the middle pair 2, 3 turns separable."""
     return math.asinh(math.sqrt(math.tanh(s)))
+
+
+def a_terms(a: float) -> ATerms:
+    """Terms of pair degree a; cosh(a) ** 2, every point's first operation, comes first."""
+    cosh = math.cosh(a)
+    return ATerms(a, cosh, cosh ** 2, math.sinh(a) ** 2, _squeezer_contangle(a))
+
+
+def s_terms(s: float) -> STerms:
+    """Terms of interpair degree s; cosh(2s), every point's second operation, comes first.
+
+    cosh(2a) and exp(2s) stay in _m_23, their only reader: hoisted, they would
+    overflow from a = 177.8 and s = 354.9, ahead of those points' own first error."""
+    return STerms(s, math.cosh(2 * s), math.sinh(2 * s), math.cosh(s) ** 2, math.tanh(s),
+                  separability_threshold(s), _squeezer_contangle(s))
+
+
+def _squeezer_contangle(r: float) -> float:
+    # a cut across a two-mode squeezer of degree r carries 4 r^2
+    return 4.0 * r * r
 
 
 def _normalize_pair(pair) -> tuple[int, int]:
@@ -101,6 +129,19 @@ def _normalize_pair(pair) -> tuple[int, int]:
 def _clamp_m(m: float) -> float:
     # determinant square roots in [1 - tol, 1) count as exactly 1
     return 1.0 if 1.0 - M_CLAMP_TOL <= m < 1.0 else m
+
+
+def _m_23(at: ATerms, st: STerms) -> float:
+    # middle-pair m below the separability threshold
+    num = -1.0 + 2.0 * math.cosh(2 * at.a) ** 2 * st.cosh_sq + 3.0 * st.cosh_2s
+    num -= 4.0 * at.sinh_sq * st.sinh_2s
+    return _clamp_m(num / (4.0 * (at.cosh_sq + math.exp(2 * st.s) * at.sinh_sq)))
+
+
+def _m_rest(at: ATerms, st: STerms, probe: int) -> float:
+    if probe in (1, 4):
+        return at.cosh_sq + st.cosh_2s * at.sinh_sq
+    return at.sinh_sq + st.cosh_2s * at.cosh_sq
 
 
 def pairwise_m(params: SqueezingParams, pair) -> float:
@@ -120,23 +161,16 @@ def pairwise_m(params: SqueezingParams, pair) -> float:
         return 1.0
     if a >= separability_threshold(s):
         return 1.0
-    num = (
-        -1.0
-        + 2.0 * math.cosh(2 * a) ** 2 * math.cosh(s) ** 2
-        + 3.0 * math.cosh(2 * s)
-        - 4.0 * math.sinh(a) ** 2 * math.sinh(2 * s)
-    )
-    den = 4.0 * (math.cosh(a) ** 2 + math.exp(2 * s) * math.sinh(a) ** 2)
-    return _clamp_m(num / den)
+    return _m_23(a_terms(a), s_terms(s))
 
 
 def pairwise_contangle(params: SqueezingParams, pair) -> float:
     """Contangle of a two-mode reduction; {1,2} and {3,4} give exactly 4a^2."""
     i, j = _normalize_pair(pair)
     if (i, j) in _SQUEEZED_PAIRS:
-        return 4.0 * params.a * params.a
+        return _squeezer_contangle(params.a)
     if (i, j) in _SEPARABLE_PAIRS:
-        return 0.0
+        return SEPARABLE_CONTANGLE
     m = pairwise_m(params, (i, j))
     return g_function(m * m)
 
@@ -149,10 +183,7 @@ def one_vs_rest_m(params: SqueezingParams, probe: int) -> float:
     """
     if probe not in PROBES:
         raise ValueError(f"probe must be a mode label in 1..4, got {probe!r}")
-    a, s = params.a, params.s
-    if probe in (1, 4):
-        return math.cosh(a) ** 2 + math.cosh(2 * s) * math.sinh(a) ** 2
-    return math.sinh(a) ** 2 + math.cosh(2 * s) * math.cosh(a) ** 2
+    return _m_rest(a_terms(params.a), s_terms(params.s), probe)
 
 
 def one_vs_rest_contangle(params: SqueezingParams, probe: int) -> float:
@@ -163,15 +194,13 @@ def one_vs_rest_contangle(params: SqueezingParams, probe: int) -> float:
 
 def interpair_contangle(params: SqueezingParams) -> float:
     """Contangle across the (12)|(34) pair-block cut: exactly 4s^2."""
-    return 4.0 * params.s * params.s
+    return _squeezer_contangle(params.s)
 
 
-def _bound_m_3_vs_12(params: SqueezingParams) -> float:
-    ratio = (math.tanh(params.s) / math.cosh(params.a)) ** 2
+def _bound_m_3_vs_12(a: float, s: float, cosh_a: float, tanh_s: float) -> float:
+    ratio = (tanh_s / cosh_a) ** 2
     if ratio == 1.0:
-        raise ArithmeticError(
-            f"tanh(s)/cosh(a) rounds to 1 in float64 at a={params.a}, s={params.s}"
-        )
+        raise ArithmeticError(f"tanh(s)/cosh(a) rounds to 1 in float64 at a={a}, s={s}")
     return (1.0 + ratio) / (1.0 - ratio)
 
 
@@ -188,7 +217,8 @@ def bounding_tripartite_state(
     gives the stack of their states, in order.
     """
     def degree(point: SqueezingParams) -> float:
-        return 0.5 * math.acosh(max(1.0, _bound_m_3_vs_12(point)))
+        m_3 = _bound_m_3_vs_12(point.a, point.s, math.cosh(point.a), math.tanh(point.s))
+        return 0.5 * math.acosh(max(1.0, m_3))
 
     if isinstance(params, SqueezingParams):
         a, t = params.a, degree(params)
@@ -199,6 +229,39 @@ def bounding_tripartite_state(
         gaussian.two_mode_squeezer(1, 2, t, 3),
     )
     return gaussian.apply(transform, gaussian.vacuum_cm(3))
+
+
+def point_forms(at: ATerms, st: STerms) -> tuple:
+    """(tau_1_rest, tau_2_rest, tau_23, then the ClosedForms fields from
+    probe1_slack on) at the point (at.a, st.s), from the terms of its axes.
+
+    The evaluation order fixes which error a point outside the float64
+    domain raises first.
+    """
+    a, s, tau_12 = at.a, st.s, at.tau_pair
+    m = _m_rest(at, st, 1)
+    tau_1_rest = g_function(m * m)
+    probe1 = tau_1_rest - tau_12
+    if probe1 < -MONOGAMY_TOL:
+        raise ArithmeticError(f"residual contangle {probe1} below tolerance at a={a}, s={s}")
+    m_3 = _bound_m_3_vs_12(a, s, at.cosh, st.tanh)
+    m_1 = at.cosh_sq + m_3 * at.sinh_sq
+    term1 = g_function(m_1 ** 2) - tau_12
+    m = 1.0 if a >= st.threshold else _m_23(at, st)
+    tau_23 = g_function(m * m)
+    # min and max spelled out, picking the operand the builtins pick
+    term3 = g_function(m_3 ** 2) - tau_23
+    bound = term3 if term3 < term1 else term1
+    bound = bound if bound > 0.0 else 0.0
+    m = _m_rest(at, st, 2)
+    tau_2_rest = g_function(m * m)
+    slack = tau_2_rest - tau_12 - tau_23
+    slack = slack if slack < probe1 else probe1
+    if slack < -MONOGAMY_TOL:
+        raise ArithmeticError(f"monogamy violated ({slack}) at a={a}, s={s}")
+    residual = probe1 if probe1 > 0.0 else 0.0
+    strong = residual >= bound - MONOGAMY_TOL and bound >= -MONOGAMY_TOL
+    return tau_1_rest, tau_2_rest, tau_23, probe1, slack, residual, bound, slack >= -MONOGAMY_TOL, strong
 
 
 def closed_forms(params: SqueezingParams) -> ClosedForms:
@@ -225,47 +288,11 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     slack.  It certifies that the residual entanglement not stored in
     pairs exceeds everything the three-mode reductions could account for,
     i.e. genuine four-partite entanglement bracketed from below.
-
-    The evaluation order fixes which error a point outside the float64
-    domain raises first.
+    point_forms computes every value, from the terms of a and of s.
     """
-    a, s = params.a, params.s
-    tau_1_rest = one_vs_rest_contangle(params, 1)
-    tau_12 = pairwise_contangle(params, (1, 2))
-    probe1 = tau_1_rest - tau_12
-    if probe1 < -MONOGAMY_TOL:
-        raise ArithmeticError(f"residual contangle {probe1} below tolerance at a={a}, s={s}")
-    m_3 = _bound_m_3_vs_12(params)
-    m_1 = math.cosh(a) ** 2 + m_3 * math.sinh(a) ** 2
-    term1 = g_function(m_1 ** 2) - tau_12
-    tau_23 = pairwise_contangle(params, (2, 3))
-    bound = max(0.0, min(term1, g_function(m_3 ** 2) - tau_23))
-    tau_2_rest = one_vs_rest_contangle(params, 2)
-    slack = min(probe1, tau_2_rest - tau_12 - tau_23)
-    if slack < -MONOGAMY_TOL:
-        raise ArithmeticError(f"monogamy violated ({slack}) at a={a}, s={s}")
-    residual = max(0.0, probe1)
-    return ClosedForms(
-        params=params,
-        pairwise_contangle={
-            (1, 2): tau_12,
-            (1, 3): pairwise_contangle(params, (1, 3)),
-            (1, 4): pairwise_contangle(params, (1, 4)),
-            (2, 3): tau_23,
-            (2, 4): pairwise_contangle(params, (2, 4)),
-            (3, 4): pairwise_contangle(params, (3, 4)),
-        },
-        one_vs_rest_contangle={
-            1: tau_1_rest,
-            2: tau_2_rest,
-            3: one_vs_rest_contangle(params, 3),
-            4: one_vs_rest_contangle(params, 4),
-        },
-        interpair_contangle=interpair_contangle(params),
-        probe1_slack=probe1,
-        monogamy_slack=slack,
-        residual=residual,
-        tripartite_bound=bound,
-        monogamy_ok=slack >= -MONOGAMY_TOL,
-        strong_monogamy_ok=residual >= bound - MONOGAMY_TOL and bound >= -MONOGAMY_TOL,
-    )
+    at, st = a_terms(params.a), s_terms(params.s)
+    tau_1_rest, tau_2_rest, tau_23, *tail = point_forms(at, st)
+    tau, zero = at.tau_pair, SEPARABLE_CONTANGLE
+    pairwise = dict(zip(PAIRS, (tau, zero, zero, tau_23, zero, tau)))
+    one_vs_rest = {1: tau_1_rest, 2: tau_2_rest, 3: tau_2_rest, 4: tau_1_rest}
+    return ClosedForms(params, pairwise, one_vs_rest, st.tau_pairblock, *tail)

@@ -12,6 +12,7 @@ assembled in exact rational arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,6 +229,15 @@ def _per_copy_tangles(psi: PureStateVector) -> tuple[Fraction, Fraction, Fractio
     return one_rest, pair_01, one_rest - pair_01 - pair_02
 
 
+@functools.cache
+def _per_copy_ingredients() -> tuple:
+    # independent of d: the GHZ and W per-copy tangles, and the entropy of
+    # a W one-qubit reduction and negativity of its two-qubit reduction
+    w = w3()
+    one, two = reduced_density(w, [0]), reduced_density(w, [0, 1])
+    return _per_copy_tangles(ghz3()), _per_copy_tangles(w), vn_entropy(one), negativity(two, 2, 2)
+
+
 def nongaussianity(d: int) -> float:
     """Trace-distance-squared gap to the closest Gaussian-reachable state.
 
@@ -250,8 +260,7 @@ def squashed_bounds(d: int) -> SquashedBounds:
     two-qubit W reduction.
     """
     d = _validate_d(d)
-    w_qubit_entropy = vn_entropy(reduced_density(w3(), [0]))
-    witness = negativity(reduced_density(w3(), [0, 1]), 2, 2)
+    w_qubit_entropy, witness = _per_copy_ingredients()[2:]
     if witness <= 0.0:
         raise ArithmeticError("two-qubit W reduction lost its negativity witness")
     return SquashedBounds(
@@ -265,15 +274,14 @@ def squashed_bounds(d: int) -> SquashedBounds:
 def tangle_report(d: int) -> QuditTangleReport:
     """Tangle statistics of the d-family member.
 
-    Per-copy values are brute-forced on the 8-dimensional GHZ and W
+    Per-copy values are brute-forced once on the 8-dimensional GHZ and W
     vectors, snapped to exact rationals, and composed additively over the
     d/4 + d/4 copies.  The monogamy gap
     one_vs_rest - 2 * pairwise - three_tangle is exactly zero.
     """
     d = _validate_d(d)
     ghz_copies, w_copies = n_copies(d)
-    ghz_rest, ghz_pair, ghz_three = _per_copy_tangles(ghz3())
-    w_rest, w_pair, w_three = _per_copy_tangles(w3())
+    (ghz_rest, ghz_pair, ghz_three), (w_rest, w_pair, w_three), *_ = _per_copy_ingredients()
 
     one_vs_rest = ghz_copies * ghz_rest + w_copies * w_rest
     pairwise = ghz_copies * ghz_pair + w_copies * w_pair

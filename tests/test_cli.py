@@ -107,14 +107,63 @@ def test_report_schema(capsys, argv, header):
 
 
 def test_sweep_float64_edge_is_one_error_line(run_cli, tmp_path):
-    # at a = 0 and s >= 19.1, tanh(s) rounds to 1 and the 3|12 bound diverges
+    # at a = 0 and s >= 19.1, tanh(s) rounds to 1 and the 3|12 bound diverges;
+    # the first grid point past that edge names itself, even where columns
+    # further on would overflow cosh(2s) or exp(2s)
     out_file = tmp_path / "sweep.csv"
-    code, _, err = run_cli("fourmode", "sweep", "--s-max", "30", "--out", str(out_file))
+    for argv, point in (
+        (["--s-max", "30"], "a=0.0, s=19.2"),
+        (["--s-max", "400"], "a=0.0, s=32.0"),
+        (["--a-max", "1000", "--s-max", "1000"], "a=0.0, s=40.0"),
+    ):
+        code, _, err = run_cli("fourmode", "sweep", *argv, "--out", str(out_file))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: tanh(s)/cosh(a) rounds to 1") and point in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a-max", "400"], "(g_function argument must be finite) at a=176.0, s=2.5"),
+        (["--a-max", "360", "--steps", "2"], "((34, 'Numerical result out of range')) at a=360.0, s=0.0"),
+    ],
+    ids=["m_squared_not_finite", "cosh_a_squared"],
+)
+def test_sweep_float64_overflow_names_the_point(run_cli, tmp_path, argv, message):
+    # a physically valid grid past float64 is a failure (1), not a bad argument (2)
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run_cli("fourmode", "sweep", *argv, "--out", str(out_file))
     assert code == 1
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:") and "s=" in err
-    assert "Traceback" not in err
+    assert err == f"error: float64 overflow {message}\n"
     assert not out_file.exists()
+
+
+def _reference_sweep(cfg: GridConfig) -> str:
+    # the sweep CSV rendered point by point from closed_forms records
+    lines = [",".join(cli.SWEEP_FIELDS)]
+    for a in cfg.a_values():
+        for s in cfg.s_values():
+            row = cli._closed_form_columns(contangle.closed_forms(contangle.SqueezingParams(a, s)))
+            lines.append(",".join(cli._text(row[name]) for name in cli.SWEEP_FIELDS))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [GridConfig(density=51), GridConfig(a_min=0.35, a_max=3.1, s_min=0.2, s_max=1.7, density=23)],
+)
+def test_sweep_equals_point_by_point_reference(tmp_path, cfg):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "".join(f"{key} = {getattr(cfg, key)!r}\n" for key in ("a_max", "a_min", "s_max", "s_min"))
+        + f"grid_density = {cfg.density}\n"
+    )
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", "--out", str(out_file), "--config", str(grid)]) == 0
+    assert out_file.read_bytes() == _reference_sweep(cfg).encode("ascii")
 
 
 def test_sweep_rejects_single_step(run_cli, tmp_path):
@@ -245,6 +294,19 @@ def test_verify_cli_reports_failure_exit(monkeypatch):
         code = cli.main(["verify", "--grid-density", "5"])
     assert code == 1
     assert "FAIL" in buf.getvalue()
+
+
+def test_verify_rejects_degenerate_a_axis(run_cli, tmp_path):
+    # the shape suite needs distinct neighbouring a values; sweep does not
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("a_min = 1\na_max = 1\ngrid_density = 3\n")
+    code, out, err = run_cli("verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "a_min = a_max = 1.0" in err.splitlines()[-1]
+    code, _, _ = run_cli(
+        "fourmode", "sweep", "--out", str(tmp_path / "x.csv"), "--config", str(cfg)
+    )
+    assert code == 0
 
 
 def test_load_config_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from promiscuity import gaussian
 from promiscuity.contangle import (
     PAIRS,
     SqueezingParams,
+    a_terms,
     bounding_tripartite_state,
     closed_forms,
     g_function,
@@ -17,6 +18,8 @@ from promiscuity.contangle import (
     one_vs_rest_m,
     pairwise_contangle,
     pairwise_m,
+    point_forms,
+    s_terms,
     separability_threshold,
 )
 
@@ -56,6 +59,9 @@ def test_g_function_clamp_band():
         g_function(1.0 - 1e-6)
     with pytest.raises(ValueError):
         g_function(0.5)
+    # a non-finite argument is an overflow upstream, not a bad argument
+    with pytest.raises(OverflowError, match="finite"):
+        g_function(math.inf)
 
 
 def test_separability_threshold_value():
@@ -245,6 +251,44 @@ def test_closed_forms_match_primitives(a, s):
     assert forms.one_vs_rest_contangle == rest
     assert forms.interpair_contangle == interpair_contangle(params)
     assert list(forms.pairwise_contangle) == list(PAIRS)
+
+
+@st.composite
+def sweep_points(draw):
+    # on either axis, anywhere, or within a few ulps of the middle-pair threshold
+    s = draw(st.one_of(st.just(0.0), squeezings))
+    where = draw(st.sampled_from(("axis", "anywhere", "threshold")))
+    if where == "axis":
+        return 0.0, s
+    if where == "anywhere":
+        return draw(squeezings), s
+    threshold = separability_threshold(s)
+    return max(0.0, threshold + draw(st.integers(-3, 3)) * math.ulp(threshold)), s
+
+
+@given(points=st.lists(sweep_points(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_point_forms_on_shared_axis_terms_equal_closed_forms(points):
+    # as in the sweep: the terms of each a and each s are built once and
+    # shared by every point of the cross product
+    rows = [a_terms(a) for a, _ in points]
+    columns = [s_terms(s) for _, s in points]
+    for row in rows:
+        for column in columns:
+            forms = closed_forms(SqueezingParams(row.a, column.s))
+            assert point_forms(row, column) == (
+                forms.one_vs_rest_contangle[1],
+                forms.one_vs_rest_contangle[2],
+                forms.pairwise_contangle[(2, 3)],
+                forms.probe1_slack,
+                forms.monogamy_slack,
+                forms.residual,
+                forms.tripartite_bound,
+                forms.monogamy_ok,
+                forms.strong_monogamy_ok,
+            )
+            assert row.tau_pair == forms.pairwise_contangle[(1, 2)] == forms.pairwise_contangle[(3, 4)]
+            assert column.tau_pairblock == forms.interpair_contangle
 
 
 def test_pairs_constant_is_the_six_unordered_pairs():
