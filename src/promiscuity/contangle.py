@@ -164,17 +164,6 @@ def pairwise_m(params: SqueezingParams, pair) -> float:
     return _m_23(a_terms(a), s_terms(s))
 
 
-def pairwise_contangle(params: SqueezingParams, pair) -> float:
-    """Contangle of a two-mode reduction; {1,2} and {3,4} give exactly 4a^2."""
-    i, j = _normalize_pair(pair)
-    if (i, j) in _SQUEEZED_PAIRS:
-        return _squeezer_contangle(params.a)
-    if (i, j) in _SEPARABLE_PAIRS:
-        return SEPARABLE_CONTANGLE
-    m = pairwise_m(params, (i, j))
-    return g_function(m * m)
-
-
 def one_vs_rest_m(params: SqueezingParams, probe: int) -> float:
     """sqrt-det of the one-mode reduction of the probe mode.
 

@@ -80,24 +80,39 @@ _TWO_VS_TWO = (
     gaussian.ModePartition(frozenset({0, 3}), frozenset({1, 2})),
 )
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
+# the smaller side of each probe cut, in the order of contangle.PROBES
+_PROBE_SIDES = [[p - 1] for p in contangle.PROBES]
 
 
-def pair_pt_nu_min(state: gaussian.CovarianceMatrix, i: int, j: int):
-    """Smallest partially transposed symplectic eigenvalue of the pair i, j (1-based).
+def pair_pt_nu_min(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
+    """Smallest partially transposed symplectic eigenvalue of each pair (1-based labels).
 
-    A float for one state, an array for a stack of states.
+    The pairs run along a new last axis: shape (len(pairs),) for one
+    state, stack shape + (len(pairs),) for a stack.  One spectrum call
+    covers every pair of every state.
     """
-    reduced = gaussian.reduce(state, [i - 1, j - 1])
-    transposed = gaussian.partial_transpose(reduced, _PAIR_CUT)
-    return gaussian.unstack(gaussian.symplectic_eigenvalues(transposed).min(axis=-1))
+    blocks = gaussian.reductions(state, [[i - 1, j - 1] for i, j in pairs])
+    transposed = gaussian.partial_transpose(blocks, _PAIR_CUT)
+    return gaussian.symplectic_eigenvalues(transposed).min(axis=-1)
 
 
-def pair_ppt_separable(state: gaussian.CovarianceMatrix, i: int, j: int):
-    """PPT verdict for the reduced pair (1-based labels i, j), per state of a stack.
+def pair_ppt_separable(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
+    """PPT verdict of each pair (1-based labels), laid out as pair_pt_nu_min.
 
     PPT decides Gaussian separability only when one side holds a single mode, as here.
     """
-    return pair_pt_nu_min(state, i, j) >= 1.0 - gaussian.SEPARABILITY_TOL
+    return pair_pt_nu_min(state, pairs) >= 1.0 - gaussian.SEPARABILITY_TOL
+
+
+def probe_log_negativities(state: gaussian.CovarianceMatrix):
+    """Log-negativity of each probe-vs-rest cut, probes 1..4 along a new last axis.
+
+    The pure route of gaussian.log_negativity for the four cuts at once:
+    one spectrum call on the stack of the one-mode reductions.
+    """
+    if not state.pure:
+        raise ValueError("probe log-negativities need a state built pure (build_state)")
+    return gaussian.reduced_log_negativity(gaussian.reductions(state, _PROBE_SIDES))
 
 
 def full_report(params: SqueezingParams) -> EntanglementReport:
@@ -106,34 +121,35 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     The closed forms fill the report; independently, log-negativities and
     PPT verdicts are recomputed from the covariance matrix, on a stack of
     one state through the same calls the verify suites make on blocks of
-    points.  Any value deviating beyond ROUTE_TOL, or any verdict
-    mismatch, marks the report inconsistent instead of raising.  Points
-    within THRESHOLD_FLAG_TOL of the middle-pair separability threshold
-    are flagged near_threshold and exempted from the hard verdict
-    comparison, as are pairs whose entanglement is too faint for either
-    route to certify (see FAINT_TAU and PPT_MARGIN).
+    points: three spectrum calls in all, for the four one-mode
+    reductions, the {1,2} block and the six transposed pair blocks.  The
+    state is pure by construction, so no purity test runs.  Any value
+    deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
+    inconsistent instead of raising.  Points within THRESHOLD_FLAG_TOL of
+    the middle-pair separability threshold are flagged near_threshold and
+    exempted from the hard verdict comparison, as are pairs whose
+    entanglement is too faint for either route to certify (see FAINT_TAU
+    and PPT_MARGIN).
     """
     state = build_state([params])
     forms = contangle.closed_forms(params)
 
     one_rest = forms.one_vs_rest_contangle
-    deviations = [
-        abs(gaussian.log_negativity(state, probe_partition(p)).item() ** 2 - one_rest[p])
-        for p in contangle.PROBES
-    ]
+    spectral = probe_log_negativities(state)[0].tolist()
+    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, spectral)]
     deviations.append(
         abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle)
     )
 
     near = abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
+    nu_mins = pair_pt_nu_min(state, contangle.PAIRS)[0].tolist()
     verdicts_ok = True
-    for (i, j) in contangle.PAIRS:
+    for (i, j), nu_min in zip(contangle.PAIRS, nu_mins):
         if near and (i, j) == (2, 3):
             continue
         closed_tau = forms.pairwise_contangle[(i, j)]
         if 0.0 < closed_tau <= FAINT_TAU:
             continue
-        nu_min = pair_pt_nu_min(state, i, j).item()
         if 0.0 < 1.0 - nu_min <= PPT_MARGIN:
             continue
         spectral_separable = nu_min >= 1.0 - gaussian.SEPARABILITY_TOL

@@ -64,10 +64,18 @@ class CovarianceMatrix:
     partial transposition produces valid instances that violate the
     uncertainty bound, which is precisely the signal the entanglement
     tests read off.
+
+    `pure` records provenance, not a measurement: True promises that
+    every matrix of the stack is a pure state.  vacuum_cm sets it, and
+    the symplectic operations apply and permute_modes carry it over;
+    reduce, partial_transpose and direct construction leave it False.
+    log_negativity picks its route from it.  is_pure() is the numerical
+    check, which float64 cannot settle at deep squeezing.
     """
 
     n_modes: int
     data: np.ndarray
+    pure: bool = False
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
@@ -99,6 +107,12 @@ class CovarianceMatrix:
         return unstack(2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1)))
 
     def is_pure(self, tol: float = PHYSICALITY_TOL):
+        """Numerical purity check: every symplectic eigenvalue within max(tol, noise floor) of 1.
+
+        A check only; no route reads it (see the `pure` field).  At deep
+        squeezing the float64 spectrum strays past the band, so a state
+        built pure can fail it.
+        """
         band = np.maximum(tol, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
         return unstack(deviation <= band)
@@ -173,7 +187,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
     """Covariance matrix of the N-mode vacuum (the identity)."""
-    return CovarianceMatrix(n_modes, np.eye(2 * n_modes))
+    return CovarianceMatrix(n_modes, np.eye(2 * n_modes), pure=True)
 
 
 def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
@@ -227,19 +241,33 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
 
 
 def apply(transform: SymplecticTransform, sigma: CovarianceMatrix) -> CovarianceMatrix:
-    """Congruence action sigma -> S sigma S^T."""
+    """Congruence action sigma -> S sigma S^T; a symplectic map keeps a pure state pure."""
     if transform.n_modes != sigma.n_modes:
         raise ValueError(
             f"transform acts on {transform.n_modes} modes, state has {sigma.n_modes}"
         )
     return CovarianceMatrix(
-        sigma.n_modes, transform.data @ sigma.data @ transform.data.swapaxes(-1, -2)
+        sigma.n_modes,
+        transform.data @ sigma.data @ transform.data.swapaxes(-1, -2),
+        pure=sigma.pure,
     )
 
 
-def _submatrix(sigma: CovarianceMatrix, modes: list[int]) -> np.ndarray:
-    idx = modes + [sigma.n_modes + m for m in modes]
-    return sigma.data.take(idx, axis=-2).take(idx, axis=-1)
+def _submatrix(sigma: CovarianceMatrix, modes: list) -> np.ndarray:
+    # one list of modes gives one submatrix; a list of equal-length lists
+    # gives their submatrices stacked just before the matrix axes
+    idx = np.array(modes)
+    idx = np.concatenate([idx, idx + sigma.n_modes], axis=-1)
+    return sigma.data[..., idx[..., :, None], idx[..., None, :]]
+
+
+def _kept_modes(sigma: CovarianceMatrix, modes: Iterable[int]) -> list[int]:
+    kept = sorted(set(modes))
+    if not kept:
+        raise ValueError("cannot reduce to an empty set of modes")
+    if kept[0] < 0 or kept[-1] >= sigma.n_modes:
+        raise ValueError(f"modes {kept} out of range for {sigma.n_modes}-mode state")
+    return kept
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
@@ -248,12 +276,20 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     Keeps the q and p rows/columns of the requested modes, preserving qqpp
     ordering; kept modes are reindexed 0..k-1 in ascending original order.
     """
-    kept = sorted(set(modes))
-    if not kept:
-        raise ValueError("cannot reduce to an empty set of modes")
-    if kept[0] < 0 or kept[-1] >= sigma.n_modes:
-        raise ValueError(f"modes {kept} out of range for {sigma.n_modes}-mode state")
+    kept = _kept_modes(sigma, modes)
     return CovarianceMatrix(len(kept), _submatrix(sigma, kept))
+
+
+def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> CovarianceMatrix:
+    """Reductions to several mode subsets of one size, as one stack.
+
+    The reduction to the k-th subset sits at index k of a new axis just
+    before the matrix axes, and equals what reduce gives for that subset.
+    """
+    kept = [_kept_modes(sigma, modes) for modes in subsets]
+    if len({len(modes) for modes in kept}) != 1:
+        raise ValueError(f"reductions need mode subsets of one size, got {kept}")
+    return CovarianceMatrix(len(kept[0]), _submatrix(sigma, kept))
 
 
 def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -311,9 +347,13 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
     return _spectrum(sigma.data, sigma.n_modes)
 
 
-def _pure_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
-    side = min(partition.side_a, partition.side_b, key=len)
-    reduced = reduce(sigma, side)
+def reduced_log_negativity(reduced: CovarianceMatrix):
+    """Log-negativity of a pure state across a cut, from the reduced state of one side.
+
+    The pure route of log_negativity: sum(arccosh nu_k) over the
+    symplectic spectrum of the reduction, per matrix of a stack.  The
+    caller vouches that the state the reduction came from is pure.
+    """
     nu = symplectic_eigenvalues(reduced)
     # arccosh is infinitely steep at 1: solver noise on unsqueezed
     # directions would surface as sqrt(noise), so values within the
@@ -321,7 +361,7 @@ def _pure_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> n
     # genuine squeezing above that floor stays resolvable
     floor = np.expand_dims(reduced.spectral_noise_floor(), -1)
     nu = np.where(nu <= 1.0 + floor, 1.0, nu)
-    return np.arccosh(nu).sum(axis=-1)
+    return unstack(np.arccosh(nu).sum(axis=-1))
 
 
 def _transposed_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
@@ -329,7 +369,7 @@ def _transposed_log_negativity(sigma: CovarianceMatrix, partition: ModePartition
     # the spectrum is ascending, so the eigenvalues below 1 lead each row
     # and the log(1) = 0 entries after them leave the sum unchanged
     logs = np.log(np.where(nu < 1.0, nu, 1.0))
-    return np.maximum(0.0, -logs.sum(axis=-1))
+    return unstack(np.maximum(0.0, -logs.sum(axis=-1)))
 
 
 def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
@@ -339,30 +379,28 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
     below 1; zero when the partial transpose is physical.  Symmetric under
     swapping the two sides.  A float for one matrix, an array for a stack.
 
-    Pure states take an equivalent better-conditioned route: their Schmidt
-    form is a tensor product of two-mode squeezed pairs across the cut, so
-    the partially transposed spectrum is {e^(+/-2r_k)} with cosh(2r_k) the
+    States built pure (sigma.pure, set by construction, not measured)
+    take an equivalent better-conditioned route: their Schmidt form is a
+    tensor product of two-mode squeezed pairs across the cut, so the
+    partially transposed spectrum is {e^(+/-2r_k)} with cosh(2r_k) the
     reduced-state symplectic spectrum, giving sum(arccosh nu_k) over the
-    smaller side.  The direct route loses ~1e-7 at deep squeezing because
-    the smallest PT eigenvalue sits far below the matrix norm.  Each
-    matrix of a stack takes the route its own purity selects.
+    smaller side (reduced_log_negativity).  The direct route loses 1e-7
+    to 1e-6 at deep squeezing because the smallest PT eigenvalue sits far
+    below the matrix norm.  An unflagged matrix takes the direct route.
+    The route is chosen once for the whole stack, never from a numerical
+    purity test: at deep squeezing the float64 spectrum of a pure state
+    strays outside any purity band the noise floor justifies.
     """
     partition.validate_for(sigma)
-    pure = np.asarray(sigma.is_pure())
-    if pure.all():
-        values = _pure_log_negativity(sigma, partition)
-    elif not pure.any():
-        values = _transposed_log_negativity(sigma, partition)
-    else:
-        values = np.empty(pure.shape)
-        for mask, route in ((pure, _pure_log_negativity), (~pure, _transposed_log_negativity)):
-            values[mask] = route(CovarianceMatrix(sigma.n_modes, sigma.data[mask]), partition)
-    return unstack(values)
+    if sigma.pure:
+        side = min(partition.side_a, partition.side_b, key=len)
+        return reduced_log_negativity(reduce(sigma, side))
+    return _transposed_log_negativity(sigma, partition)
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:
-    """Reorder modes: new mode k is old mode order[k]."""
+    """Reorder modes: new mode k is old mode order[k]; a pure state stays pure."""
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, perm))
+    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, perm), pure=sigma.pure)

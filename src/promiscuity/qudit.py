@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,6 +133,12 @@ def _validate_d(d) -> int:
         raise ValueError(
             f"d must be a positive multiple of 4 (d = 2N with N even), got {d}"
         )
+    try:
+        float(d)  # every float field of a report is at most d
+    except OverflowError:
+        raise OverflowError(
+            f"d must not exceed the float64 limit {sys.float_info.max!r}, got d >= 2**{d.bit_length() - 1}"
+        ) from None
     return d
 
 

@@ -114,11 +114,8 @@ def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
     result = SuiteResult("one_vs_rest_agreement")
     for block in _blocks(_params_grid(cfg)):
         state = four_mode.build_state(block)
-        columns = [
-            gaussian.log_negativity(state, four_mode.probe_partition(probe)).tolist()
-            for probe in contangle.PROBES
-        ]
-        for params, row in zip(block, zip(*columns)):
+        rows = four_mode.probe_log_negativities(state).tolist()
+        for params, row in zip(block, rows):
             for probe, spectral in zip(contangle.PROBES, row):
                 closed = contangle.one_vs_rest_contangle(params, probe)
                 result.check(
@@ -150,8 +147,8 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
     result = SuiteResult("pair_separability")
     for block in _blocks(_params_grid(cfg)):
         state = four_mode.build_state(block)
-        columns = [four_mode.pair_ppt_separable(state, *pair).tolist() for pair in contangle.PAIRS]
-        for params, row in zip(block, zip(*columns)):
+        rows = four_mode.pair_ppt_separable(state, contangle.PAIRS).tolist()
+        for params, row in zip(block, rows):
             point = f"a={params.a:.6g} s={params.s:.6g}"
             threshold = contangle.separability_threshold(params.s)
             for pair, spectral in zip(contangle.PAIRS, row):
@@ -165,7 +162,7 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
         if s > 0.0
     ]
     for block in _blocks(at_threshold):
-        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(block), 2, 3)
+        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(block), [(2, 3)])[:, 0]
         for params, value in zip(block, nu_min.tolist()):
             result.check(abs(value - 1.0) <= 1e-7, f"threshold nu_min at s={params.s:.6g}")
     return result

@@ -28,8 +28,8 @@ def test_acceptance_01_benchmark_point():
     failures = []
     start = time.perf_counter()
     params = contangle.SqueezingParams(1.5, 1.0)
-    tau_12 = contangle.pairwise_contangle(params, (1, 2))
-    tau_34 = contangle.pairwise_contangle(params, (3, 4))
+    tau_12 = contangle.closed_forms(params).pairwise_contangle[(1, 2)]
+    tau_34 = contangle.closed_forms(params).pairwise_contangle[(3, 4)]
     strong = contangle.closed_forms(params)
     pure_pair = gaussian.apply(
         gaussian.two_mode_squeezer(0, 1, 1.5, 2), gaussian.vacuum_cm(2)
@@ -77,13 +77,14 @@ def test_acceptance_03_monogamy_surface():
     for a in GRID:
         for s in GRID:
             params = contangle.SqueezingParams(a, s)
-            residual = contangle.closed_forms(params).monogamy_slack
+            forms = contangle.closed_forms(params)
+            residual = forms.monogamy_slack
             if residual < -SLACK:
                 failures.append(f"negative residual {residual:.3e} at a={a:.1f} s={s:.1f}")
             branches = [
                 contangle.one_vs_rest_contangle(params, probe)
                 - sum(
-                    contangle.pairwise_contangle(params, (min(probe, o), max(probe, o)))
+                    forms.pairwise_contangle[(min(probe, o), max(probe, o))]
                     for o in contangle.PROBES
                     if o != probe
                 )
@@ -122,11 +123,11 @@ def test_acceptance_05_pair_separability():
             state = four_mode.build_state(params)
             threshold = contangle.separability_threshold(s)
             for pair in always_separable:
-                if not four_mode.pair_ppt_separable(state, *pair):
+                if not four_mode.pair_ppt_separable(state, [pair])[0]:
                     failures.append(f"pair {pair} not separable at a={a:.1f} s={s:.1f}")
             if abs(a - threshold) > 1e-6:
                 expected = a >= threshold
-                if four_mode.pair_ppt_separable(state, 2, 3) != expected:
+                if four_mode.pair_ppt_separable(state, [(2, 3)])[0] != expected:
                     failures.append(f"middle-pair verdict wrong at a={a:.1f} s={s:.1f}")
     for s in GRID:
         if s == 0.0:
@@ -229,8 +230,9 @@ def _spectral_tripartite_bound(a: float, s: float) -> float:
     sigma_p = contangle.bounding_tripartite_state(params)
     cut_1 = gaussian.ModePartition(frozenset({0}), frozenset({1, 2}))
     cut_3 = gaussian.ModePartition(frozenset({2}), frozenset({0, 1}))
-    term1 = gaussian.log_negativity(sigma_p, cut_1) ** 2 - contangle.pairwise_contangle(params, (1, 2))
-    term2 = gaussian.log_negativity(sigma_p, cut_3) ** 2 - contangle.pairwise_contangle(params, (2, 3))
+    tau = contangle.closed_forms(params).pairwise_contangle
+    term1 = gaussian.log_negativity(sigma_p, cut_1) ** 2 - tau[(1, 2)]
+    term2 = gaussian.log_negativity(sigma_p, cut_3) ** 2 - tau[(2, 3)]
     return max(0.0, min(term1, term2))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,16 @@ def test_report_beyond_float64_range_is_one_stderr_line(run_cli):
     assert "RuntimeWarning" not in err
     assert len(err.splitlines()) == 2
     assert "not symplectic" in err
+
+
+@pytest.mark.parametrize("a, s", [(4.0, 1.5), (0.0, 5.5), (4.8, 1.0), (2.8, 3.0)])
+def test_report_is_consistent_where_float64_cannot_confirm_purity(capsys, a, s):
+    # deep squeezing: the numerical purity test of these states says False,
+    # and the transposed log-negativity route loses 1e-6 to 2e-6 there
+    assert cli.main(["fourmode", "report", "--a", str(a), "--s", str(s)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["consistent"] is True
+    assert payload["max_route_deviation"] < 1e-7
 
 
 def test_report_rejects_unknown_flag(run_cli):
@@ -244,6 +255,15 @@ def test_qudit_report_large_dimension(run_cli):
     payload = json.loads(out)
     assert payload["nongaussianity"] == 0.5
     assert payload["three_tangle_exact"] == "500"
+
+
+def test_qudit_report_past_float64_names_d_and_the_limit(capsys):
+    assert cli.main(["qudit", "report", "--d", "1" + "0" * 310]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: d ")
+    assert "float64 limit" in lines[0] and repr(sys.float_info.max) in lines[0]
 
 
 def test_qudit_report_rejects_bad_dimension(run_cli):

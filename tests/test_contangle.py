@@ -16,7 +16,6 @@ from promiscuity.contangle import (
     interpair_contangle,
     one_vs_rest_contangle,
     one_vs_rest_m,
-    pairwise_contangle,
     pairwise_m,
     point_forms,
     s_terms,
@@ -75,27 +74,27 @@ def test_separability_threshold_value():
 def test_squeezed_pairs_keep_their_contangle(pair):
     params = SqueezingParams(0.85, 1.4)
     assert pairwise_m(params, pair) == pytest.approx(math.cosh(1.7), abs=1e-12)
-    assert pairwise_contangle(params, pair) == 4 * 0.85**2
+    assert closed_forms(params).pairwise_contangle[pair] == 4 * 0.85**2
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (2, 4), (1, 4)])
 def test_promiscuity_does_not_leak_into_separable_pairs(pair):
     params = SqueezingParams(1.2, 0.9)
     assert pairwise_m(params, pair) == 1.0
-    assert pairwise_contangle(params, pair) == 0.0
+    assert closed_forms(params).pairwise_contangle[pair] == 0.0
 
 
 def test_middle_pair_below_threshold():
     params = SqueezingParams(0.3, 1.0)
     assert pairwise_m(params, (2, 3)) == pytest.approx(M23_AT_03_1, abs=1e-12)
-    tau = pairwise_contangle(params, (2, 3))
+    tau = closed_forms(params).pairwise_contangle[(2, 3)]
     assert tau == pytest.approx(g_function(M23_AT_03_1**2), abs=1e-12)
     assert tau > 0
 
 
 def test_middle_pair_above_threshold_is_separable():
     assert pairwise_m(SqueezingParams(1.0, 1.0), (2, 3)) == 1.0
-    assert pairwise_contangle(SqueezingParams(1.0, 1.0), (2, 3)) == 0.0
+    assert closed_forms(SqueezingParams(1.0, 1.0)).pairwise_contangle[(2, 3)] == 0.0
 
 
 def test_middle_pair_at_zero_arm_squeezing():
@@ -246,7 +245,13 @@ def test_closed_forms_match_primitives(a, s):
     params = SqueezingParams(a, s)
     forms = closed_forms(params)
     assert forms.params == params
-    assert forms.pairwise_contangle == {pair: pairwise_contangle(params, pair) for pair in PAIRS}
+    # the pair contangles from their primitives: 4a^2 across a squeezer,
+    # g[m^2] on the middle pair, zero on the separable pairs
+    m_23 = pairwise_m(params, (2, 3))
+    squeezed, middle = 4 * a * a, g_function(m_23 * m_23)
+    assert forms.pairwise_contangle == {
+        (1, 2): squeezed, (1, 3): 0.0, (1, 4): 0.0, (2, 3): middle, (2, 4): 0.0, (3, 4): squeezed,
+    }
     rest = {probe: one_vs_rest_contangle(params, probe) for probe in (1, 2, 3, 4)}
     assert forms.one_vs_rest_contangle == rest
     assert forms.interpair_contangle == interpair_contangle(params)
@@ -318,7 +323,7 @@ def test_pairwise_m_never_below_one(a, s):
 @settings(max_examples=40, deadline=None)
 def test_threshold_splits_middle_pair(s):
     thr = separability_threshold(s)
-    entangled = pairwise_contangle(SqueezingParams(max(0.0, thr - 0.05), s), (2, 3))
-    separable = pairwise_contangle(SqueezingParams(thr + 0.05, s), (2, 3))
+    entangled = closed_forms(SqueezingParams(max(0.0, thr - 0.05), s)).pairwise_contangle[(2, 3)]
+    separable = closed_forms(SqueezingParams(thr + 0.05, s)).pairwise_contangle[(2, 3)]
     assert entangled > 0.0
     assert separable == 0.0

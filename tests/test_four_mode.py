@@ -15,6 +15,7 @@ from promiscuity.four_mode import (
     full_report,
     pair_ppt_separable,
     pair_pt_nu_min,
+    probe_log_negativities,
     probe_partition,
 )
 
@@ -56,13 +57,14 @@ def test_build_state_swap_symmetry():
 def test_pair_ppt_separable_follows_closed_rules():
     params = SqueezingParams(0.5, 1.0)
     state = build_state(params)
-    assert not pair_ppt_separable(state, 1, 2)
-    assert not pair_ppt_separable(state, 3, 4)
+    verdicts = dict(zip(contangle.PAIRS, pair_ppt_separable(state, contangle.PAIRS).tolist()))
+    assert not verdicts[(1, 2)]
+    assert not verdicts[(3, 4)]
     for i, j in [(1, 3), (1, 4), (2, 4)]:
-        assert pair_ppt_separable(state, i, j)
+        assert verdicts[(i, j)]
     # below threshold 0.788 the middle pair is still entangled
-    assert not pair_ppt_separable(state, 2, 3)
-    assert pair_ppt_separable(build_state(SqueezingParams(1.0, 1.0)), 2, 3)
+    assert not verdicts[(2, 3)]
+    assert pair_ppt_separable(build_state(SqueezingParams(1.0, 1.0)), [(2, 3)]).tolist() == [True]
 
 
 def test_full_report_benchmark_numbers():
@@ -133,8 +135,7 @@ def _seeded_points() -> list[SqueezingParams]:
         total = rng.uniform(4.0, 5.0)
         a = rng.uniform(total - 2.5, 2.5)
         points.append(SqueezingParams(a, total - a))
-    # a + s in [5.5, 6], where some states fail the purity test and take
-    # the transposed route
+    # a + s in [5.5, 6], where some states fail the numerical purity test
     for _ in range(20):
         total = rng.uniform(5.5, 6.0)
         a = rng.uniform(0.0, total)
@@ -152,7 +153,8 @@ def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
         "floor": states.spectral_noise_floor(),
     }
     values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in cuts})
-    values.update({f"nu {pair}": pair_pt_nu_min(states, *pair) for pair in contangle.PAIRS})
+    values["nu"] = pair_pt_nu_min(states, contangle.PAIRS)
+    values["probe ln"] = probe_log_negativities(states)
     return {name: np.asarray(value) for name, value in values.items()}
 
 
@@ -171,3 +173,30 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
     for k, p in enumerate(interior):
         assert np.array_equal(bounds[k], bounding_tripartite_state([p]).data[0])
         assert np.array_equal(bounds[k], bounding_tripartite_state(p).data)
+
+
+def test_full_report_makes_three_spectra_and_no_purity_test(monkeypatch):
+    calls = {"spectra": 0, "purity": 0}
+    spectrum = gaussian.symplectic_eigenvalues
+    purity = gaussian.CovarianceMatrix.is_pure
+
+    def counting_spectrum(sigma):
+        calls["spectra"] += 1
+        return spectrum(sigma)
+
+    def counting_purity(self, *args, **kwargs):
+        calls["purity"] += 1
+        return purity(self, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counting_spectrum)
+    monkeypatch.setattr(gaussian.CovarianceMatrix, "is_pure", counting_purity)
+    report = full_report(SqueezingParams(1.5, 1.0))
+    assert report.consistent
+    assert calls["spectra"] <= 3
+    assert calls["purity"] == 0
+
+
+def test_probe_log_negativities_refuse_a_state_not_built_pure():
+    state = build_state(SqueezingParams(0.4, 0.3))
+    with pytest.raises(ValueError, match="built pure"):
+        probe_log_negativities(gaussian.CovarianceMatrix(4, state.data))

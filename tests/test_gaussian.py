@@ -308,14 +308,52 @@ def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
     assert "not symplectic" in str(alone.value)
 
 
-def test_each_matrix_of_a_stack_takes_its_own_log_negativity_route():
+def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypatch):
     part = ModePartition(frozenset({0}), frozenset({1}))
-    pure = tmsv(0.9)
-    mixed = CovarianceMatrix(2, tmsv(0.9).data + 0.3 * np.eye(4))
-    assert pure.is_pure() and not mixed.is_pure()
-    stack = CovarianceMatrix(2, np.stack([pure.data, mixed.data, pure.data]))
-    assert np.array_equal(stack.is_pure(), [True, False, True])
-    values = log_negativity(stack, part)
-    expected = [log_negativity(pure, part), log_negativity(mixed, part), log_negativity(pure, part)]
-    assert np.array_equal(values, expected)
-    assert 0.0 < values[1] < values[0]
+    data = np.stack([tmsv(0.9).data, tmsv(0.05).data, tmsv(2.5).data])
+    flagged = CovarianceMatrix(2, data, pure=True)
+    unflagged = CovarianceMatrix(2, data)
+
+    def no_purity_test(self, tol=None):
+        raise AssertionError("log_negativity must not run a purity test")
+
+    monkeypatch.setattr(CovarianceMatrix, "is_pure", no_purity_test)
+    pure_route = log_negativity(flagged, part)
+    assert np.array_equal(pure_route, gaussian.reduced_log_negativity(reduce(flagged, {0})))
+    transposed_route = log_negativity(unflagged, part)
+    nu = symplectic_eigenvalues(partial_transpose(unflagged, part))
+    assert np.array_equal(transposed_route, np.maximum(0.0, -np.log(nu[:, 0])))
+    # both routes measure the same pure states
+    assert np.allclose(pure_route, [1.8, 0.1, 5.0], atol=1e-9)
+    assert np.allclose(transposed_route, pure_route, atol=1e-9)
+
+
+def test_pure_flag_follows_provenance():
+    vac = vacuum_cm(3)
+    assert vac.pure
+    squeezed = apply(two_mode_squeezer(0, 1, 0.7, 3), vac)
+    assert squeezed.pure
+    assert permute_modes(squeezed, [2, 0, 1]).pure
+    part = ModePartition(frozenset({0}), frozenset({1, 2}))
+    assert not reduce(squeezed, {0, 1}).pure
+    assert not reduce(squeezed, {0, 1, 2}).pure
+    assert not gaussian.reductions(squeezed, [[0], [1]]).pure
+    assert not partial_transpose(squeezed, part).pure
+    assert not CovarianceMatrix(3, squeezed.data).pure
+    # a symplectic map keeps the flag it is given, set or not
+    mixed = CovarianceMatrix(3, 2.0 * np.eye(6))
+    assert not apply(two_mode_squeezer(0, 1, 0.7, 3), mixed).pure
+    assert not permute_modes(mixed, [2, 0, 1]).pure
+
+
+def test_reductions_stack_the_reductions_of_each_subset():
+    state = apply(two_mode_squeezer(0, 2, [0.3, 1.4], 3), vacuum_cm(3))
+    subsets = [[0, 1], [2, 0], [1, 2]]
+    stacked = gaussian.reductions(state, subsets)
+    assert stacked.n_modes == 2 and stacked.data.shape == (2, 3, 4, 4)
+    for k, modes in enumerate(subsets):
+        assert np.array_equal(stacked.data[:, k], reduce(state, modes).data)
+    with pytest.raises(ValueError, match="one size"):
+        gaussian.reductions(state, [[0], [1, 2]])
+    with pytest.raises(ValueError, match="out of range"):
+        gaussian.reductions(state, [[0], [3]])
