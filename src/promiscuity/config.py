@@ -1,6 +1,7 @@
 """Grid configuration shared by the verification suites and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,6 +22,10 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.density < 2:
             raise ValueError(f"grid density must be >= 2, got {self.density}")
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"grid bound {key} must be finite, got {value}")
         if not (0 <= self.a_min <= self.a_max and 0 <= self.s_min <= self.s_max):
             raise ValueError("grid ranges must satisfy 0 <= min <= max")
 

@@ -14,6 +14,9 @@ middle pair 2, 3 carries the interpair squeezing.
 
 Natural logarithms throughout, so the pair contangles come out as
 4a^2 and the pair-block contangle as 4s^2 in squared-nat units.
+
+closed_forms(params) is the one way in: it returns every statistic of
+one point as a ClosedForms record.
 """
 from __future__ import annotations
 
@@ -29,9 +32,8 @@ MONOGAMY_TOL = 1e-9
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 PROBES = (1, 2, 3, 4)
-_SQUEEZED_PAIRS = {(1, 2), (3, 4)}
-_SEPARABLE_PAIRS = {(1, 3), (1, 4), (2, 4)}
-SEPARABLE_CONTANGLE = 0.0  # contangle of every pair in _SEPARABLE_PAIRS
+# contangle of the cross pairs (1, 3), (1, 4) and (2, 4), separable for every (a, s)
+SEPARABLE_CONTANGLE = 0.0
 
 
 @dataclass(frozen=True)
@@ -116,74 +118,23 @@ def _squeezer_contangle(r: float) -> float:
     return 4.0 * r * r
 
 
-def _normalize_pair(pair) -> tuple[int, int]:
-    try:
-        i, j = sorted(pair)
-    except (TypeError, ValueError):
-        raise ValueError(f"pair must hold exactly two mode labels, got {pair!r}")
-    if i == j or not {i, j} <= {1, 2, 3, 4}:
-        raise ValueError(f"pair must be two distinct labels from 1..4, got {pair!r}")
-    return (i, j)
-
-
 def _clamp_m(m: float) -> float:
     # determinant square roots in [1 - tol, 1) count as exactly 1
     return 1.0 if 1.0 - M_CLAMP_TOL <= m < 1.0 else m
 
 
 def _m_23(at: ATerms, st: STerms) -> float:
-    # middle-pair m below the separability threshold
+    # middle-pair m below the separability threshold, joining the separable m = 1 continuously at it
     num = -1.0 + 2.0 * math.cosh(2 * at.a) ** 2 * st.cosh_sq + 3.0 * st.cosh_2s
     num -= 4.0 * at.sinh_sq * st.sinh_2s
     return _clamp_m(num / (4.0 * (at.cosh_sq + math.exp(2 * st.s) * at.sinh_sq)))
 
 
 def _m_rest(at: ATerms, st: STerms, probe: int) -> float:
+    # sqrt-det of the probe's one-mode reduction; probes 1, 4 are the outer modes, 2, 3 the middle
     if probe in (1, 4):
         return at.cosh_sq + st.cosh_2s * at.sinh_sq
     return at.sinh_sq + st.cosh_2s * at.cosh_sq
-
-
-def pairwise_m(params: SqueezingParams, pair) -> float:
-    """sqrt-det parameter m_{i|j} of a two-mode reduction, >= 1.
-
-    The squeezed pairs {1,2} and {3,4} give cosh(2a) independently of s.
-    The cross pairs {1,3}, {2,4}, {1,4} are separable for every (a, s),
-    so m = 1.  The middle pair {2,3} is entangled only below the
-    threshold a < arcsinh(sqrt(tanh s)), where it takes a quotient form
-    that joins the separable branch continuously at the threshold.
-    """
-    i, j = _normalize_pair(pair)
-    a, s = params.a, params.s
-    if (i, j) in _SQUEEZED_PAIRS:
-        return math.cosh(2 * a)
-    if (i, j) in _SEPARABLE_PAIRS:
-        return 1.0
-    if a >= separability_threshold(s):
-        return 1.0
-    return _m_23(a_terms(a), s_terms(s))
-
-
-def one_vs_rest_m(params: SqueezingParams, probe: int) -> float:
-    """sqrt-det of the one-mode reduction of the probe mode.
-
-    Probes 1 and 4 (outer modes) give cosh^2 a + cosh(2s) sinh^2 a;
-    probes 2 and 3 (middle modes) give sinh^2 a + cosh(2s) cosh^2 a.
-    """
-    if probe not in PROBES:
-        raise ValueError(f"probe must be a mode label in 1..4, got {probe!r}")
-    return _m_rest(a_terms(params.a), s_terms(params.s), probe)
-
-
-def one_vs_rest_contangle(params: SqueezingParams, probe: int) -> float:
-    """Contangle across the probe-vs-rest bipartition of the pure state."""
-    m = one_vs_rest_m(params, probe)
-    return g_function(m * m)
-
-
-def interpair_contangle(params: SqueezingParams) -> float:
-    """Contangle across the (12)|(34) pair-block cut: exactly 4s^2."""
-    return _squeezer_contangle(params.s)
 
 
 def _bound_m_3_vs_12(a: float, s: float, cosh_a: float, tanh_s: float) -> float:

@@ -115,6 +115,12 @@ def probe_log_negativities(state: gaussian.CovarianceMatrix):
     return gaussian.reduced_log_negativity(gaussian.reductions(state, _PROBE_SIDES))
 
 
+def near_threshold(params: SqueezingParams) -> bool:
+    """True within THRESHOLD_FLAG_TOL of the middle-pair separability threshold, where
+    full_report and the verify battery leave the pair-(2, 3) verdict unscored."""
+    return abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
+
+
 def full_report(params: SqueezingParams) -> EntanglementReport:
     """All contangle statistics of gamma(a, s), cross-checked spectrally.
 
@@ -125,8 +131,8 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     reductions, the {1,2} block and the six transposed pair blocks.  The
     state is pure by construction, so no purity test runs.  Any value
     deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
-    inconsistent instead of raising.  Points within THRESHOLD_FLAG_TOL of
-    the middle-pair separability threshold are flagged near_threshold and
+    inconsistent instead of raising.  Points near the middle-pair
+    separability threshold (near_threshold) are flagged as such and
     exempted from the hard verdict comparison, as are pairs whose
     entanglement is too faint for either route to certify (see FAINT_TAU
     and PPT_MARGIN).
@@ -141,7 +147,7 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
         abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle)
     )
 
-    near = abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
+    near = near_threshold(params)
     nu_mins = pair_pt_nu_min(state, contangle.PAIRS)[0].tolist()
     verdicts_ok = True
     for (i, j), nu_min in zip(contangle.PAIRS, nu_mins):

@@ -2,10 +2,12 @@
 
 Each suite sweeps a parameter grid and counts independent checks; the
 first failure is recorded with the parameter point that produced it.
-The suites intentionally recompute everything through both the
-closed-form and the spectral route, so a corruption of either layer
-(wrong log base, wrong squeezer convention, broken partial transpose)
-surfaces as a counted failure rather than silent drift.
+The closed-form side of every check is read from contangle.closed_forms,
+the one record per point that report and sweep also print; the spectral
+side is recomputed from the covariance matrix.  A corruption of either
+layer (wrong log base, wrong squeezer convention, broken partial
+transpose) therefore surfaces as a counted failure rather than silent
+drift.
 """
 from __future__ import annotations
 
@@ -21,8 +23,6 @@ from .config import GridConfig
 ROUTE_TOL = 1e-7
 # slack for monotonicity and sign checks on sampled grids
 SLACK = 1e-12
-# margin around the middle-pair threshold where verdicts are not scored
-THRESHOLD_MARGIN = 1e-6
 PSD_SLACK = -1e-8
 
 QUDIT_DIMS = tuple(range(4, 44, 4))
@@ -61,12 +61,8 @@ def _blocks(points: list[contangle.SqueezingParams]):
         yield points[start : start + BLOCK_POINTS]
 
 
-def _first_middle_last(values: list[float]) -> list[float]:
-    return [values[k] for k in sorted({0, len(values) // 2, len(values) - 1})]
-
-
 def _ends_and_middle(values: list[float]) -> list[float]:
-    # distinct values only, unlike _first_middle_last on a degenerate axis
+    # distinct values only, so a degenerate axis is sampled once
     return sorted({values[0], values[-1], values[len(values) // 2]})
 
 
@@ -75,8 +71,8 @@ def suite_gaussian_invariants(cfg: GridConfig) -> SuiteResult:
     result = SuiteResult("gaussian_invariants")
     omega = gaussian.symplectic_form(4)
     probe = four_mode.probe_partition(1)
-    for a in _first_middle_last(cfg.a_values()):
-        for s in _first_middle_last(cfg.s_values()):
+    for a in _ends_and_middle(cfg.a_values()):
+        for s in _ends_and_middle(cfg.s_values()):
             params = contangle.SqueezingParams(a, s)
             state = four_mode.build_state(params)
             point = f"a={a:.6g} s={s:.6g}"
@@ -116,10 +112,10 @@ def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
         state = four_mode.build_state(block)
         rows = four_mode.probe_log_negativities(state).tolist()
         for params, row in zip(block, rows):
+            closed = contangle.closed_forms(params).one_vs_rest_contangle
             for probe, spectral in zip(contangle.PROBES, row):
-                closed = contangle.one_vs_rest_contangle(params, probe)
                 result.check(
-                    abs(spectral * spectral - closed) <= ROUTE_TOL,
+                    abs(spectral * spectral - closed[probe]) <= ROUTE_TOL,
                     f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
                 )
     return result
@@ -132,7 +128,7 @@ def suite_interpair_agreement(cfg: GridConfig) -> SuiteResult:
         state = four_mode.build_state(block)
         for params, spectral in zip(block, gaussian.log_negativity(state, four_mode.PAIRBLOCK).tolist()):
             result.check(
-                abs(spectral * spectral - contangle.interpair_contangle(params)) <= 1e-8,
+                abs(spectral * spectral - contangle.closed_forms(params).interpair_contangle) <= 1e-8,
                 f"a={params.a:.6g} s={params.s:.6g}",
             )
     return result
@@ -141,8 +137,8 @@ def suite_interpair_agreement(cfg: GridConfig) -> SuiteResult:
 def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
     """PPT verdicts match the closed-form separability rules.
 
-    Points within THRESHOLD_MARGIN of the middle-pair threshold are
-    skipped for the verdict and instead checked for nu_min = 1.
+    The middle-pair verdict is not scored where four_mode.near_threshold
+    holds; the threshold itself is checked for nu_min = 1 instead.
     """
     result = SuiteResult("pair_separability")
     for block in _blocks(_params_grid(cfg)):
@@ -150,12 +146,11 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
         rows = four_mode.pair_ppt_separable(state, contangle.PAIRS).tolist()
         for params, row in zip(block, rows):
             point = f"a={params.a:.6g} s={params.s:.6g}"
-            threshold = contangle.separability_threshold(params.s)
+            closed = contangle.closed_forms(params).pairwise_contangle
             for pair, spectral in zip(contangle.PAIRS, row):
-                if pair == (2, 3) and abs(params.a - threshold) <= THRESHOLD_MARGIN:
+                if pair == (2, 3) and four_mode.near_threshold(params):
                     continue
-                closed = contangle.pairwise_m(params, pair) == 1.0
-                result.check(spectral == closed, f"pair {pair} at {point}")
+                result.check(spectral == (closed[pair] == 0.0), f"pair {pair} at {point}")
     at_threshold = [
         contangle.SqueezingParams(contangle.separability_threshold(s), s)
         for s in cfg.s_values()

@@ -82,7 +82,7 @@ def test_acceptance_03_monogamy_surface():
             if residual < -SLACK:
                 failures.append(f"negative residual {residual:.3e} at a={a:.1f} s={s:.1f}")
             branches = [
-                contangle.one_vs_rest_contangle(params, probe)
+                forms.one_vs_rest_contangle[probe]
                 - sum(
                     forms.pairwise_contangle[(min(probe, o), max(probe, o))]
                     for o in contangle.PROBES

@@ -1,13 +1,14 @@
-"""Every public name in the package is used by the package itself.
+"""Every name the package defines is used by the package itself.
 
-A public top-level function or class, or a public method of a top-level
-class, that nothing in src/ references outside its own definition is
-code that only tests reach; it should be wired into a real check or
+A module-level function (public or private), a module-level constant, a
+public top-level class, or a public method of a top-level class, that
+nothing in src/ references outside its own definition is code that only
+tests reach, or no code at all; it should be wired into a real check or
 deleted.
 
-A module-level function counts as used only through a name that can
-reach it: a bare name loaded in its own module, `module.name`, or
-`from module import name`.  An attribute of the same name on anything
+A module-level function or constant counts as used only through a name
+that can reach it: a bare name loaded in its own module, `module.name`,
+or `from module import name`.  An attribute of the same name on anything
 else (a dataclass field, say) does not count.
 """
 import ast
@@ -17,13 +18,22 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "promiscuity"
 
 
 def _definitions(tree: ast.Module):
+    """(node, name, module_level) of each name the module defines."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node, True
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.FunctionDef):
+            yield node, node.name, True
+        elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node, node.name, False
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield member, False
+                    yield member, member.name, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield node, name.id, True
 
 
 def _references(tree: ast.AST):
@@ -61,26 +71,28 @@ def _unused(trees) -> list[str]:
     unused = []
     for tree in trees:
         function_refs = [ref for other in trees for ref in _function_references(tree.module_name, other)]
-        for definition, top_level in _definitions(tree):
+        for definition, defined, module_level in _definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
-            is_function = top_level and isinstance(definition, ast.FunctionDef)
-            candidates = function_refs if is_function else refs
-            if not any(name == definition.name and id(node) not in own for name, node in candidates):
-                unused.append(f"{tree.module_name}.{definition.name}")
+            candidates = function_refs if module_level else refs
+            if not any(name == defined and id(node) not in own for name, node in candidates):
+                unused.append(f"{tree.module_name}.{defined}")
     return sorted(unused)
 
 
 def test_every_public_name_is_used_in_src():
     unused = _unused(_trees())
-    assert not unused, f"public names that no code in src/ uses: {unused}"
+    assert not unused, f"names that no code in src/ uses: {unused}"
 
 
 def test_a_field_of_the_same_name_does_not_count_as_using_a_function():
     source = {
         "shapes": "from dataclasses import dataclass\n\n"
+        "UNIT = 1.0\n_LIMIT = 10\n_SPARE = 3\n\n"
         "@dataclass\nclass Box:\n    area: float\n\n"
         "def area(width, height):\n    return width * height\n\n"
-        "def used(width):\n    return width\n",
+        "def used(width):\n    return _scaled(width)\n\n"
+        "def _scaled(width):\n    return width * UNIT\n\n"
+        "def _orphan():\n    return _LIMIT\n",
         "report": "from . import shapes\nfrom .shapes import Box\n\n"
         "def describe(box: Box):\n    return box.area, shapes.used(1)\n",
     }
@@ -89,4 +101,5 @@ def test_a_field_of_the_same_name_does_not_count_as_using_a_function():
         tree = ast.parse(text)
         tree.module_name = name
         trees.append(tree)
-    assert _unused(trees) == ["report.describe", "shapes.area"]
+    # a private helper or a constant that nothing reads counts too
+    assert _unused(trees) == ["report.describe", "shapes._SPARE", "shapes._orphan", "shapes.area"]

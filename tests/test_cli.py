@@ -177,6 +177,16 @@ def test_sweep_equals_point_by_point_reference(tmp_path, cfg):
     assert out_file.read_bytes() == _reference_sweep(cfg).encode("ascii")
 
 
+@pytest.mark.parametrize("flag", ["--a-max", "--s-max"])
+def test_sweep_rejects_infinite_bound(run_cli, tmp_path, flag):
+    # inf * 0 would otherwise name a point at a = nan that nobody asked for
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run_cli("fourmode", "sweep", flag, "inf", "--steps", "3", "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"grid bound {flag[2:].replace('-', '_')} must be finite, got inf")
+    assert not out_file.exists()
+
+
 def test_sweep_rejects_single_step(run_cli, tmp_path):
     code, _, err = run_cli(
         "fourmode", "sweep", "--steps", "1", "--out", str(tmp_path / "x.csv")
@@ -286,13 +296,14 @@ def test_verify_passes_and_prints_suite_lines(run_cli):
 
 def test_verify_detects_injected_fault(monkeypatch, capsys):
     # corrupting one closed form must flip the battery to failure
-    real = contangle.pairwise_m
+    real = contangle.closed_forms
 
-    def broken(params, pair):
-        value = real(params, pair)
-        return value + 0.05 if pair == (2, 3) else value
+    def broken(params):
+        forms = real(params)
+        pairwise = {**forms.pairwise_contangle, (2, 3): forms.pairwise_contangle[(2, 3)] + 0.05}
+        return dataclasses.replace(forms, pairwise_contangle=pairwise)
 
-    monkeypatch.setattr(contangle, "pairwise_m", broken)
+    monkeypatch.setattr(contangle, "closed_forms", broken)
     results = verification.run_all(GridConfig(0.0, 2.5, 0.0, 2.5, 6))
     assert any(not r.ok for r in results)
 
@@ -327,6 +338,14 @@ def test_verify_rejects_degenerate_a_axis(run_cli, tmp_path):
         "fourmode", "sweep", "--out", str(tmp_path / "x.csv"), "--config", str(cfg)
     )
     assert code == 0
+
+
+def test_verify_rejects_infinite_config_bound(run_cli, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("a_max = inf\n")
+    code, out, err = run_cli("verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith("grid.cfg:1: grid bound a_max must be finite, got inf")
 
 
 def test_load_config_round_trip(tmp_path):

@@ -13,10 +13,6 @@ from promiscuity.contangle import (
     bounding_tripartite_state,
     closed_forms,
     g_function,
-    interpair_contangle,
-    one_vs_rest_contangle,
-    one_vs_rest_m,
-    pairwise_m,
     point_forms,
     s_terms,
     separability_threshold,
@@ -72,69 +68,50 @@ def test_separability_threshold_value():
 
 @pytest.mark.parametrize("pair", [(1, 2), (3, 4)])
 def test_squeezed_pairs_keep_their_contangle(pair):
-    params = SqueezingParams(0.85, 1.4)
-    assert pairwise_m(params, pair) == pytest.approx(math.cosh(1.7), abs=1e-12)
-    assert closed_forms(params).pairwise_contangle[pair] == 4 * 0.85**2
+    tau = closed_forms(SqueezingParams(0.85, 1.4)).pairwise_contangle[pair]
+    assert tau == pytest.approx(g_function(math.cosh(1.7) ** 2), abs=1e-12)
+    assert tau == 4 * 0.85**2
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (2, 4), (1, 4)])
 def test_promiscuity_does_not_leak_into_separable_pairs(pair):
-    params = SqueezingParams(1.2, 0.9)
-    assert pairwise_m(params, pair) == 1.0
-    assert closed_forms(params).pairwise_contangle[pair] == 0.0
+    assert closed_forms(SqueezingParams(1.2, 0.9)).pairwise_contangle[pair] == 0.0
 
 
 def test_middle_pair_below_threshold():
-    params = SqueezingParams(0.3, 1.0)
-    assert pairwise_m(params, (2, 3)) == pytest.approx(M23_AT_03_1, abs=1e-12)
-    tau = closed_forms(params).pairwise_contangle[(2, 3)]
+    tau = closed_forms(SqueezingParams(0.3, 1.0)).pairwise_contangle[(2, 3)]
     assert tau == pytest.approx(g_function(M23_AT_03_1**2), abs=1e-12)
     assert tau > 0
 
 
 def test_middle_pair_above_threshold_is_separable():
-    assert pairwise_m(SqueezingParams(1.0, 1.0), (2, 3)) == 1.0
     assert closed_forms(SqueezingParams(1.0, 1.0)).pairwise_contangle[(2, 3)] == 0.0
 
 
 def test_middle_pair_at_zero_arm_squeezing():
     # the pair reduces to a plain two-mode squeezed state
     s = 0.7
-    assert pairwise_m(SqueezingParams(0.0, s), (2, 3)) == pytest.approx(
-        math.cosh(2 * s), abs=1e-12
-    )
+    tau = closed_forms(SqueezingParams(0.0, s)).pairwise_contangle[(2, 3)]
+    assert tau == pytest.approx(g_function(math.cosh(2 * s) ** 2), abs=1e-12)
 
 
 def test_middle_pair_joins_continuously_at_threshold():
     s = 1.0
     thr = separability_threshold(s)
-    below = pairwise_m(SqueezingParams(thr - 1e-8, s), (2, 3))
-    above = pairwise_m(SqueezingParams(thr + 1e-8, s), (2, 3))
-    assert above == 1.0
-    assert below == pytest.approx(1.0, abs=1e-6)
-
-
-def test_pairwise_m_rejects_unknown_pair():
-    with pytest.raises(ValueError):
-        pairwise_m(SqueezingParams(1.0, 1.0), (1, 5))
-    with pytest.raises(ValueError):
-        pairwise_m(SqueezingParams(1.0, 1.0), (2, 2))
+    below = closed_forms(SqueezingParams(thr - 1e-8, s)).pairwise_contangle[(2, 3)]
+    above = closed_forms(SqueezingParams(thr + 1e-8, s)).pairwise_contangle[(2, 3)]
+    assert above == 0.0
+    # m within 1e-6 of 1, as g is monotone
+    assert 0.0 <= below <= g_function((1.0 + 1e-6) ** 2)
 
 
 def test_one_vs_rest_m_benchmark_values():
-    params = SqueezingParams(1.5, 1.0)
-    assert one_vs_rest_m(params, 1) == pytest.approx(M1_REST_BENCH, abs=1e-12)
-    assert one_vs_rest_m(params, 2) == pytest.approx(M2_REST_BENCH, abs=1e-12)
+    rest = closed_forms(SqueezingParams(1.5, 1.0)).one_vs_rest_contangle
+    assert rest[1] == pytest.approx(g_function(M1_REST_BENCH**2), abs=1e-12)
+    assert rest[2] == pytest.approx(g_function(M2_REST_BENCH**2), abs=1e-12)
     # mirror symmetry of the chain: 1 <-> 4 and 2 <-> 3
-    assert one_vs_rest_m(params, 4) == one_vs_rest_m(params, 1)
-    assert one_vs_rest_m(params, 3) == one_vs_rest_m(params, 2)
-
-
-def test_one_vs_rest_m_rejects_bad_probe():
-    with pytest.raises(ValueError):
-        one_vs_rest_m(SqueezingParams(1.0, 1.0), 0)
-    with pytest.raises(ValueError):
-        one_vs_rest_m(SqueezingParams(1.0, 1.0), 5)
+    assert rest[4] == rest[1]
+    assert rest[3] == rest[2]
 
 
 def test_one_vs_rest_contangle_spectral_cross_check():
@@ -142,17 +119,18 @@ def test_one_vs_rest_contangle_spectral_cross_check():
 
     params = SqueezingParams(0.9, 1.3)
     state = four_mode.build_state(params)
+    closed = closed_forms(params).one_vs_rest_contangle
     for probe in (1, 2, 3, 4):
         part = gaussian.ModePartition(
             frozenset({probe - 1}), frozenset({0, 1, 2, 3}) - {probe - 1}
         )
         spectral = gaussian.log_negativity(state, part) ** 2
-        assert one_vs_rest_contangle(params, probe) == pytest.approx(spectral, abs=1e-9)
+        assert closed[probe] == pytest.approx(spectral, abs=1e-9)
 
 
 def test_interpair_is_four_s_squared():
-    assert interpair_contangle(SqueezingParams(1.7, 0.6)) == 4 * 0.6**2
-    assert interpair_contangle(SqueezingParams(0.0, 0.0)) == 0.0
+    assert closed_forms(SqueezingParams(1.7, 0.6)).interpair_contangle == 4 * 0.6**2
+    assert closed_forms(SqueezingParams(0.0, 0.0)).interpair_contangle == 0.0
 
 
 def _residual(a, s):
@@ -245,16 +223,30 @@ def test_closed_forms_match_primitives(a, s):
     params = SqueezingParams(a, s)
     forms = closed_forms(params)
     assert forms.params == params
-    # the pair contangles from their primitives: 4a^2 across a squeezer,
-    # g[m^2] on the middle pair, zero on the separable pairs
-    m_23 = pairwise_m(params, (2, 3))
-    squeezed, middle = 4 * a * a, g_function(m_23 * m_23)
+    # the m-formulas of the family, written out: the middle pair is
+    # separable (m = 1) from the threshold on, and the outer probes 1, 4
+    # and middle probes 2, 3 each share one one-mode sqrt-det
+    if a >= separability_threshold(s):
+        m_23 = 1.0
+    else:
+        numerator = (
+            -1 + 2 * math.cosh(2 * a) ** 2 * math.cosh(s) ** 2 + 3 * math.cosh(2 * s)
+            - 4 * math.sinh(a) ** 2 * math.sinh(2 * s)
+        )
+        m_23 = numerator / (4 * (math.cosh(a) ** 2 + math.exp(2 * s) * math.sinh(a) ** 2))
+    m_outer = math.cosh(a) ** 2 + math.cosh(2 * s) * math.sinh(a) ** 2
+    m_middle = math.sinh(a) ** 2 + math.cosh(2 * s) * math.cosh(a) ** 2
+
+    def close(m):
+        return pytest.approx(g_function(m * m), rel=1e-12, abs=1e-12)
+
+    squeezed = 4 * a * a
     assert forms.pairwise_contangle == {
-        (1, 2): squeezed, (1, 3): 0.0, (1, 4): 0.0, (2, 3): middle, (2, 4): 0.0, (3, 4): squeezed,
+        (1, 2): squeezed, (1, 3): 0.0, (1, 4): 0.0, (2, 3): close(m_23), (2, 4): 0.0, (3, 4): squeezed,
     }
-    rest = {probe: one_vs_rest_contangle(params, probe) for probe in (1, 2, 3, 4)}
-    assert forms.one_vs_rest_contangle == rest
-    assert forms.interpair_contangle == interpair_contangle(params)
+    outer, middle = close(m_outer), close(m_middle)
+    assert forms.one_vs_rest_contangle == {1: outer, 2: middle, 3: middle, 4: outer}
+    assert forms.interpair_contangle == 4 * s * s
     assert list(forms.pairwise_contangle) == list(PAIRS)
 
 
@@ -314,9 +306,10 @@ def test_monogamy_holds_everywhere(a, s):
 @given(a=squeezings, s=squeezings)
 @settings(max_examples=60, deadline=None)
 def test_pairwise_m_never_below_one(a, s):
-    params = SqueezingParams(a, s)
-    for pair in PAIRS:
-        assert pairwise_m(params, pair) >= 1.0
+    # g refuses m^2 below 1 - M_CLAMP_TOL and the kernel clamps m up to 1
+    # within it, so every pair contangle computed and non-negative means m >= 1
+    pairwise = closed_forms(SqueezingParams(a, s)).pairwise_contangle
+    assert all(tau >= 0.0 for tau in pairwise.values())
 
 
 @given(s=st.floats(min_value=0.01, max_value=2.5, allow_nan=False))
