@@ -120,7 +120,7 @@ def _nonnegative(label: str):
             raise argparse.ArgumentTypeError(f"{label} must be a number, got {text!r}")
         if not value >= 0:
             raise argparse.ArgumentTypeError(f"{label} must be non-negative, got {text}")
-        return value
+        return value + 0.0  # -0.0 becomes 0.0, so -0 and 0 print the same bytes
 
     return parse
 

@@ -106,14 +106,14 @@ class CovarianceMatrix:
         """
         return unstack(2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1)))
 
-    def is_pure(self, tol: float = PHYSICALITY_TOL):
-        """Numerical purity check: every symplectic eigenvalue within max(tol, noise floor) of 1.
+    def is_pure(self):
+        """Numerical purity check: every symplectic eigenvalue within max(PHYSICALITY_TOL, noise floor) of 1.
 
         A check only; no route reads it (see the `pure` field).  At deep
         squeezing the float64 spectrum strays past the band, so a state
         built pure can fail it.
         """
-        band = np.maximum(tol, self.spectral_noise_floor())
+        band = np.maximum(PHYSICALITY_TOL, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
         return unstack(deviation <= band)
 

@@ -2,15 +2,15 @@
 
 Each suite sweeps a parameter grid and counts independent checks; the
 first failure is recorded with the parameter point that produced it.
-The closed-form side of every check is read from contangle.closed_forms,
-the one record per point that report and sweep also print; the spectral
-side is recomputed from the covariance matrix.  A corruption of either
-layer (wrong log base, wrong squeezer convention, broken partial
-transpose) therefore surfaces as a counted failure rather than silent
-drift.
+One Grid per run computes each point's contangle.closed_forms record
+and each block's state once: every closed side is a field of that
+record, and every spectral side comes from the state.  A corruption of
+either layer (wrong log base, wrong squeezer convention, broken partial
+transpose) therefore surfaces as a counted failure, not silent drift.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,14 +48,6 @@ class SuiteResult:
             self.failures.append(point)
 
 
-def _params_grid(cfg: GridConfig) -> list[contangle.SqueezingParams]:
-    return [
-        contangle.SqueezingParams(a, s)
-        for a in cfg.a_values()
-        for s in cfg.s_values()
-    ]
-
-
 def _blocks(points: list[contangle.SqueezingParams]):
     for start in range(0, len(points), BLOCK_POINTS):
         yield points[start : start + BLOCK_POINTS]
@@ -66,94 +58,111 @@ def _ends_and_middle(values: list[float]) -> list[float]:
     return sorted({values[0], values[-1], values[len(values) // 2]})
 
 
-def suite_gaussian_invariants(cfg: GridConfig) -> SuiteResult:
+class Grid:
+    """The a-major points of one verify run, its 3x3 samples, and each
+    point's record and each block's state, computed once on first use.
+    A computation that raises is not cached, so each reader fails alone.
+    """
+
+    def __init__(self, cfg: GridConfig) -> None:
+        self.cfg = cfg
+        self.points = [contangle.SqueezingParams(a, s) for a in cfg.a_values() for s in cfg.s_values()]
+        a_samples, s_samples = _ends_and_middle(cfg.a_values()), _ends_and_middle(cfg.s_values())
+        self.samples = [contangle.SqueezingParams(a, s) for a in a_samples for s in s_samples]
+
+    @functools.cached_property
+    def forms(self) -> list[contangle.ClosedForms]:
+        return [contangle.closed_forms(params) for params in self.points]
+
+    @functools.cached_property
+    def blocks(self) -> list[tuple]:
+        # (points, state, records); every state is built before any record
+        states = [four_mode.build_state(chunk) for chunk in _blocks(self.points)]
+        return list(zip(_blocks(self.points), states, _blocks(self.forms)))
+
+
+def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     """Symplectic structure, purity, involution, side-swap symmetry."""
     result = SuiteResult("gaussian_invariants")
     omega = gaussian.symplectic_form(4)
     probe = four_mode.probe_partition(1)
-    for a in _ends_and_middle(cfg.a_values()):
-        for s in _ends_and_middle(cfg.s_values()):
-            params = contangle.SqueezingParams(a, s)
-            state = four_mode.build_state(params)
-            point = f"a={a:.6g} s={s:.6g}"
-            squeezer = gaussian.two_mode_squeezer(1, 2, s, 4).data
-            result.check(
-                float(np.abs(squeezer @ omega @ squeezer.T - omega).max()) <= 1e-10,
-                f"symplectic defect at {point}",
+    for params in grid.samples:
+        state = four_mode.build_state(params)
+        point = f"a={params.a:.6g} s={params.s:.6g}"
+        squeezer = gaussian.two_mode_squeezer(1, 2, params.s, 4).data
+        result.check(
+            float(np.abs(squeezer @ omega @ squeezer.T - omega).max()) <= 1e-10,
+            f"symplectic defect at {point}",
+        )
+        result.check(state.is_pure(), f"purity lost at {point}")
+        double_pt = gaussian.partial_transpose(
+            gaussian.partial_transpose(state, probe), probe
+        )
+        result.check(
+            float(np.abs(double_pt.data - state.data).max()) == 0.0,
+            f"partial transpose not involutive at {point}",
+        )
+        result.check(
+            abs(
+                gaussian.log_negativity(state, probe)
+                - gaussian.log_negativity(state, probe.swapped())
             )
-            result.check(state.is_pure(1e-9), f"purity lost at {point}")
-            double_pt = gaussian.partial_transpose(
-                gaussian.partial_transpose(state, probe), probe
-            )
-            result.check(
-                float(np.abs(double_pt.data - state.data).max()) == 0.0,
-                f"partial transpose not involutive at {point}",
-            )
-            result.check(
-                abs(
-                    gaussian.log_negativity(state, probe)
-                    - gaussian.log_negativity(state, probe.swapped())
-                )
-                <= 1e-10,
-                f"side-swap asymmetry at {point}",
-            )
-            swap = gaussian.permute_modes(state, (3, 2, 1, 0))
-            result.check(
-                float(np.abs(swap.data - state.data).max()) <= 1e-9,
-                f"mode-exchange symmetry broken at {point}",
-            )
+            <= 1e-10,
+            f"side-swap asymmetry at {point}",
+        )
+        swap = gaussian.permute_modes(state, (3, 2, 1, 0))
+        result.check(
+            float(np.abs(swap.data - state.data).max()) <= 1e-9,
+            f"mode-exchange symmetry broken at {point}",
+        )
     return result
 
 
-def suite_one_vs_rest_agreement(cfg: GridConfig) -> SuiteResult:
+def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    for block in _blocks(_params_grid(cfg)):
-        state = four_mode.build_state(block)
+    for block, state, records in grid.blocks:
         rows = four_mode.probe_log_negativities(state).tolist()
-        for params, row in zip(block, rows):
-            closed = contangle.closed_forms(params).one_vs_rest_contangle
+        for params, forms, row in zip(block, records, rows):
             for probe, spectral in zip(contangle.PROBES, row):
                 result.check(
-                    abs(spectral * spectral - closed[probe]) <= ROUTE_TOL,
+                    abs(spectral * spectral - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
                     f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
                 )
     return result
 
 
-def suite_interpair_agreement(cfg: GridConfig) -> SuiteResult:
+def suite_interpair_agreement(grid: Grid) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    for block in _blocks(_params_grid(cfg)):
-        state = four_mode.build_state(block)
-        for params, spectral in zip(block, gaussian.log_negativity(state, four_mode.PAIRBLOCK).tolist()):
+    for block, state, records in grid.blocks:
+        spectra = gaussian.log_negativity(state, four_mode.PAIRBLOCK).tolist()
+        for params, forms, spectral in zip(block, records, spectra):
             result.check(
-                abs(spectral * spectral - contangle.closed_forms(params).interpair_contangle) <= 1e-8,
+                abs(spectral * spectral - forms.interpair_contangle) <= 1e-8,
                 f"a={params.a:.6g} s={params.s:.6g}",
             )
     return result
 
 
-def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
+def suite_pair_separability(grid: Grid) -> SuiteResult:
     """PPT verdicts match the closed-form separability rules.
 
     The middle-pair verdict is not scored where four_mode.near_threshold
     holds; the threshold itself is checked for nu_min = 1 instead.
     """
     result = SuiteResult("pair_separability")
-    for block in _blocks(_params_grid(cfg)):
-        state = four_mode.build_state(block)
+    for block, state, records in grid.blocks:
         rows = four_mode.pair_ppt_separable(state, contangle.PAIRS).tolist()
-        for params, row in zip(block, rows):
+        for params, forms, row in zip(block, records, rows):
             point = f"a={params.a:.6g} s={params.s:.6g}"
-            closed = contangle.closed_forms(params).pairwise_contangle
             for pair, spectral in zip(contangle.PAIRS, row):
                 if pair == (2, 3) and four_mode.near_threshold(params):
                     continue
-                result.check(spectral == (closed[pair] == 0.0), f"pair {pair} at {point}")
+                result.check(spectral == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
     at_threshold = [
         contangle.SqueezingParams(contangle.separability_threshold(s), s)
-        for s in cfg.s_values()
+        for s in grid.cfg.s_values()
         if s > 0.0
     ]
     for block in _blocks(at_threshold):
@@ -163,12 +172,11 @@ def suite_pair_separability(cfg: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_monogamy(cfg: GridConfig) -> SuiteResult:
+def suite_monogamy(grid: Grid) -> SuiteResult:
     """Sharing inequality holds and the probe-1 branch attains the minimum."""
     result = SuiteResult("monogamy")
-    for params in _params_grid(cfg):
+    for params, forms in zip(grid.points, grid.forms):
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        forms = contangle.closed_forms(params)
         result.check(forms.monogamy_slack >= -contangle.MONOGAMY_TOL, f"negative slack at {point}")
         result.check(
             forms.probe1_slack <= forms.monogamy_slack + SLACK,
@@ -177,11 +185,10 @@ def suite_monogamy(cfg: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_strong_monogamy(cfg: GridConfig) -> SuiteResult:
+def suite_strong_monogamy(grid: Grid) -> SuiteResult:
     """residual >= tripartite bound >= 0 everywhere on the grid."""
     result = SuiteResult("strong_monogamy")
-    for params in _params_grid(cfg):
-        outcome = contangle.closed_forms(params)
+    for params, outcome in zip(grid.points, grid.forms):
         point = f"a={params.a:.6g} s={params.s:.6g}"
         result.check(outcome.strong_monogamy_ok, f"chain fails at {point}")
         result.check(
@@ -194,10 +201,10 @@ def suite_strong_monogamy(cfg: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_bounding_state(cfg: GridConfig) -> SuiteResult:
+def suite_bounding_state(grid: Grid) -> SuiteResult:
     """reduce(gamma, {1,2,3}) majorizes the bounding three-mode state."""
     result = SuiteResult("bounding_state")
-    interior = [params for params in _params_grid(cfg) if params.a > 0.0 and params.s > 0.0]
+    interior = [params for params in grid.points if params.a > 0.0 and params.s > 0.0]
     for block in _blocks(interior):
         reduced = gaussian.reduce(four_mode.build_state(block), [0, 1, 2])
         bound_state = contangle.bounding_tripartite_state(block)
@@ -210,7 +217,7 @@ def suite_bounding_state(cfg: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_shape(cfg: GridConfig) -> SuiteResult:
+def suite_shape(grid: Grid) -> SuiteResult:
     """Trend checks along fixed-s rays of the (a, s) grid.
 
     The residual grows strictly with a whenever s > 0 and stays flat at
@@ -223,9 +230,9 @@ def suite_shape(cfg: GridConfig) -> SuiteResult:
     non-increasing after), and a decaying far tail.
     """
     result = SuiteResult("shape")
-    a_values = cfg.a_values()
-    for s in cfg.s_values():
-        row = [contangle.closed_forms(contangle.SqueezingParams(a, s)) for a in a_values]
+    a_values = grid.cfg.a_values()
+    for j, s in enumerate(grid.cfg.s_values()):
+        row = grid.forms[j :: grid.cfg.density]  # the density is the number of s values
         residuals = [forms.residual for forms in row]
         bounds = [forms.tripartite_bound for forms in row]
         if a_values[0] == 0.0:
@@ -249,32 +256,29 @@ def suite_shape(cfg: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_inseparability(cfg: GridConfig) -> SuiteResult:
+def suite_inseparability(grid: Grid) -> SuiteResult:
     """Full inseparability iff both squeezing degrees are positive."""
     result = SuiteResult("inseparability")
-    for a in _ends_and_middle(cfg.a_values()):
-        for s in _ends_and_middle(cfg.s_values()):
-            params = contangle.SqueezingParams(a, s)
-            expected = a > 0.0 and s > 0.0
-            result.check(
-                four_mode.full_inseparability_check(params) == expected,
-                f"a={a:.6g} s={s:.6g}",
-            )
+    for params in grid.samples:
+        expected = params.a > 0.0 and params.s > 0.0
+        result.check(
+            four_mode.full_inseparability_check(params) == expected,
+            f"a={params.a:.6g} s={params.s:.6g}",
+        )
     return result
 
 
-def suite_report_consistency(cfg: GridConfig) -> SuiteResult:
+def suite_report_consistency(grid: Grid) -> SuiteResult:
     """full_report flags every sampled point consistent."""
     result = SuiteResult("report_consistency")
-    for a in _ends_and_middle(cfg.a_values()):
-        for s in _ends_and_middle(cfg.s_values()):
-            report = four_mode.full_report(contangle.SqueezingParams(a, s))
-            result.check(report.consistent, f"a={a:.6g} s={s:.6g}")
-            result.check(report.monogamy_ok, f"monogamy flag at a={a:.6g} s={s:.6g}")
+    for params in grid.samples:
+        report = four_mode.full_report(params)
+        result.check(report.consistent, f"a={params.a:.6g} s={params.s:.6g}")
+        result.check(report.monogamy_ok, f"monogamy flag at a={params.a:.6g} s={params.s:.6g}")
     return result
 
 
-def suite_qudit_tangles(_: GridConfig) -> SuiteResult:
+def suite_qudit_tangles(_: Grid) -> SuiteResult:
     """Exact tangle identities for d in QUDIT_DIMS."""
     result = SuiteResult("qudit_tangles")
     for d in QUDIT_DIMS:
@@ -295,7 +299,7 @@ def suite_qudit_tangles(_: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_nongaussianity(_: GridConfig) -> SuiteResult:
+def suite_nongaussianity(_: Grid) -> SuiteResult:
     """Value, bounds and limit of the non-Gaussianity gap."""
     result = SuiteResult("nongaussianity")
     result.check(abs(qudit.nongaussianity(4) - 0.48242) <= 1e-5, "value at d=4")
@@ -312,7 +316,7 @@ def suite_nongaussianity(_: GridConfig) -> SuiteResult:
     return result
 
 
-def suite_squashed(_: GridConfig) -> SuiteResult:
+def suite_squashed(_: Grid) -> SuiteResult:
     """Squashed-entanglement bounds and the positivity witness."""
     result = SuiteResult("squashed")
     for d in QUDIT_DIMS:
@@ -350,10 +354,11 @@ def run_all(cfg: GridConfig) -> list[SuiteResult]:
     violation) must still surface as a countable failure, not as a
     traceback that aborts the whole battery.
     """
+    grid = Grid(cfg)
     results = []
     for suite in SUITES:
         try:
-            results.append(suite(cfg))
+            results.append(suite(grid))
         except Exception as exc:
             crashed = SuiteResult(suite.__name__.removeprefix("suite_"))
             crashed.check(False, f"suite raised {exc!r}")

@@ -52,6 +52,15 @@ def test_report_rejects_negative_squeezing(run_cli):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_negative_zero_prints_as_zero(capsys, fmt):
+    outputs = []
+    for value in ("-0", "0"):
+        assert cli.main(["fourmode", "report", "--a", value, "--s", value, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_parsed_state_does_not_carry_over_between_calls(capsys):
     argv = ["fourmode", "report", "--a", "0.5", "--s", "0.25"]
     assert cli.main(argv + ["--format", "csv"]) == 0

@@ -27,7 +27,7 @@ def test_point_suites_take_s_from_the_s_axis(monkeypatch):
         verification.suite_report_consistency,
     ):
         before = len(visited)
-        assert suite(cfg).ok
+        assert suite(verification.Grid(cfg)).ok
         assert len(visited) > before
     assert all(cfg.s_min <= p.s <= cfg.s_max for p in visited)
     assert max(p.a for p in visited) == cfg.a_max
@@ -43,10 +43,10 @@ def test_point_suites_take_s_from_the_s_axis(monkeypatch):
 )
 def test_spectral_fault_turns_spectral_suites_red(monkeypatch, suite):
     cfg = GridConfig(density=6)
-    assert suite(cfg).ok
+    assert suite(verification.Grid(cfg)).ok
     real = gaussian.symplectic_eigenvalues
     monkeypatch.setattr(gaussian, "symplectic_eigenvalues", lambda sigma: 1.01 * real(sigma))
-    assert not suite(cfg).ok
+    assert not suite(verification.Grid(cfg)).ok
 
 
 @pytest.mark.parametrize(
@@ -71,7 +71,7 @@ def test_spectral_fault_turns_spectral_suites_red(monkeypatch, suite):
 def test_closed_form_fault_turns_spectral_suites_red(monkeypatch, suite, corrupted):
     # the closed side of each check is read from the closed_forms record
     cfg = GridConfig(density=6)
-    assert suite(cfg).ok
+    assert suite(verification.Grid(cfg)).ok
     real = contangle.closed_forms
 
     def corrupt(params):
@@ -79,4 +79,93 @@ def test_closed_form_fault_turns_spectral_suites_red(monkeypatch, suite, corrupt
         return dataclasses.replace(forms, **corrupted(forms))
 
     monkeypatch.setattr(contangle, "closed_forms", corrupt)
-    assert not suite(cfg).ok
+    assert not suite(verification.Grid(cfg)).ok
+
+
+# check counts of `verify` on the default 26x26 grid
+DEFAULT_COUNTS = {
+    "gaussian_invariants": 45,
+    "one_vs_rest_agreement": 2704,
+    "interpair_agreement": 676,
+    "pair_separability": 4080,
+    "monogamy": 1352,
+    "strong_monogamy": 2029,
+    "bounding_state": 625,
+    "shape": 1327,
+    "inseparability": 9,
+    "report_consistency": 18,
+    "qudit_tangles": 43,
+    "nongaussianity": 73,
+    "squashed": 30,
+}
+# an interior point of the default grid that is not one of the 3x3 samples
+FAULT_POINT = contangle.SqueezingParams(0.5, 1.0)
+
+
+def _counts(results):
+    return {r.name: (r.checks, len(r.failures)) for r in results}
+
+
+def test_default_grid_suite_counts():
+    assert _counts(verification.run_all(GridConfig())) == {
+        name: (n, 0) for name, n in DEFAULT_COUNTS.items()
+    }
+
+
+def test_each_grid_point_is_computed_once(monkeypatch):
+    calls = {"closed_forms": 0, "build_state": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(contangle, "closed_forms")
+    counting(four_mode, "build_state")
+    verification.run_all(GridConfig())
+    # 676 grid records, 3 off-grid records and 9 sampled reports; 6 grid
+    # blocks, 5 interior blocks, 1 threshold block and 27 sampled states
+    assert calls["closed_forms"] <= 688
+    assert calls["build_state"] <= 39
+
+
+def test_closed_form_crash_stays_in_the_suites_that_read_records(monkeypatch):
+    real = contangle.closed_forms
+
+    def raising(params):
+        if params == FAULT_POINT:
+            raise ArithmeticError("injected at a=0.5, s=1.0")
+        return real(params)
+
+    monkeypatch.setattr(contangle, "closed_forms", raising)
+    results = verification.run_all(GridConfig())
+    readers = {
+        "one_vs_rest_agreement", "interpair_agreement", "pair_separability",
+        "monogamy", "strong_monogamy", "shape",
+    }
+    assert _counts(results) == {
+        name: (1, 1) if name in readers else (n, 0) for name, n in DEFAULT_COUNTS.items()
+    }
+    assert {r.failures[0] for r in results if r.failures} == {
+        "suite raised ArithmeticError('injected at a=0.5, s=1.0')"
+    }
+
+
+def test_state_crash_stays_in_the_suites_that_read_block_states(monkeypatch):
+    real = four_mode.build_state
+
+    def raising(params):
+        if isinstance(params, list) and FAULT_POINT in params:
+            raise ValueError("injected state fault")
+        return real(params)
+
+    monkeypatch.setattr(four_mode, "build_state", raising)
+    counts = _counts(verification.run_all(GridConfig()))
+    crashed = {"one_vs_rest_agreement", "interpair_agreement", "pair_separability", "bounding_state"}
+    assert counts == {
+        name: (1, 1) if name in crashed else (n, 0) for name, n in DEFAULT_COUNTS.items()
+    }
