@@ -2,10 +2,11 @@
 """Sweep the (a, s) grid and summarize the entanglement surfaces.
 
 Writes the same CSV as `promiscuity fourmode sweep` and then prints,
-for a few fixed-s rows, where the residual and the tripartite bound
-sit along a: the residual climbs monotonically while the bound rises
-to a single interior peak and decays, so the peak location is the
-interesting number to track between revisions.
+for every fixed-s row (one per grid value of s, 26 at the default
+--steps), where the residual and the tripartite bound sit along a: the
+residual climbs monotonically while the bound rises to a single
+interior peak and decays, so the peak location is the interesting
+number to track between revisions.
 """
 import argparse
 import csv

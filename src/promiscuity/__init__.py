@@ -5,8 +5,10 @@ Layers, bottom to top:
 * gaussian: covariance matrices, symplectic transforms, spectral
   entanglement measures (qqpp ordering, vacuum variance 1).
 * contangle: closed-form squared-log-negativity measures of the
-  two-parameter four-mode squeezed family, with monogamy bookkeeping.
-* four_mode: state builder and dual-route entanglement reports.
+  two-parameter four-mode squeezed family, with monogamy bookkeeping;
+  pure `math`, no numpy.
+* four_mode: state builder, the bounding three-mode state and
+  dual-route entanglement reports.
 * qudit: GHZ/W qudit families, brute-force tangle identities and
   squashed-entanglement bounds.
 * verification / cli: property suites and the command-line front end.

@@ -11,6 +11,10 @@ All numeric output is rendered with 12 significant digits and newline
 "\n" line endings, so identical inputs produce byte-identical output.
 Exit codes: 0 success, 1 internal inconsistency or failed verification,
 2 bad arguments.
+
+Only the closed forms and the grid config load with this module; each
+handler imports the spectral layers it needs, so `fourmode sweep`,
+`--help` and argument errors run without numpy.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import contangle, four_mode, qudit, verification
+from . import contangle
 from .config import GridConfig, load_config
 
 SWEEP_FIELDS = (
@@ -89,16 +93,6 @@ def _closed_form_columns(forms: contangle.ClosedForms) -> dict:
     }
 
 
-def _report_row(params: contangle.SqueezingParams) -> dict:
-    report = four_mode.full_report(params)
-    return {
-        **_closed_form_columns(report),
-        "near_threshold": report.near_threshold,
-        "consistent": report.consistent,
-        "max_route_deviation": report.max_route_deviation,
-    }
-
-
 def _format_table(row: dict, style: str) -> str:
     if style == "csv":
         header = ",".join(row)
@@ -126,11 +120,19 @@ def _nonnegative(label: str):
 
 
 def cmd_fourmode_report(args, parser) -> int:
+    from . import four_mode
+
     params = contangle.SqueezingParams(args.a, args.s)
     try:
-        row = _report_row(params)
+        report = four_mode.full_report(params)
     except OverflowError as exc:
         raise _overflow_at(exc, params.a, params.s) from None
+    row = {
+        **_closed_form_columns(report),
+        "near_threshold": report.near_threshold,
+        "consistent": report.consistent,
+        "max_route_deviation": report.max_route_deviation,
+    }
     _emit(_format_table(row, args.format), None)
     if not row["consistent"]:
         print("error: closed-form and spectral routes disagree", file=sys.stderr)
@@ -173,6 +175,8 @@ def cmd_fourmode_sweep(args, parser) -> int:
 
 
 def cmd_qudit_report(args, parser) -> int:
+    from . import qudit
+
     report = qudit.tangle_report(args.d)
     bounds = report.squashed
     row = {
@@ -197,6 +201,8 @@ def cmd_qudit_report(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from . import verification
+
     cfg = GridConfig(density=args.grid_density)
     if args.config:
         cfg = load_config(args.config, base=cfg)

@@ -16,16 +16,15 @@ Natural logarithms throughout, so the pair contangles come out as
 4a^2 and the pair-block contangle as 4s^2 in squared-nat units.
 
 closed_forms(params) is the one way in: it returns every statistic of
-one point as a ClosedForms record.
+one point as a ClosedForms record.  The module imports only the standard
+library, so the closed forms share no code with the spectral route
+(gaussian, four_mode) they are checked against.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
-
-from . import gaussian
 
 M_CLAMP_TOL = 1e-9
 MONOGAMY_TOL = 1e-9
@@ -144,31 +143,15 @@ def _bound_m_3_vs_12(a: float, s: float, cosh_a: float, tanh_s: float) -> float:
     return (1.0 + ratio) / (1.0 - ratio)
 
 
-def bounding_tripartite_state(
-    params: SqueezingParams | Sequence[SqueezingParams],
-) -> gaussian.CovarianceMatrix:
-    """Pure three-mode state that majorizes the 1, 2, 3 reduction.
+def bounding_squeezing_degree(params: SqueezingParams) -> float:
+    """Interpair degree t = arccosh(max(1, m_bound_{3|(12)})) / 2 of the bounding state.
 
-    Built from a pair squeezer of degree a on modes 1, 2 followed by an
-    interpair squeezer of degree t = arccosh(m_bound_{3|(12)}) / 2 on
-    modes 2, 3, acting on vacuum.  The defining property, checked in the
-    test suite, is that reduce(state, {1,2,3}) - sigma_p is positive
-    semidefinite for the matching four-mode state.  A sequence of points
-    gives the stack of their states, in order.
+    four_mode.bounding_tripartite_state squeezes modes 2, 3 by t after
+    the pair squeezer of degree a on modes 1, 2.
     """
-    def degree(point: SqueezingParams) -> float:
-        m_3 = _bound_m_3_vs_12(point.a, point.s, math.cosh(point.a), math.tanh(point.s))
-        return 0.5 * math.acosh(max(1.0, m_3))
-
-    if isinstance(params, SqueezingParams):
-        a, t = params.a, degree(params)
-    else:
-        a, t = [p.a for p in params], [degree(p) for p in params]
-    transform = gaussian.compose(
-        gaussian.two_mode_squeezer(0, 1, a, 3),
-        gaussian.two_mode_squeezer(1, 2, t, 3),
-    )
-    return gaussian.apply(transform, gaussian.vacuum_cm(3))
+    a, s = params.a, params.s
+    m_3 = _bound_m_3_vs_12(a, s, math.cosh(a), math.tanh(s))
+    return 0.5 * math.acosh(max(1.0, m_3))
 
 
 def point_forms(at: ATerms, st: STerms) -> tuple:
@@ -220,9 +203,9 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     1, 2, 3: min of g[m_bound_{1|(23)}^2] - tau_{1|2} and
     g[m_bound_{3|(12)}^2] - tau_{2|3}, where the bound-m values are
     sqrt-dets of the pure three-mode state returned by
-    bounding_tripartite_state.  Non-negative, zero at a = 0 and at s = 0;
-    along each fixed-s row it rises to a single interior peak and then
-    decays for large a.
+    four_mode.bounding_tripartite_state.  Non-negative, zero at a = 0 and
+    at s = 0; along each fixed-s row it rises to a single interior peak
+    and then decays for large a.
 
     Strong monogamy holds iff residual >= bound >= 0, with MONOGAMY_TOL
     slack.  It certifies that the residual entanglement not stored in

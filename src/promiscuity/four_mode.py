@@ -67,6 +67,29 @@ def build_state(params: SqueezingParams | Sequence[SqueezingParams]) -> gaussian
     return gaussian.apply(transform, gaussian.vacuum_cm(4))
 
 
+def bounding_tripartite_state(
+    params: SqueezingParams | Sequence[SqueezingParams],
+) -> gaussian.CovarianceMatrix:
+    """Pure three-mode state that majorizes the 1, 2, 3 reduction.
+
+    Built from a pair squeezer of degree a on modes 1, 2 followed by an
+    interpair squeezer of degree t = contangle.bounding_squeezing_degree
+    on modes 2, 3, acting on vacuum.  The defining property, checked in
+    the test suite, is that reduce(state, {1,2,3}) - sigma_p is positive
+    semidefinite for the matching four-mode state.  A sequence of points
+    gives the stack of their states, in order.
+    """
+    if isinstance(params, SqueezingParams):
+        a, t = params.a, contangle.bounding_squeezing_degree(params)
+    else:
+        a, t = [p.a for p in params], [contangle.bounding_squeezing_degree(p) for p in params]
+    transform = gaussian.compose(
+        gaussian.two_mode_squeezer(0, 1, a, 3),
+        gaussian.two_mode_squeezer(1, 2, t, 3),
+    )
+    return gaussian.apply(transform, gaussian.vacuum_cm(3))
+
+
 def probe_partition(probe: int) -> gaussian.ModePartition:
     """Cut of the probe mode (1-based label) against the other three."""
     rest = frozenset(m - 1 for m in contangle.PROBES if m != probe)

@@ -207,7 +207,7 @@ def suite_bounding_state(grid: Grid) -> SuiteResult:
     interior = [params for params in grid.points if params.a > 0.0 and params.s > 0.0]
     for block in _blocks(interior):
         reduced = gaussian.reduce(four_mode.build_state(block), [0, 1, 2])
-        bound_state = contangle.bounding_tripartite_state(block)
+        bound_state = four_mode.bounding_tripartite_state(block)
         min_eig = np.linalg.eigvalsh(reduced.data - bound_state.data).min(axis=-1)
         for params, value in zip(block, min_eig.tolist()):
             result.check(

@@ -153,7 +153,7 @@ def test_acceptance_06_bounding_state_positivity():
         for s in axis:
             params = contangle.SqueezingParams(float(a), float(s))
             reduced = gaussian.reduce(four_mode.build_state(params), [0, 1, 2])
-            bounding = contangle.bounding_tripartite_state(params)
+            bounding = four_mode.bounding_tripartite_state(params)
             min_eig = float(np.linalg.eigvalsh(reduced.data - bounding.data).min())
             if min_eig < -1e-8:
                 failures.append(f"min eigenvalue {min_eig:.3e} at a={a:.3f} s={s:.3f}")
@@ -227,7 +227,7 @@ def _spectral_tripartite_bound(a: float, s: float) -> float:
     # 3|12 in place of the g[m^2] closed forms, less the pair contangles
     # tau_12 and tau_23
     params = contangle.SqueezingParams(a, s)
-    sigma_p = contangle.bounding_tripartite_state(params)
+    sigma_p = four_mode.bounding_tripartite_state(params)
     cut_1 = gaussian.ModePartition(frozenset({0}), frozenset({1, 2}))
     cut_3 = gaussian.ModePartition(frozenset({2}), frozenset({0, 1}))
     tau = contangle.closed_forms(params).pairwise_contangle

@@ -10,8 +10,13 @@ A module-level function or constant counts as used only through a name
 that can reach it: a bare name loaded in its own module, `module.name`,
 or `from module import name`.  An attribute of the same name on anything
 else (a dataclass field, say) does not count.
+
+The closed-form modules (contangle, config) import only the standard
+library, so the closed forms share no module with the spectral route
+they are checked against.
 """
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "promiscuity"
@@ -103,3 +108,26 @@ def test_a_field_of_the_same_name_does_not_count_as_using_a_function():
         trees.append(tree)
     # a private helper or a constant that nothing reads counts too
     assert _unused(trees) == ["report.describe", "shapes._SPARE", "shapes._orphan", "shapes.area"]
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            yield from ("." * node.level + alias.name for alias in node.names)  # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + node.module
+
+
+def test_closed_form_modules_import_only_the_standard_library():
+    for module in ("contangle", "config"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        foreign = [
+            name for name in _imported_modules(tree)
+            if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names
+        ]
+        assert not foreign, (
+            f"{module} imports {foreign}: the closed forms must share no module "
+            "with the spectral route they are checked against"
+        )

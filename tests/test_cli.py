@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import subprocess
 import sys
 
 import pytest
@@ -379,3 +380,33 @@ def test_main_module_entry_point(run_cli):
     assert code == 0
     for sub in ("fourmode", "qudit", "verify"):
         assert sub in out
+
+
+# runs cli.main in a fresh interpreter; its last stderr line is "<exit code> <numpy loaded>"
+_NUMPY_PROBE = """
+import sys
+from promiscuity import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        (["fourmode", "sweep", "--steps", "3", "--out", "{out}"], 0, False),
+        (["--help"], 0, False),
+        (["fourmode", "report", "--a", "-1", "--s", "0"], 2, False),
+        # control: the spectral route does load numpy, so the probe sees imports
+        (["fourmode", "report", "--a", "1.5", "--s", "1"], 0, True),
+    ],
+)
+def test_closed_form_paths_load_no_numpy(tmp_path, argv, code, loads_numpy):
+    argv = [arg.format(out=tmp_path / "sweep.csv") for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stderr.splitlines()[-1] == f"{code} {loads_numpy}"

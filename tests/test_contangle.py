@@ -10,13 +10,13 @@ from promiscuity.contangle import (
     PAIRS,
     SqueezingParams,
     a_terms,
-    bounding_tripartite_state,
     closed_forms,
     g_function,
     point_forms,
     s_terms,
     separability_threshold,
 )
+from promiscuity.four_mode import bounding_tripartite_state
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
 

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promiscuity import contangle, gaussian
-from promiscuity.contangle import SqueezingParams, bounding_tripartite_state, separability_threshold
+from promiscuity.contangle import SqueezingParams, separability_threshold
 from promiscuity.four_mode import (
     PAIRBLOCK,
+    bounding_tripartite_state,
     build_state,
     full_inseparability_check,
     full_report,
