@@ -1,20 +1,26 @@
 """Builder and entanglement reports for the four-mode squeezed family.
 
 A family member gamma(a, s) is prepared from vacuum by squeezing the
-outer pairs and then the middle pair:
+middle pair and then the outer pairs:
 
-    gamma = S_34(a) S_12(a) S_23(s) S_23(s)^T S_12(a)^T S_34(a)^T
+    gamma = S S^T,  S = S_34(a) S_12(a) S_23(s)
 
-with 1-based mode labels as in the contangle module.  Every state is
-pure and invariant under the simultaneous exchange 1<->4, 2<->3.
+with 1-based mode labels as in the contangle module.  build_state writes
+S out entry by entry, each nonzero entry one libm value or a product of
+two; it equals the product of the three squeezers bit for bit and is
+checked once.  Every state is pure and invariant under the simultaneous
+exchange 1<->4, 2<->3.
 
 User-facing mode labels are 1-based; the gaussian layer underneath is
 0-based.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import contangle, gaussian
 from .contangle import SqueezingParams
@@ -29,9 +35,6 @@ WITNESS_TOL = 1e-9
 # mixed ones), so both must be checked.
 FAINT_TAU = 1e-6
 PPT_MARGIN = 1e-6
-
-# 1-based label pairs of the three squeezers, in application order
-_SQUEEZER_LABELS = ((3, 4), (1, 2), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -48,23 +51,42 @@ class EntanglementReport(contangle.ClosedForms):
     max_route_deviation: float
 
 
+def _transform_entries(a: float, s: float) -> list[float]:
+    # S = S_34(a) S_12(a) S_23(s), row-major in qqpp order: the q block and
+    # then the p block.  The squeezers act on overlapping pairs in a fixed
+    # order, so each entry of their matrix product has at most one nonzero
+    # term; 0.0 - x in place of -x keeps a zero degree's entries at +0.0,
+    # as in that product
+    ca, sa, cs, ss = math.cosh(a), math.sinh(a), math.cosh(s), math.sinh(s)
+    nsa, nss = 0.0 - sa, 0.0 - ss
+    z = 0.0
+    return [
+        ca, sa * cs, sa * ss, z, z, z, z, z,
+        sa, ca * cs, ca * ss, z, z, z, z, z,
+        z, ca * ss, ca * cs, sa, z, z, z, z,
+        z, sa * ss, sa * cs, ca, z, z, z, z,
+        z, z, z, z, ca, nsa * cs, sa * ss, z,
+        z, z, z, z, nsa, ca * cs, ca * nss, z,
+        z, z, z, z, z, ca * nss, ca * cs, nsa,
+        z, z, z, z, z, sa * ss, nsa * cs, ca,
+    ]
+
+
 def build_state(params: SqueezingParams | Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
     """Covariance matrix of gamma(a, s); rejects negative squeezing degrees.
 
     A sequence of points gives the stack of their matrices, in order.
+    The transform S is written out from math.cosh and math.sinh of a and
+    s, the libm values two_mode_squeezer uses, so it equals
+    two_mode_squeezer(2, 3, a) @ two_mode_squeezer(0, 1, a) @
+    two_mode_squeezer(1, 2, s) bit for bit.  S is checked once, as one
+    SymplecticTransform, and acts on the cached vacuum.
     """
     if isinstance(params, SqueezingParams):
-        a, s = params.a, params.s
+        data = np.array(_transform_entries(params.a, params.s)).reshape(8, 8)
     else:
-        a, s = [p.a for p in params], [p.s for p in params]
-    degrees = {(3, 4): a, (1, 2): a, (2, 3): s}
-    transform = gaussian.compose(
-        *(
-            gaussian.two_mode_squeezer(i - 1, j - 1, degrees[(i, j)], 4)
-            for (i, j) in _SQUEEZER_LABELS
-        )
-    )
-    return gaussian.apply(transform, gaussian.vacuum_cm(4))
+        data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
+    return gaussian.apply(gaussian.SymplecticTransform(4, data), gaussian.vacuum_cm(4))
 
 
 def bounding_tripartite_state(

@@ -69,8 +69,8 @@ class CovarianceMatrix:
     every matrix of the stack is a pure state.  vacuum_cm sets it, and
     the symplectic operations apply and permute_modes carry it over;
     reduce, partial_transpose and direct construction leave it False.
-    log_negativity picks its route from it.  is_pure() is the numerical
-    check, which float64 cannot settle at deep squeezing.
+    log_negativity accepts only flagged states.  is_pure() is the
+    numerical check, which float64 cannot settle at deep squeezing.
     """
 
     n_modes: int
@@ -185,8 +185,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+@functools.cache
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
-    """Covariance matrix of the N-mode vacuum (the identity)."""
+    """Covariance matrix of the N-mode vacuum (the identity); read-only, built once per N."""
     return CovarianceMatrix(n_modes, np.eye(2 * n_modes), pure=True)
 
 
@@ -364,38 +365,29 @@ def reduced_log_negativity(reduced: CovarianceMatrix):
     return unstack(np.arccosh(nu).sum(axis=-1))
 
 
-def _transposed_log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
-    nu = symplectic_eigenvalues(partial_transpose(sigma, partition))
-    # the spectrum is ascending, so the eigenvalues below 1 lead each row
-    # and the log(1) = 0 entries after them leave the sum unchanged
-    logs = np.log(np.where(nu < 1.0, nu, 1.0))
-    return unstack(np.maximum(0.0, -logs.sum(axis=-1)))
-
-
 def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
-    """Logarithmic negativity across a partition, in natural-log units.
+    """Logarithmic negativity of a state built pure across a partition, in natural-log units.
 
     -sum(ln nu_k) over the partially transposed symplectic eigenvalues
-    below 1; zero when the partial transpose is physical.  Symmetric under
-    swapping the two sides.  A float for one matrix, an array for a stack.
+    below 1.  Symmetric under swapping the two sides.  A float for one
+    matrix, an array for a stack.
 
-    States built pure (sigma.pure, set by construction, not measured)
-    take an equivalent better-conditioned route: their Schmidt form is a
-    tensor product of two-mode squeezed pairs across the cut, so the
-    partially transposed spectrum is {e^(+/-2r_k)} with cosh(2r_k) the
-    reduced-state symplectic spectrum, giving sum(arccosh nu_k) over the
-    smaller side (reduced_log_negativity).  The direct route loses 1e-7
-    to 1e-6 at deep squeezing because the smallest PT eigenvalue sits far
-    below the matrix norm.  An unflagged matrix takes the direct route.
-    The route is chosen once for the whole stack, never from a numerical
-    purity test: at deep squeezing the float64 spectrum of a pure state
-    strays outside any purity band the noise floor justifies.
+    The state's Schmidt form is a tensor product of two-mode squeezed
+    pairs across the cut, so the partially transposed spectrum is
+    {e^(+/-2r_k)} with cosh(2r_k) the reduced-state symplectic spectrum,
+    giving sum(arccosh nu_k) over the smaller side
+    (reduced_log_negativity).  The direct route would lose 1e-7 to 1e-6
+    at deep squeezing, where the smallest PT eigenvalue sits far below
+    the matrix norm.  An unflagged matrix (sigma.pure False) raises
+    ValueError; no numerical purity test stands in for the flag, since
+    at deep squeezing the float64 spectrum of a pure state strays
+    outside any band the noise floor justifies.
     """
     partition.validate_for(sigma)
-    if sigma.pure:
-        side = min(partition.side_a, partition.side_b, key=len)
-        return reduced_log_negativity(reduce(sigma, side))
-    return _transposed_log_negativity(sigma, partition)
+    if not sigma.pure:
+        raise ValueError("log-negativity needs a state built pure (vacuum_cm, apply)")
+    side = min(partition.side_a, partition.side_b, key=len)
+    return reduced_log_negativity(reduce(sigma, side))
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:

@@ -88,11 +88,28 @@ def test_report_beyond_float64_range_is_one_stderr_line(run_cli):
 @pytest.mark.parametrize("a, s", [(4.0, 1.5), (0.0, 5.5), (4.8, 1.0), (2.8, 3.0)])
 def test_report_is_consistent_where_float64_cannot_confirm_purity(capsys, a, s):
     # deep squeezing: the numerical purity test of these states says False,
-    # and the transposed log-negativity route loses 1e-6 to 2e-6 there
+    # and a partially transposed log-negativity route would lose 1e-6 to
+    # 2e-6 there
     assert cli.main(["fourmode", "report", "--a", str(a), "--s", str(s)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["consistent"] is True
     assert payload["max_route_deviation"] < 1e-7
+
+
+def test_report_where_only_the_lone_middle_squeezer_fails_the_symplectic_check(capsys):
+    # the symplectic check reads the transform that builds the state: here
+    # S_23(s) alone has defect 2.3e-10 > SYMPLECTIC_TOL, the whole
+    # transform 1.3e-11
+    assert cli.main(["fourmode", "report", "--a", "0.0625", "--s", "7.4375"]) == 0
+    assert json.loads(capsys.readouterr().out)["consistent"] is True
+
+
+@pytest.mark.parametrize("a, s", [("3", "5"), ("0", "8"), ("400", "1")])
+def test_report_refuses_a_transform_that_is_not_symplectic(capsys, a, s):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["fourmode", "report", "--a", a, "--s", s])
+    assert exit_info.value.code == 2
+    assert "not symplectic" in capsys.readouterr().err
 
 
 def test_report_rejects_unknown_flag(run_cli):

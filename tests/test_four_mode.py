@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from promiscuity import contangle, gaussian
+from promiscuity import contangle, gaussian, verification
+from promiscuity.config import GridConfig
 from promiscuity.contangle import SqueezingParams, separability_threshold
 from promiscuity.four_mode import (
     PAIRBLOCK,
@@ -205,3 +206,67 @@ def test_probe_log_negativities_refuse_a_state_not_built_pure():
     state = build_state(SqueezingParams(0.4, 0.3))
     with pytest.raises(ValueError, match="built pure"):
         probe_log_negativities(gaussian.CovarianceMatrix(4, state.data))
+
+
+def _squeezer_product(a, s) -> gaussian.SymplecticTransform:
+    return gaussian.compose(
+        gaussian.two_mode_squeezer(2, 3, a, 4),
+        gaussian.two_mode_squeezer(0, 1, a, 4),
+        gaussian.two_mode_squeezer(1, 2, s, 4),
+    )
+
+
+def test_build_state_writes_out_the_squeezer_product_exactly(monkeypatch):
+    grid, size = verification.Grid(GridConfig()).points, verification.BLOCK_POINTS
+    cases = [SqueezingParams(a, s) for a, s in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.5, 2.5))]
+    cases += [grid[k : k + size] for k in range(0, len(grid), size)]
+    transforms = []
+    apply = gaussian.apply
+
+    def recording(transform, sigma):
+        transforms.append(transform)
+        return apply(transform, sigma)
+
+    monkeypatch.setattr(gaussian, "apply", recording)
+    for params in cases:
+        state = build_state(params)
+        if isinstance(params, SqueezingParams):
+            a, s = params.a, params.s
+        else:
+            a, s = [p.a for p in params], [p.s for p in params]
+        product = _squeezer_product(a, s)
+        assert np.array_equal(transforms[-1].data, product.data)
+        expected = apply(product, gaussian.vacuum_cm(4)).data
+        assert state.data.shape == expected.shape
+        assert state.data.tobytes() == expected.tobytes()
+
+
+def _count_validations(monkeypatch) -> dict:
+    counts = {}
+    for cls in (gaussian.SymplecticTransform, gaussian.CovarianceMatrix):
+        counts[cls.__name__] = 0
+
+        def counting(self, real=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "params", [SqueezingParams(1.5, 1.0), [SqueezingParams(1.5, 1.0), SqueezingParams(0.5, 2.0)]]
+)
+def test_build_state_checks_one_transform(monkeypatch, params):
+    gaussian.vacuum_cm(4)
+    counts = _count_validations(monkeypatch)
+    build_state(params)
+    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
+
+
+def test_full_report_makes_at_most_five_covariance_checks(monkeypatch):
+    gaussian.vacuum_cm(4)
+    counts = _count_validations(monkeypatch)
+    assert full_report(SqueezingParams(1.5, 1.0)).consistent
+    assert counts["SymplecticTransform"] == 1
+    assert counts["CovarianceMatrix"] <= 5
