@@ -189,6 +189,15 @@ def test_log_negativity_vacuum_and_swap():
     )
 
 
+def test_log_negativity_mixed_state_route():
+    # a thermal two-mode product state is mixed and not flagged pure: refused
+    thermal = CovarianceMatrix(2, 2.0 * np.eye(4))
+    part = ModePartition(frozenset({0}), frozenset({1}))
+    assert not thermal.is_pure()
+    with pytest.raises(ValueError, match="built pure"):
+        log_negativity(thermal, part)
+
+
 def test_permute_modes_round_trip():
     state = apply(two_mode_squeezer(0, 1, 0.7, 3), vacuum_cm(3))
     cycled = permute_modes(state, [2, 0, 1])
@@ -300,20 +309,22 @@ def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
     assert "not symplectic" in str(alone.value)
 
 
-def test_log_negativity_refuses_a_matrix_not_built_pure(monkeypatch):
+def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypatch):
     part = ModePartition(frozenset({0}), frozenset({1}))
     data = np.stack([tmsv(0.9).data, tmsv(0.05).data, tmsv(2.5).data])
+    flagged = CovarianceMatrix(2, data, pure=True)
+    unflagged = CovarianceMatrix(2, data)
 
     def no_purity_test(self, tol=None):
         raise AssertionError("log_negativity must not run a purity test")
 
     monkeypatch.setattr(CovarianceMatrix, "is_pure", no_purity_test)
-    flagged = CovarianceMatrix(2, data, pure=True)
-    assert np.allclose(log_negativity(flagged, part), [1.8, 0.1, 5.0], atol=1e-9)
-    # the same pure matrices unflagged, and a mixed thermal state, are refused
-    for unflagged in (CovarianceMatrix(2, data), CovarianceMatrix(2, 2.0 * np.eye(4))):
-        with pytest.raises(ValueError, match="built pure"):
-            log_negativity(unflagged, part)
+    pure_route = log_negativity(flagged, part)
+    assert np.array_equal(pure_route, gaussian.reduced_log_negativity(reduce(flagged, {0})))
+    assert np.allclose(pure_route, [1.8, 0.1, 5.0], atol=1e-9)
+    # the same pure matrices unflagged are refused, not measured another way
+    with pytest.raises(ValueError, match="built pure"):
+        log_negativity(unflagged, part)
 
 
 def test_pure_flag_follows_provenance():
