@@ -16,6 +16,7 @@ User-facing mode labels are 1-based; the gaussian layer underneath is
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -119,14 +120,35 @@ def probe_partition(probe: int) -> gaussian.ModePartition:
 
 
 PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
-_TWO_VS_TWO = (
-    PAIRBLOCK,
-    gaussian.ModePartition(frozenset({0, 2}), frozenset({1, 3})),
-    gaussian.ModePartition(frozenset({0, 3}), frozenset({1, 2})),
-)
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
-# the smaller side of each probe cut, in the order of contangle.PROBES
+# the sides log_negativity reduces a cut to: of the probe cuts, in the
+# order of contangle.PROBES, and of the three 2|2 cuts, PAIRBLOCK first
 _PROBE_SIDES = [[p - 1] for p in contangle.PROBES]
+_TWO_VS_TWO_SIDES = [[0, 1], [0, 2], [0, 3]]
+
+
+def _two_mode_spectra(state: gaussian.CovarianceMatrix, pairs, plain=()):
+    """Symplectic spectra of two-mode blocks of state, from one spectrum call.
+
+    The reductions to the `plain` mode pairs (0-based) come first as they
+    are, then the block of each of `pairs` (1-based labels) partially
+    transposed across its two modes; the blocks run along a new axis
+    before the spectrum axis.  Returns the stack of blocks and its spectra.
+    """
+    subsets = list(plain) + [[i - 1, j - 1] for i, j in pairs]
+    reduced = gaussian.reductions(state, subsets)
+    blocks = gaussian.CovarianceMatrix(2, reduced.data * _block_signs(len(plain), len(pairs)))
+    return blocks, gaussian.symplectic_eigenvalues(blocks)
+
+
+@functools.cache
+def _block_signs(plain: int, pairs: int) -> np.ndarray:
+    # the +/-1 factors of _two_mode_spectra's stack; read-only, built once
+    # per block count, so the stack is signed in one product, no copy
+    flip = np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (pairs, 4, 4))
+    signs = np.concatenate([np.ones((plain, 4, 4)), flip])
+    signs.flags.writeable = False
+    return signs
 
 
 def pair_pt_nu_min(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
@@ -136,9 +158,23 @@ def pair_pt_nu_min(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, 
     state, stack shape + (len(pairs),) for a stack.  One spectrum call
     covers every pair of every state.
     """
-    blocks = gaussian.reductions(state, [[i - 1, j - 1] for i, j in pairs])
-    transposed = gaussian.partial_transpose(blocks, _PAIR_CUT)
-    return gaussian.symplectic_eigenvalues(transposed).min(axis=-1)
+    return _two_mode_spectra(state, pairs)[1].min(axis=-1)
+
+
+def two_mode_checks(state: gaussian.CovarianceMatrix):
+    """PAIRBLOCK log-negativity and the pair_pt_nu_min of every pair, from one spectrum call.
+
+    The stack holds seven two-mode blocks: the {1,2} reduction, whose
+    spectrum gives the log-negativity across PAIRBLOCK as
+    gaussian.log_negativity takes it, then the six transposed pair blocks
+    of contangle.PAIRS.  Returns (log-negativity, nu_min), laid out as
+    gaussian.log_negativity and pair_pt_nu_min lay them out.
+    """
+    if not state.pure:
+        raise ValueError("two-mode checks need a state built pure (build_state)")
+    blocks, nu = _two_mode_spectra(state, contangle.PAIRS, plain=_TWO_VS_TWO_SIDES[:1])
+    floor = blocks.spectral_noise_floor()[..., 0]
+    return gaussian.spectrum_log_negativity(nu[..., 0, :], floor), nu[..., 1:, :].min(axis=-1)
 
 
 def pair_ppt_separable(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
@@ -171,10 +207,11 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
 
     The closed forms fill the report; independently, log-negativities and
     PPT verdicts are recomputed from the covariance matrix, on a stack of
-    one state through the same calls the verify suites make on blocks of
-    points: three spectrum calls in all, for the four one-mode
-    reductions, the {1,2} block and the six transposed pair blocks.  The
-    state is pure by construction, so no purity test runs.  Any value
+    one state: two spectrum calls in all, one for the four one-mode
+    reductions (probe_log_negativities) and one for the {1,2} block
+    stacked with the six transposed pair blocks (two_mode_checks, whose
+    pair blocks are those of pair_pt_nu_min).  The state is pure by
+    construction, so no purity test runs.  Any value
     deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
     inconsistent instead of raising.  Points near the middle-pair
     separability threshold (near_threshold) are flagged as such and
@@ -188,12 +225,11 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     one_rest = forms.one_vs_rest_contangle
     spectral = probe_log_negativities(state)[0].tolist()
     deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, spectral)]
-    deviations.append(
-        abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle)
-    )
+    block_ln, nu_mins = two_mode_checks(state)
+    deviations.append(abs(block_ln.item() ** 2 - forms.interpair_contangle))
 
     near = near_threshold(params)
-    nu_mins = pair_pt_nu_min(state, contangle.PAIRS)[0].tolist()
+    nu_mins = nu_mins[0].tolist()
     verdicts_ok = True
     for (i, j), nu_min in zip(contangle.PAIRS, nu_mins):
         if near and (i, j) == (2, 3):
@@ -220,8 +256,11 @@ def full_inseparability_check(params: SqueezingParams) -> bool:
     """True iff every one of the 7 global bipartitions carries entanglement.
 
     Witnessed by log-negativity > WITNESS_TOL; holds exactly when both
-    squeezing degrees are strictly positive.
+    squeezing degrees are strictly positive.  Two spectrum calls: the
+    four probe cuts, then the three 2|2 cuts through the pure route on
+    the sides log_negativity reduces them to.
     """
     state = build_state(params)
-    partitions = [probe_partition(p) for p in contangle.PROBES] + list(_TWO_VS_TWO)
-    return all(gaussian.log_negativity(state, part) > WITNESS_TOL for part in partitions)
+    values = probe_log_negativities(state).tolist()
+    values += gaussian.reduced_log_negativity(gaussian.reductions(state, _TWO_VS_TWO_SIDES)).tolist()
+    return all(value > WITNESS_TOL for value in values)

@@ -254,12 +254,21 @@ def apply(transform: SymplecticTransform, sigma: CovarianceMatrix) -> Covariance
     )
 
 
-def _submatrix(sigma: CovarianceMatrix, modes: list) -> np.ndarray:
-    # one list of modes gives one submatrix; a list of equal-length lists
-    # gives their submatrices stacked just before the matrix axes
+@functools.cache
+def _gather_plan(n_modes: int, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # row and column indices of the q and p entries of `modes` in an
+    # N-mode matrix; read-only, built once per N and modes.  One tuple of
+    # modes gives one submatrix, a tuple of equal-length tuples gives
+    # their submatrices stacked just before the matrix axes
     idx = np.array(modes)
-    idx = np.concatenate([idx, idx + sigma.n_modes], axis=-1)
-    return sigma.data[..., idx[..., :, None], idx[..., None, :]]
+    idx = np.concatenate([idx, idx + n_modes], axis=-1)
+    idx.flags.writeable = False
+    return idx[..., :, None], idx[..., None, :]
+
+
+def _submatrix(sigma: CovarianceMatrix, modes: tuple) -> np.ndarray:
+    rows, cols = _gather_plan(sigma.n_modes, modes)
+    return sigma.data[..., rows, cols]
 
 
 def _kept_modes(sigma: CovarianceMatrix, modes: Iterable[int]) -> list[int]:
@@ -278,7 +287,7 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     ordering; kept modes are reindexed 0..k-1 in ascending original order.
     """
     kept = _kept_modes(sigma, modes)
-    return CovarianceMatrix(len(kept), _submatrix(sigma, kept))
+    return CovarianceMatrix(len(kept), _submatrix(sigma, tuple(kept)))
 
 
 def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> CovarianceMatrix:
@@ -290,7 +299,7 @@ def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> Cov
     kept = [_kept_modes(sigma, modes) for modes in subsets]
     if len({len(modes) for modes in kept}) != 1:
         raise ValueError(f"reductions need mode subsets of one size, got {kept}")
-    return CovarianceMatrix(len(kept[0]), _submatrix(sigma, kept))
+    return CovarianceMatrix(len(kept[0]), _submatrix(sigma, tuple(map(tuple, kept))))
 
 
 def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -304,11 +313,23 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     partition.validate_for(sigma)
     kept = sorted(partition.modes)
     sub = sigma if len(kept) == sigma.n_modes else reduce(sigma, kept)
-    new_index = {m: k for k, m in enumerate(kept)}
-    signs = np.ones(2 * sub.n_modes)
-    for m in partition.side_b:
-        signs[sub.n_modes + new_index[m]] = -1.0
-    return CovarianceMatrix(sub.n_modes, sub.data * np.outer(signs, signs))
+    return CovarianceMatrix(sub.n_modes, sub.data * transpose_signs(partition))
+
+
+@functools.cache
+def transpose_signs(partition: ModePartition) -> np.ndarray:
+    """The +/-1 factors partial_transpose multiplies by; read-only, built once per partition.
+
+    Laid out over the partition's own modes in ascending order: -1 on
+    the p rows and columns of side_b, except where both are.
+    """
+    kept = sorted(partition.modes)
+    flipped = [len(kept) + kept.index(m) for m in partition.side_b]
+    signs = np.ones(2 * len(kept))
+    signs[flipped] = -1.0
+    plan = np.outer(signs, signs)
+    plan.flags.writeable = False
+    return plan
 
 
 def _spectrum(data: np.ndarray, n_modes: int) -> np.ndarray:
@@ -355,13 +376,20 @@ def reduced_log_negativity(reduced: CovarianceMatrix):
     symplectic spectrum of the reduction, per matrix of a stack.  The
     caller vouches that the state the reduction came from is pure.
     """
-    nu = symplectic_eigenvalues(reduced)
+    return spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
+
+
+def spectrum_log_negativity(nu: np.ndarray, floor):
+    """sum(arccosh nu_k) along the last axis: reduced_log_negativity from a spectrum already taken.
+
+    nu is the symplectic spectrum of one side's reduction and floor that
+    reduction's spectral_noise_floor, one per matrix.
+    """
     # arccosh is infinitely steep at 1: solver noise on unsqueezed
     # directions would surface as sqrt(noise), so values within the
     # reduced block's own spectral resolution of 1 count as exactly 1;
     # genuine squeezing above that floor stays resolvable
-    floor = np.expand_dims(reduced.spectral_noise_floor(), -1)
-    nu = np.where(nu <= 1.0 + floor, 1.0, nu)
+    nu = np.where(nu <= 1.0 + np.expand_dims(floor, -1), 1.0, nu)
     return unstack(np.arccosh(nu).sum(axis=-1))
 
 
@@ -395,4 +423,4 @@ def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMa
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, perm), pure=sigma.pure)
+    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, tuple(perm)), pure=sigma.pure)

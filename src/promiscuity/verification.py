@@ -82,17 +82,22 @@ class Grid:
 
 
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
-    """Symplectic structure, purity, involution, side-swap symmetry."""
+    """Squeezer product, purity, involution, side-swap symmetry."""
     result = SuiteResult("gaussian_invariants")
-    omega = gaussian.symplectic_form(4)
     probe = four_mode.probe_partition(1)
     for params in grid.samples:
         state = four_mode.build_state(params)
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        squeezer = gaussian.two_mode_squeezer(1, 2, params.s, 4).data
+        # the written-out transform of build_state against the product of
+        # its three squeezers, S_34(a) S_12(a) S_23(s), byte for byte
+        product = gaussian.compose(
+            gaussian.two_mode_squeezer(2, 3, params.a, 4),
+            gaussian.two_mode_squeezer(0, 1, params.a, 4),
+            gaussian.two_mode_squeezer(1, 2, params.s, 4),
+        )
         result.check(
-            float(np.abs(squeezer @ omega @ squeezer.T - omega).max()) <= 1e-10,
-            f"symplectic defect at {point}",
+            state.data.tobytes() == gaussian.apply(product, gaussian.vacuum_cm(4)).data.tobytes(),
+            f"state differs from the squeezer product at {point}",
         )
         result.check(state.is_pure(), f"purity lost at {point}")
         double_pt = gaussian.partial_transpose(

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from promiscuity import contangle, gaussian, verification
+from promiscuity import contangle, four_mode, gaussian, verification
 from promiscuity.config import GridConfig
 from promiscuity.contangle import SqueezingParams, separability_threshold
 from promiscuity.four_mode import (
+    EntanglementReport,
     PAIRBLOCK,
     bounding_tripartite_state,
     build_state,
@@ -19,6 +20,7 @@ from promiscuity.four_mode import (
     pair_pt_nu_min,
     probe_log_negativities,
     probe_partition,
+    two_mode_checks,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
@@ -161,6 +163,7 @@ def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
     values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in cuts})
     values["nu"] = pair_pt_nu_min(states, contangle.PAIRS)
     values["probe ln"] = probe_log_negativities(states)
+    values["two-mode ln"], values["two-mode nu"] = two_mode_checks(states)
     return {name: np.asarray(value) for name, value in values.items()}
 
 
@@ -181,7 +184,58 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
         assert np.array_equal(bounds[k], bounding_tripartite_state(p).data)
 
 
-def test_full_report_makes_three_spectra_and_no_purity_test(monkeypatch):
+def _reference_report(params: SqueezingParams) -> EntanglementReport:
+    # full_report's cross-checks through three separate public calls
+    state = build_state([params])
+    forms = contangle.closed_forms(params)
+    probes = probe_log_negativities(state)[0].tolist()
+    deviations = [abs(ln**2 - forms.one_vs_rest_contangle[p]) for p, ln in zip(contangle.PROBES, probes)]
+    deviations.append(abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle))
+    near = four_mode.near_threshold(params)
+    verdicts_ok = True
+    for pair, nu_min in zip(contangle.PAIRS, pair_pt_nu_min(state, contangle.PAIRS)[0].tolist()):
+        tau = forms.pairwise_contangle[pair]
+        skipped = (
+            (near and pair == (2, 3))
+            or 0.0 < tau <= four_mode.FAINT_TAU
+            or 0.0 < 1.0 - nu_min <= four_mode.PPT_MARGIN
+        )
+        if not skipped and (nu_min >= 1.0 - gaussian.SEPARABILITY_TOL) != (tau == 0.0):
+            verdicts_ok = False
+    return EntanglementReport(
+        **vars(forms),
+        near_threshold=near,
+        consistent=verdicts_ok and max(deviations) <= four_mode.ROUTE_TOL,
+        max_route_deviation=max(deviations),
+    )
+
+
+def test_full_report_equals_the_report_from_separate_spectra():
+    # the three inconsistent edge points and a point whose lone middle
+    # squeezer fails the symplectic check
+    extra = [SqueezingParams(a, s) for a, s in ((4.75, 0.5), (5.25, 0.5), (5.75, 1.0), (0.0625, 7.4375))]
+    outcomes = set()
+    for params in _seeded_points() + extra:
+        report, expected = full_report(params), _reference_report(params)
+        for field in vars(expected):
+            assert getattr(report, field) == getattr(expected, field), (params, field)
+        assert report.max_route_deviation.hex() == expected.max_route_deviation.hex()
+        assert report.consistent is expected.consistent
+        outcomes.add(report.consistent)
+    assert outcomes == {True, False}
+
+
+def test_block_signs_transpose_only_the_pair_blocks_and_are_read_only():
+    signs = four_mode._block_signs(1, 6)
+    assert signs.shape == (7, 4, 4)
+    assert np.array_equal(signs[0], np.ones((4, 4)))
+    for block in signs[1:]:
+        assert np.array_equal(block, gaussian.transpose_signs(four_mode._PAIR_CUT))
+    with pytest.raises(ValueError, match="read-only"):
+        signs[1, 3, 3] = 1.0
+
+
+def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
     calls = {"spectra": 0, "purity": 0}
     spectrum = gaussian.symplectic_eigenvalues
     purity = gaussian.CovarianceMatrix.is_pure
@@ -198,7 +252,7 @@ def test_full_report_makes_three_spectra_and_no_purity_test(monkeypatch):
     monkeypatch.setattr(gaussian.CovarianceMatrix, "is_pure", counting_purity)
     report = full_report(SqueezingParams(1.5, 1.0))
     assert report.consistent
-    assert calls["spectra"] <= 3
+    assert calls["spectra"] == 2
     assert calls["purity"] == 0
 
 

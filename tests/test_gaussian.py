@@ -37,6 +37,17 @@ def test_symplectic_form_blocks():
     assert np.array_equal(omega, expected)
 
 
+def test_cached_plans_are_read_only():
+    omega = symplectic_form(2)
+    rows, cols = gaussian._gather_plan(4, ((0, 1), (1, 3)))
+    signs = gaussian.transpose_signs(ModePartition(frozenset({0}), frozenset({1})))
+    assert np.array_equal(signs, np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0]))
+    for plan in (omega, rows, cols, rows.base, signs):
+        with pytest.raises(ValueError, match="read-only"):
+            plan[..., 0, 0] = 7
+    assert gaussian._gather_plan(4, ((0, 1), (1, 3)))[0] is rows
+
+
 def test_vacuum_is_identity():
     vac = vacuum_cm(4)
     assert vac.n_modes == 4
