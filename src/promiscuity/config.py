@@ -49,11 +49,14 @@ def load_config(path: str | Path, base: GridConfig | None = None) -> GridConfig:
     """Apply `key = value` overrides from a config file to a GridConfig.
 
     Recognized keys: grid_density, a_min, a_max, s_min, s_max.  Blank
-    lines and '#' comments are ignored; unknown keys or unparseable
-    values raise ValueError.
+    lines and '#' comments are ignored; an unreadable file, unknown keys
+    or unparseable values raise ValueError.
     """
     cfg = base if base is not None else GridConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

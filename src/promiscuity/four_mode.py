@@ -16,10 +16,10 @@ User-facing mode labels are 1-based; the gaussian layer underneath is
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,70 +119,20 @@ def probe_partition(probe: int) -> gaussian.ModePartition:
     return gaussian.ModePartition(frozenset({probe - 1}), rest)
 
 
-PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 # the sides log_negativity reduces a cut to: of the probe cuts, in the
-# order of contangle.PROBES, and of the three 2|2 cuts, PAIRBLOCK first
+# order of contangle.PROBES, and of the three 2|2 cuts, {1,2}|{3,4} first
 _PROBE_SIDES = [[p - 1] for p in contangle.PROBES]
 _TWO_VS_TWO_SIDES = [[0, 1], [0, 2], [0, 3]]
-
-
-def _two_mode_spectra(state: gaussian.CovarianceMatrix, pairs, plain=()):
-    """Symplectic spectra of two-mode blocks of state, from one spectrum call.
-
-    The reductions to the `plain` mode pairs (0-based) come first as they
-    are, then the block of each of `pairs` (1-based labels) partially
-    transposed across its two modes; the blocks run along a new axis
-    before the spectrum axis.  Returns the stack of blocks and its spectra.
-    """
-    subsets = list(plain) + [[i - 1, j - 1] for i, j in pairs]
-    reduced = gaussian.reductions(state, subsets)
-    blocks = gaussian.CovarianceMatrix(2, reduced.data * _block_signs(len(plain), len(pairs)))
-    return blocks, gaussian.symplectic_eigenvalues(blocks)
-
-
-@functools.cache
-def _block_signs(plain: int, pairs: int) -> np.ndarray:
-    # the +/-1 factors of _two_mode_spectra's stack; read-only, built once
-    # per block count, so the stack is signed in one product, no copy
-    flip = np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (pairs, 4, 4))
-    signs = np.concatenate([np.ones((plain, 4, 4)), flip])
-    signs.flags.writeable = False
-    return signs
-
-
-def pair_pt_nu_min(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
-    """Smallest partially transposed symplectic eigenvalue of each pair (1-based labels).
-
-    The pairs run along a new last axis: shape (len(pairs),) for one
-    state, stack shape + (len(pairs),) for a stack.  One spectrum call
-    covers every pair of every state.
-    """
-    return _two_mode_spectra(state, pairs)[1].min(axis=-1)
-
-
-def two_mode_checks(state: gaussian.CovarianceMatrix):
-    """PAIRBLOCK log-negativity and the pair_pt_nu_min of every pair, from one spectrum call.
-
-    The stack holds seven two-mode blocks: the {1,2} reduction, whose
-    spectrum gives the log-negativity across PAIRBLOCK as
-    gaussian.log_negativity takes it, then the six transposed pair blocks
-    of contangle.PAIRS.  Returns (log-negativity, nu_min), laid out as
-    gaussian.log_negativity and pair_pt_nu_min lay them out.
-    """
-    if not state.pure:
-        raise ValueError("two-mode checks need a state built pure (build_state)")
-    blocks, nu = _two_mode_spectra(state, contangle.PAIRS, plain=_TWO_VS_TWO_SIDES[:1])
-    floor = blocks.spectral_noise_floor()[..., 0]
-    return gaussian.spectrum_log_negativity(nu[..., 0, :], floor), nu[..., 1:, :].min(axis=-1)
-
-
-def pair_ppt_separable(state: gaussian.CovarianceMatrix, pairs: Sequence[tuple[int, int]]):
-    """PPT verdict of each pair (1-based labels), laid out as pair_pt_nu_min.
-
-    PPT decides Gaussian separability only when one side holds a single mode, as here.
-    """
-    return pair_pt_nu_min(state, pairs) >= 1.0 - gaussian.SEPARABILITY_TOL
+# spectral_forms' stack of seven two-mode blocks: the {1,2} reduction as
+# it is, then each pair of contangle.PAIRS transposed across its two
+# modes; the +/-1 factors are read-only, so the stack is signed in one
+# product, no copy
+_TWO_MODE_SIDES = _TWO_VS_TWO_SIDES[:1] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+_TWO_MODE_SIGNS = np.concatenate(
+    [np.ones((1, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
+)
+_TWO_MODE_SIGNS.flags.writeable = False
 
 
 def probe_log_negativities(state: gaussian.CovarianceMatrix):
@@ -196,6 +146,41 @@ def probe_log_negativities(state: gaussian.CovarianceMatrix):
     return gaussian.reduced_log_negativity(gaussian.reductions(state, _PROBE_SIDES))
 
 
+class SpectralForms(NamedTuple):
+    """The spectral side of every cross-check, for one state or a stack of them."""
+
+    probe_ln: np.ndarray  # probe_log_negativities: probes 1..4 along a new last axis
+    pairblock_ln: np.ndarray | float  # across {1,2}|{3,4}, as gaussian.log_negativity takes it
+    pair_nu_min: np.ndarray  # smallest PT symplectic eigenvalue, pairs in contangle.PAIRS order
+
+
+def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
+    """The SpectralForms of a state built pure (build_state), from two spectrum calls.
+
+    One call covers the four one-mode reductions (probe_log_negativities),
+    the other the stack of seven two-mode blocks: the {1,2} reduction,
+    whose spectrum gives the log-negativity across {1,2}|{3,4}, then the
+    six transposed pair blocks.
+    """
+    probe_ln = probe_log_negativities(state)
+    reduced = gaussian.reductions(state, _TWO_MODE_SIDES)
+    blocks = gaussian.CovarianceMatrix(2, reduced.data * _TWO_MODE_SIGNS)
+    nu = gaussian.symplectic_eigenvalues(blocks)
+    floor = blocks.spectral_noise_floor()[..., 0]
+    return SpectralForms(
+        probe_ln, gaussian.spectrum_log_negativity(nu[..., 0, :], floor), nu[..., 1:, :].min(axis=-1)
+    )
+
+
+def ppt_separable(nu_min):
+    """PPT verdict from a smallest partially transposed symplectic eigenvalue, elementwise.
+
+    PPT decides Gaussian separability only when one side holds a single
+    mode, as for the pairs.
+    """
+    return nu_min >= 1.0 - gaussian.SEPARABILITY_TOL
+
+
 def near_threshold(params: SqueezingParams) -> bool:
     """True within THRESHOLD_FLAG_TOL of the middle-pair separability threshold, where
     full_report and the verify battery leave the pair-(2, 3) verdict unscored."""
@@ -206,11 +191,8 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     """All contangle statistics of gamma(a, s), cross-checked spectrally.
 
     The closed forms fill the report; independently, log-negativities and
-    PPT verdicts are recomputed from the covariance matrix, on a stack of
-    one state: two spectrum calls in all, one for the four one-mode
-    reductions (probe_log_negativities) and one for the {1,2} block
-    stacked with the six transposed pair blocks (two_mode_checks, whose
-    pair blocks are those of pair_pt_nu_min).  The state is pure by
+    PPT verdicts are recomputed from the covariance matrix, a stack of
+    one state, through its spectral_forms record.  The state is pure by
     construction, so no purity test runs.  Any value
     deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
     inconsistent instead of raising.  Points near the middle-pair
@@ -221,17 +203,16 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     """
     state = build_state([params])
     forms = contangle.closed_forms(params)
+    spectral = spectral_forms(state)
 
     one_rest = forms.one_vs_rest_contangle
-    spectral = probe_log_negativities(state)[0].tolist()
-    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, spectral)]
-    block_ln, nu_mins = two_mode_checks(state)
-    deviations.append(abs(block_ln.item() ** 2 - forms.interpair_contangle))
+    probe_ln = spectral.probe_ln[0].tolist()
+    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, probe_ln)]
+    deviations.append(abs(spectral.pairblock_ln.item() ** 2 - forms.interpair_contangle))
 
     near = near_threshold(params)
-    nu_mins = nu_mins[0].tolist()
     verdicts_ok = True
-    for (i, j), nu_min in zip(contangle.PAIRS, nu_mins):
+    for (i, j), nu_min in zip(contangle.PAIRS, spectral.pair_nu_min[0].tolist()):
         if near and (i, j) == (2, 3):
             continue
         closed_tau = forms.pairwise_contangle[(i, j)]
@@ -239,8 +220,7 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
             continue
         if 0.0 < 1.0 - nu_min <= PPT_MARGIN:
             continue
-        spectral_separable = nu_min >= 1.0 - gaussian.SEPARABILITY_TOL
-        if spectral_separable != (closed_tau == 0.0):
+        if ppt_separable(nu_min) != (closed_tau == 0.0):
             verdicts_ok = False
 
     max_deviation = max(deviations)

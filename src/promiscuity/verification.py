@@ -3,10 +3,11 @@
 Each suite sweeps a parameter grid and counts independent checks; the
 first failure is recorded with the parameter point that produced it.
 One Grid per run computes each point's contangle.closed_forms record
-and each block's state once: every closed side is a field of that
-record, and every spectral side comes from the state.  A corruption of
-either layer (wrong log base, wrong squeezer convention, broken partial
-transpose) therefore surfaces as a counted failure, not silent drift.
+and each block's four_mode.spectral_forms record once: every closed
+side is a field of the one, and every spectral side a field of the
+other.  A corruption of either layer (wrong log base, wrong squeezer
+convention, broken partial transpose) therefore surfaces as a counted
+failure, not silent drift.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ def _ends_and_middle(values: list[float]) -> list[float]:
 
 class Grid:
     """The a-major points of one verify run, its 3x3 samples, and each
-    point's record and each block's state, computed once on first use.
+    point's closed record and each block's spectral record, computed once
+    on first use.
     A computation that raises is not cached, so each reader fails alone.
     """
 
@@ -76,9 +78,10 @@ class Grid:
 
     @functools.cached_property
     def blocks(self) -> list[tuple]:
-        # (points, state, records); every state is built before any record
-        states = [four_mode.build_state(chunk) for chunk in _blocks(self.points)]
-        return list(zip(_blocks(self.points), states, _blocks(self.forms)))
+        # (points, spectral record, closed records); every spectral record
+        # is computed before any closed one
+        spectral = [four_mode.spectral_forms(four_mode.build_state(chunk)) for chunk in _blocks(self.points)]
+        return list(zip(_blocks(self.points), spectral, _blocks(self.forms)))
 
 
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
@@ -126,12 +129,12 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
 def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    for block, state, records in grid.blocks:
-        rows = four_mode.probe_log_negativities(state).tolist()
+    for block, spectral, records in grid.blocks:
+        rows = spectral.probe_ln.tolist()
         for params, forms, row in zip(block, records, rows):
-            for probe, spectral in zip(contangle.PROBES, row):
+            for probe, value in zip(contangle.PROBES, row):
                 result.check(
-                    abs(spectral * spectral - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
+                    abs(value * value - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
                     f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
                 )
     return result
@@ -140,11 +143,10 @@ def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
 def suite_interpair_agreement(grid: Grid) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    for block, state, records in grid.blocks:
-        spectra = gaussian.log_negativity(state, four_mode.PAIRBLOCK).tolist()
-        for params, forms, spectral in zip(block, records, spectra):
+    for block, spectral, records in grid.blocks:
+        for params, forms, value in zip(block, records, spectral.pairblock_ln.tolist()):
             result.check(
-                abs(spectral * spectral - forms.interpair_contangle) <= 1e-8,
+                abs(value * value - forms.interpair_contangle) <= 1e-8,
                 f"a={params.a:.6g} s={params.s:.6g}",
             )
     return result
@@ -157,21 +159,22 @@ def suite_pair_separability(grid: Grid) -> SuiteResult:
     holds; the threshold itself is checked for nu_min = 1 instead.
     """
     result = SuiteResult("pair_separability")
-    for block, state, records in grid.blocks:
-        rows = four_mode.pair_ppt_separable(state, contangle.PAIRS).tolist()
+    for block, spectral, records in grid.blocks:
+        rows = four_mode.ppt_separable(spectral.pair_nu_min).tolist()
         for params, forms, row in zip(block, records, rows):
             point = f"a={params.a:.6g} s={params.s:.6g}"
-            for pair, spectral in zip(contangle.PAIRS, row):
+            for pair, separable in zip(contangle.PAIRS, row):
                 if pair == (2, 3) and four_mode.near_threshold(params):
                     continue
-                result.check(spectral == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
+                result.check(separable == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
     at_threshold = [
         contangle.SqueezingParams(contangle.separability_threshold(s), s)
         for s in grid.cfg.s_values()
         if s > 0.0
     ]
+    middle = contangle.PAIRS.index((2, 3))
     for block in _blocks(at_threshold):
-        nu_min = four_mode.pair_pt_nu_min(four_mode.build_state(block), [(2, 3)])[:, 0]
+        nu_min = four_mode.spectral_forms(four_mode.build_state(block)).pair_nu_min[:, middle]
         for params, value in zip(block, nu_min.tolist()):
             result.check(abs(value - 1.0) <= 1e-7, f"threshold nu_min at s={params.s:.6g}")
     return result

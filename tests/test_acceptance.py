@@ -120,14 +120,15 @@ def test_acceptance_05_pair_separability():
     for a in GRID:
         for s in GRID:
             params = contangle.SqueezingParams(a, s)
-            state = four_mode.build_state(params)
+            nu_min = four_mode.spectral_forms(four_mode.build_state(params)).pair_nu_min
+            verdicts = dict(zip(contangle.PAIRS, four_mode.ppt_separable(nu_min).tolist()))
             threshold = contangle.separability_threshold(s)
             for pair in always_separable:
-                if not four_mode.pair_ppt_separable(state, [pair])[0]:
+                if not verdicts[pair]:
                     failures.append(f"pair {pair} not separable at a={a:.1f} s={s:.1f}")
             if abs(a - threshold) > 1e-6:
                 expected = a >= threshold
-                if four_mode.pair_ppt_separable(state, [(2, 3)])[0] != expected:
+                if verdicts[(2, 3)] != expected:
                     failures.append(f"middle-pair verdict wrong at a={a:.1f} s={s:.1f}")
     for s in GRID:
         if s == 0.0:

@@ -274,6 +274,22 @@ def test_config_parse_error_names_line(run_cli, tmp_path):
     assert "bad.cfg:2" in err
 
 
+@pytest.mark.parametrize("command", [("fourmode", "sweep"), ("verify",)], ids=["sweep", "verify"])
+@pytest.mark.parametrize(
+    "name, reason",
+    [("missing.cfg", "No such file or directory"), ("", "Is a directory")],
+    ids=["missing", "dir"],
+)
+def test_unreadable_config_is_a_bad_argument(run_cli, tmp_path, command, name, reason):
+    cfg = tmp_path / name
+    out_file = tmp_path / "x.csv"
+    argv = [*command, "--out", str(out_file)] if command[0] == "fourmode" else list(command)
+    code, out, err = run_cli(*argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"cannot read config file {cfg}: {reason}")
+    assert not out_file.exists()
+
+
 def test_qudit_report_fields(run_cli):
     code, out, _ = run_cli("qudit", "report", "--d", "8")
     assert code == 0

@@ -11,19 +11,19 @@ from promiscuity.config import GridConfig
 from promiscuity.contangle import SqueezingParams, separability_threshold
 from promiscuity.four_mode import (
     EntanglementReport,
-    PAIRBLOCK,
     bounding_tripartite_state,
     build_state,
     full_inseparability_check,
     full_report,
-    pair_ppt_separable,
-    pair_pt_nu_min,
+    ppt_separable,
     probe_log_negativities,
     probe_partition,
-    two_mode_checks,
+    spectral_forms,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
+PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
+PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 
 
 def test_build_state_basics():
@@ -61,14 +61,15 @@ def test_build_state_swap_symmetry():
 def test_pair_ppt_separable_follows_closed_rules():
     params = SqueezingParams(0.5, 1.0)
     state = build_state(params)
-    verdicts = dict(zip(contangle.PAIRS, pair_ppt_separable(state, contangle.PAIRS).tolist()))
+    verdicts = dict(zip(contangle.PAIRS, ppt_separable(spectral_forms(state).pair_nu_min).tolist()))
     assert not verdicts[(1, 2)]
     assert not verdicts[(3, 4)]
     for i, j in [(1, 3), (1, 4), (2, 4)]:
         assert verdicts[(i, j)]
     # below threshold 0.788 the middle pair is still entangled
     assert not verdicts[(2, 3)]
-    assert pair_ppt_separable(build_state(SqueezingParams(1.0, 1.0)), [(2, 3)]).tolist() == [True]
+    middle = contangle.PAIRS.index((2, 3))
+    assert ppt_separable(spectral_forms(build_state(SqueezingParams(1.0, 1.0))).pair_nu_min[middle])
 
 
 def test_full_report_benchmark_numbers():
@@ -161,9 +162,7 @@ def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
         "floor": states.spectral_noise_floor(),
     }
     values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in cuts})
-    values["nu"] = pair_pt_nu_min(states, contangle.PAIRS)
-    values["probe ln"] = probe_log_negativities(states)
-    values["two-mode ln"], values["two-mode nu"] = two_mode_checks(states)
+    values.update(spectral_forms(states)._asdict())
     return {name: np.asarray(value) for name, value in values.items()}
 
 
@@ -185,7 +184,9 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
 
 
 def _reference_report(params: SqueezingParams) -> EntanglementReport:
-    # full_report's cross-checks through three separate public calls
+    # full_report's cross-checks through separate public routes: the probe
+    # log-negativities, log_negativity across {1,2}|{3,4}, and each pair's
+    # reduction partially transposed
     state = build_state([params])
     forms = contangle.closed_forms(params)
     probes = probe_log_negativities(state)[0].tolist()
@@ -193,7 +194,9 @@ def _reference_report(params: SqueezingParams) -> EntanglementReport:
     deviations.append(abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle))
     near = four_mode.near_threshold(params)
     verdicts_ok = True
-    for pair, nu_min in zip(contangle.PAIRS, pair_pt_nu_min(state, contangle.PAIRS)[0].tolist()):
+    for pair in contangle.PAIRS:
+        reduced = gaussian.reduce(state, [pair[0] - 1, pair[1] - 1])
+        nu_min = gaussian.symplectic_eigenvalues(gaussian.partial_transpose(reduced, PAIR_CUT)).min()
         tau = forms.pairwise_contangle[pair]
         skipped = (
             (near and pair == (2, 3))
@@ -225,14 +228,35 @@ def test_full_report_equals_the_report_from_separate_spectra():
     assert outcomes == {True, False}
 
 
-def test_block_signs_transpose_only_the_pair_blocks_and_are_read_only():
-    signs = four_mode._block_signs(1, 6)
+# max_route_deviation and consistent of full_report, recorded bit for bit:
+# tier-1's guard on the bytes of the spectral route.  The last three are
+# the inconsistent edge points, all lost on the 12|34 cut
+PINNED_REPORTS = [
+    ((1.5, 1.0), "0x1.6000000000000p-47", True),
+    ((2.5, 2.5), "0x1.2700000000000p-39", True),
+    ((0.0625, 7.4375), "0x0.0p+0", True),
+    ((4.75, 0.5), "0x1.3f5eff75bd000p-12", False),
+    ((5.25, 0.5), "0x1.a2c2a4d82c000p-12", False),
+    ((5.75, 1.0), "0x1.6b8245a72a400p-8", False),
+]
+
+
+@pytest.mark.parametrize("point, deviation, consistent", PINNED_REPORTS)
+def test_full_report_bytes_are_pinned(point, deviation, consistent):
+    report = full_report(SqueezingParams(*point))
+    assert report.max_route_deviation.hex() == deviation
+    assert report.consistent is consistent
+
+
+def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
+    signs = four_mode._TWO_MODE_SIGNS
     assert signs.shape == (7, 4, 4)
     assert np.array_equal(signs[0], np.ones((4, 4)))
     for block in signs[1:]:
-        assert np.array_equal(block, gaussian.transpose_signs(four_mode._PAIR_CUT))
+        assert np.array_equal(block, gaussian.transpose_signs(PAIR_CUT))
     with pytest.raises(ValueError, match="read-only"):
         signs[1, 3, 3] = 1.0
+    assert four_mode._TWO_MODE_SIDES == [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
 
 
 def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):

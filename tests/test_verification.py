@@ -82,6 +82,38 @@ def test_closed_form_fault_turns_spectral_suites_red(monkeypatch, suite, corrupt
     assert not suite(verification.Grid(cfg)).ok
 
 
+RECORD_SUITES = {
+    "probe_ln": verification.suite_one_vs_rest_agreement,
+    "pairblock_ln": verification.suite_interpair_agreement,
+    "pair_nu_min": verification.suite_pair_separability,
+}
+
+
+@pytest.mark.parametrize(
+    "field, report_red",
+    # nu_min moved by 1e-6 toward 1 stays inside PPT_MARGIN, where a report
+    # skips the verdict; the threshold nu_min check of verify still sees it
+    [("probe_ln", True), ("pairblock_ln", True), ("pair_nu_min", False)],
+)
+def test_spectral_record_fault_turns_spectral_suites_red(monkeypatch, field, report_red):
+    # report and verify read the spectral side of each check from one
+    # four_mode.spectral_forms record, so scaling a field turns red exactly
+    # the suite that reads it
+    cfg = GridConfig(density=6)
+    suites = [*RECORD_SUITES.values(), verification.suite_report_consistency]
+    assert all(suite(verification.Grid(cfg)).ok for suite in suites)
+    real = four_mode.spectral_forms
+
+    def scaled(state):
+        forms = real(state)
+        return forms._replace(**{field: getattr(forms, field) * (1 + 1e-6)})
+
+    monkeypatch.setattr(four_mode, "spectral_forms", scaled)
+    for name, suite in RECORD_SUITES.items():
+        assert suite(verification.Grid(cfg)).ok is (name != field), name
+    assert verification.suite_report_consistency(verification.Grid(cfg)).ok is not report_red
+
+
 # check counts of `verify` on the default 26x26 grid
 DEFAULT_COUNTS = {
     "gaussian_invariants": 45,
@@ -113,7 +145,7 @@ def test_default_grid_suite_counts():
 
 
 def test_each_grid_point_is_computed_once(monkeypatch):
-    calls = {"closed_forms": 0, "build_state": 0}
+    calls = {"closed_forms": 0, "build_state": 0, "spectral_forms": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -126,11 +158,14 @@ def test_each_grid_point_is_computed_once(monkeypatch):
 
     counting(contangle, "closed_forms")
     counting(four_mode, "build_state")
+    counting(four_mode, "spectral_forms")
     verification.run_all(GridConfig())
     # 676 grid records, 3 off-grid records and 9 sampled reports; 6 grid
-    # blocks, 5 interior blocks, 1 threshold block and 27 sampled states
+    # blocks, 5 interior blocks, 1 threshold block and 27 sampled states;
+    # 6 grid blocks, 1 threshold block and 9 reports
     assert calls["closed_forms"] <= 688
     assert calls["build_state"] <= 39
+    assert calls["spectral_forms"] <= 16
 
 
 def test_closed_form_crash_stays_in_the_suites_that_read_records(monkeypatch):
