@@ -113,43 +113,30 @@ def bounding_tripartite_state(
     return gaussian.apply(transform, gaussian.vacuum_cm(3))
 
 
-def probe_partition(probe: int) -> gaussian.ModePartition:
-    """Cut of the probe mode (1-based label) against the other three."""
-    rest = frozenset(m - 1 for m in contangle.PROBES if m != probe)
-    return gaussian.ModePartition(frozenset({probe - 1}), rest)
-
-
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
-# the sides log_negativity reduces a cut to: of the probe cuts, in the
-# order of contangle.PROBES, and of the three 2|2 cuts, {1,2}|{3,4} first
 _PROBE_SIDES = [[p - 1] for p in contangle.PROBES]
-_TWO_VS_TWO_SIDES = [[0, 1], [0, 2], [0, 3]]
+# the seven bipartitions of the four modes: the probe cuts in the order of
+# contangle.PROBES, then {1,2}|{3,4}, {1,3}|{2,4} and {1,4}|{2,3}.  Each
+# side_a is the side log_negativity reduces its cut to
+GLOBAL_CUTS = tuple(
+    gaussian.ModePartition(frozenset(side), frozenset(range(4)).difference(side))
+    for side in _PROBE_SIDES + [[0, 1], [0, 2], [0, 3]]
+)
 # spectral_forms' stack of seven two-mode blocks: the {1,2} reduction as
 # it is, then each pair of contangle.PAIRS transposed across its two
 # modes; the +/-1 factors are read-only, so the stack is signed in one
 # product, no copy
-_TWO_MODE_SIDES = _TWO_VS_TWO_SIDES[:1] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+_TWO_MODE_SIDES = [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
 _TWO_MODE_SIGNS = np.concatenate(
     [np.ones((1, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
 )
 _TWO_MODE_SIGNS.flags.writeable = False
 
 
-def probe_log_negativities(state: gaussian.CovarianceMatrix):
-    """Log-negativity of each probe-vs-rest cut, probes 1..4 along a new last axis.
-
-    The pure route of gaussian.log_negativity for the four cuts at once:
-    one spectrum call on the stack of the one-mode reductions.
-    """
-    if not state.pure:
-        raise ValueError("probe log-negativities need a state built pure (build_state)")
-    return gaussian.reduced_log_negativity(gaussian.reductions(state, _PROBE_SIDES))
-
-
 class SpectralForms(NamedTuple):
     """The spectral side of every cross-check, for one state or a stack of them."""
 
-    probe_ln: np.ndarray  # probe_log_negativities: probes 1..4 along a new last axis
+    probe_ln: np.ndarray  # across each probe cut, probes 1..4 along a new last axis
     pairblock_ln: np.ndarray | float  # across {1,2}|{3,4}, as gaussian.log_negativity takes it
     pair_nu_min: np.ndarray  # smallest PT symplectic eigenvalue, pairs in contangle.PAIRS order
 
@@ -157,12 +144,21 @@ class SpectralForms(NamedTuple):
 def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
     """The SpectralForms of a state built pure (build_state), from two spectrum calls.
 
-    One call covers the four one-mode reductions (probe_log_negativities),
-    the other the stack of seven two-mode blocks: the {1,2} reduction,
-    whose spectrum gives the log-negativity across {1,2}|{3,4}, then the
-    six transposed pair blocks.
+    One call covers the four one-mode reductions, whose spectra give the
+    probe log-negativities, the other the stack of seven two-mode blocks:
+    the {1,2} reduction, whose spectrum gives the log-negativity across
+    {1,2}|{3,4}, then the six transposed pair blocks.  Each log-negativity
+    is the one gaussian.log_negativity gives for its cut of GLOBAL_CUTS;
+    verify's gaussian_invariants suite checks the record against that
+    route and each pair's partial transpose, bit for bit.  A state not
+    flagged pure raises ValueError, as in log_negativity.
     """
-    probe_ln = probe_log_negativities(state)
+    if not state.pure:
+        raise ValueError("spectral forms need a state built pure (build_state)")
+    probes = gaussian.reductions(state, _PROBE_SIDES)
+    probe_ln = gaussian.spectrum_log_negativity(
+        gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()
+    )
     reduced = gaussian.reductions(state, _TWO_MODE_SIDES)
     blocks = gaussian.CovarianceMatrix(2, reduced.data * _TWO_MODE_SIGNS)
     nu = gaussian.symplectic_eigenvalues(blocks)
@@ -233,14 +229,11 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
 
 
 def full_inseparability_check(params: SqueezingParams) -> bool:
-    """True iff every one of the 7 global bipartitions carries entanglement.
+    """True iff every one of the 7 global bipartitions (GLOBAL_CUTS) carries entanglement.
 
-    Witnessed by log-negativity > WITNESS_TOL; holds exactly when both
-    squeezing degrees are strictly positive.  Two spectrum calls: the
-    four probe cuts, then the three 2|2 cuts through the pure route on
-    the sides log_negativity reduces them to.
+    Witnessed by gaussian.log_negativity > WITNESS_TOL, cut by cut up to
+    the first cut that carries none; holds exactly when both squeezing
+    degrees are strictly positive.
     """
     state = build_state(params)
-    values = probe_log_negativities(state).tolist()
-    values += gaussian.reduced_log_negativity(gaussian.reductions(state, _TWO_VS_TWO_SIDES)).tolist()
-    return all(value > WITNESS_TOL for value in values)
+    return all(gaussian.log_negativity(state, cut) > WITNESS_TOL for cut in GLOBAL_CUTS)

@@ -166,9 +166,6 @@ class ModePartition:
     def modes(self) -> frozenset[int]:
         return self.side_a | self.side_b
 
-    def swapped(self) -> "ModePartition":
-        return ModePartition(self.side_b, self.side_a)
-
     def validate_for(self, sigma: CovarianceMatrix) -> None:
         out = [m for m in self.modes if m >= sigma.n_modes]
         if out:
@@ -332,27 +329,6 @@ def transpose_signs(partition: ModePartition) -> np.ndarray:
     return plan
 
 
-def _spectrum(data: np.ndarray, n_modes: int) -> np.ndarray:
-    omega = symplectic_form(n_modes)
-    try:
-        chol = np.linalg.cholesky(data)
-    except np.linalg.LinAlgError:
-        if data.ndim > 2:
-            # only the matrices whose own factorisation fails take the general route
-            flat = data.reshape((-1,) + data.shape[-2:])
-            nu = np.array([_spectrum(matrix, n_modes) for matrix in flat])
-            return nu.reshape(data.shape[:-2] + (n_modes,))
-        moduli = np.abs(np.linalg.eigvals(omega @ data))
-        moduli.sort()
-        return moduli.reshape(n_modes, 2).mean(axis=1)
-    herm = 1j * (chol.swapaxes(-1, -2) @ omega @ chol)
-    spectrum = np.linalg.eigvalsh(herm)
-    # the +/- pairing is exact in math; averaging each half cancels the
-    # antisymmetric part of the solver noise
-    nu = 0.5 * (spectrum[..., n_modes:] - spectrum[..., n_modes - 1 :: -1])
-    return np.sort(nu, axis=-1)
-
-
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum of sigma, ascending along the last axis.
 
@@ -362,28 +338,33 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
     have equal nonzero spectra) but is solvable by a backward-stable
     symmetric eigensolver with error ~ norm(sigma)*eps; both the general
     nonsymmetric solver and an explicit matrix square root lose several
-    digits at deep squeezing.  Indefinite (unphysical) matrices fall back
-    to the general route: moduli of the spectrum of Omega @ sigma,
-    pair-collapsed.
+    digits at deep squeezing.  A matrix that is not positive definite has
+    no symplectic spectrum (Williamson's theorem), so it raises
+    ValueError, and a stack raises if any of its matrices does.  Partial
+    transposition keeps a matrix positive definite: it is a congruence by
+    a diagonal matrix of signs.
     """
-    return _spectrum(sigma.data, sigma.n_modes)
-
-
-def reduced_log_negativity(reduced: CovarianceMatrix):
-    """Log-negativity of a pure state across a cut, from the reduced state of one side.
-
-    The pure route of log_negativity: sum(arccosh nu_k) over the
-    symplectic spectrum of the reduction, per matrix of a stack.  The
-    caller vouches that the state the reduction came from is pure.
-    """
-    return spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
+    n_modes = sigma.n_modes
+    omega = symplectic_form(n_modes)
+    try:
+        chol = np.linalg.cholesky(sigma.data)
+    except np.linalg.LinAlgError:
+        raise ValueError("symplectic spectrum needs a positive definite covariance matrix") from None
+    herm = 1j * (chol.swapaxes(-1, -2) @ omega @ chol)
+    spectrum = np.linalg.eigvalsh(herm)
+    # the +/- pairing is exact in math; averaging each half cancels the
+    # antisymmetric part of the solver noise
+    nu = 0.5 * (spectrum[..., n_modes:] - spectrum[..., n_modes - 1 :: -1])
+    return np.sort(nu, axis=-1)
 
 
 def spectrum_log_negativity(nu: np.ndarray, floor):
-    """sum(arccosh nu_k) along the last axis: reduced_log_negativity from a spectrum already taken.
+    """Log-negativity of a pure state across a cut, from the reduced spectrum of one side.
 
-    nu is the symplectic spectrum of one side's reduction and floor that
-    reduction's spectral_noise_floor, one per matrix.
+    sum(arccosh nu_k) along the last axis, per matrix of a stack: nu is
+    the symplectic spectrum of one side's reduction and floor that
+    reduction's spectral_noise_floor, one per matrix.  The caller vouches
+    that the state the reduction came from is pure.
     """
     # arccosh is infinitely steep at 1: solver noise on unsqueezed
     # directions would surface as sqrt(noise), so values within the
@@ -397,14 +378,16 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
     """Logarithmic negativity of a state built pure across a partition, in natural-log units.
 
     -sum(ln nu_k) over the partially transposed symplectic eigenvalues
-    below 1.  Symmetric under swapping the two sides.  A float for one
+    below 1.  Symmetric under swapping the two sides in exact arithmetic;
+    in float64 a cut whose sides are of one size is taken on side_a, so
+    swapping them can move the value by rounding.  A float for one
     matrix, an array for a stack.
 
     The state's Schmidt form is a tensor product of two-mode squeezed
     pairs across the cut, so the partially transposed spectrum is
     {e^(+/-2r_k)} with cosh(2r_k) the reduced-state symplectic spectrum,
     giving sum(arccosh nu_k) over the smaller side
-    (reduced_log_negativity).  The direct route would lose 1e-7 to 1e-6
+    (spectrum_log_negativity).  The direct route would lose 1e-7 to 1e-6
     at deep squeezing, where the smallest PT eigenvalue sits far below
     the matrix norm.  An unflagged matrix (sigma.pure False) raises
     ValueError; no numerical purity test stands in for the flag, since
@@ -414,8 +397,8 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
     partition.validate_for(sigma)
     if not sigma.pure:
         raise ValueError("log-negativity needs a state built pure (vacuum_cm, apply)")
-    side = min(partition.side_a, partition.side_b, key=len)
-    return reduced_log_negativity(reduce(sigma, side))
+    reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))
+    return spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:

@@ -85,10 +85,29 @@ class Grid:
 
 
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
-    """Squeezer product, purity, involution, side-swap symmetry."""
+    """Squeezer product, purity, involution, mode exchange, and the spectral record.
+
+    The spectral_forms record of the stack of the samples must equal, bit
+    for bit, what the general routes give on that stack.
+    """
     result = SuiteResult("gaussian_invariants")
-    probe = four_mode.probe_partition(1)
-    for params in grid.samples:
+    probe = four_mode.GLOBAL_CUTS[0]
+    # the general routes: log_negativity on the probe cuts and {1,2}|{3,4},
+    # and each pair's partial transpose
+    states = four_mode.build_state(grid.samples)
+    record = four_mode.spectral_forms(states)
+    ln = np.stack([gaussian.log_negativity(states, cut) for cut in four_mode.GLOBAL_CUTS[:5]], axis=-1)
+    pair_cuts = [gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1})) for i, j in contangle.PAIRS]
+    nu_min = np.stack(
+        [gaussian.symplectic_eigenvalues(gaussian.partial_transpose(states, cut)).min(axis=-1) for cut in pair_cuts],
+        axis=-1,
+    )
+    record_ok = (
+        (record.probe_ln == ln[:, :4]).all(axis=-1)
+        & (record.pairblock_ln == ln[:, 4])
+        & (record.pair_nu_min == nu_min).all(axis=-1)
+    )
+    for params, matches in zip(grid.samples, record_ok.tolist()):
         state = four_mode.build_state(params)
         point = f"a={params.a:.6g} s={params.s:.6g}"
         # the written-out transform of build_state against the product of
@@ -110,14 +129,7 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
             float(np.abs(double_pt.data - state.data).max()) == 0.0,
             f"partial transpose not involutive at {point}",
         )
-        result.check(
-            abs(
-                gaussian.log_negativity(state, probe)
-                - gaussian.log_negativity(state, probe.swapped())
-            )
-            <= 1e-10,
-            f"side-swap asymmetry at {point}",
-        )
+        result.check(matches, f"spectral record differs from the general routes at {point}")
         swap = gaussian.permute_modes(state, (3, 2, 1, 0))
         result.check(
             float(np.abs(swap.data - state.data).max()) <= 1e-9,

@@ -10,19 +10,17 @@ from promiscuity import contangle, four_mode, gaussian, verification
 from promiscuity.config import GridConfig
 from promiscuity.contangle import SqueezingParams, separability_threshold
 from promiscuity.four_mode import (
+    GLOBAL_CUTS,
     EntanglementReport,
     bounding_tripartite_state,
     build_state,
     full_inseparability_check,
     full_report,
     ppt_separable,
-    probe_log_negativities,
-    probe_partition,
     spectral_forms,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
-PAIRBLOCK = gaussian.ModePartition(frozenset({0, 1}), frozenset({2, 3}))
 PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 
 
@@ -116,6 +114,33 @@ def test_full_inseparability_truth_table():
     assert not full_inseparability_check(SqueezingParams(0.0, 0.0))
 
 
+def _partition(*side_a: int) -> gaussian.ModePartition:
+    return gaussian.ModePartition(frozenset(side_a), frozenset({0, 1, 2, 3}) - frozenset(side_a))
+
+
+def test_global_cuts_are_the_seven_bipartitions_in_order():
+    # probes 1..4 against the rest, then {1,2}|{3,4}, {1,3}|{2,4}, {1,4}|{2,3}
+    sides = [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)]
+    assert GLOBAL_CUTS == tuple(_partition(*side) for side in sides)
+
+
+@pytest.mark.parametrize("point, cuts", [((1.0, 1.0), 7), ((0.0, 1.0), 1), ((1.0, 0.0), 5)])
+def test_full_inseparability_check_walks_the_global_cuts(monkeypatch, point, cuts):
+    # log_negativity on each cut in order, up to the first one that
+    # carries no entanglement: probe 1 without arm squeezing, {1,2}|{3,4}
+    # without the middle squeezer
+    seen = []
+    log_negativity = gaussian.log_negativity
+
+    def recording(state, cut):
+        seen.append(cut)
+        return log_negativity(state, cut)
+
+    monkeypatch.setattr(gaussian, "log_negativity", recording)
+    full_inseparability_check(SqueezingParams(*point))
+    assert seen == list(GLOBAL_CUTS[:cuts])
+
+
 @given(a=squeezings, s=squeezings)
 @settings(max_examples=40, deadline=None)
 # a faint pair squeezer: tau_12 = 4a^2 > 0 (7.8e-90 at a = 1.4e-45) while
@@ -154,14 +179,13 @@ def _seeded_points() -> list[SqueezingParams]:
 
 
 def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
-    cuts = [probe_partition(p) for p in contangle.PROBES] + [PAIRBLOCK]
     values = {
         "state": states.data,
         "spectrum": gaussian.symplectic_eigenvalues(states),
         "pure": states.is_pure(),
         "floor": states.spectral_noise_floor(),
     }
-    values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in cuts})
+    values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in GLOBAL_CUTS})
     values.update(spectral_forms(states)._asdict())
     return {name: np.asarray(value) for name, value in values.items()}
 
@@ -184,14 +208,15 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
 
 
 def _reference_report(params: SqueezingParams) -> EntanglementReport:
-    # full_report's cross-checks through separate public routes: the probe
-    # log-negativities, log_negativity across {1,2}|{3,4}, and each pair's
-    # reduction partially transposed
+    # full_report's cross-checks through the general routes: log_negativity
+    # across each probe cut and {1,2}|{3,4}, and each pair's reduction
+    # partially transposed
     state = build_state([params])
     forms = contangle.closed_forms(params)
-    probes = probe_log_negativities(state)[0].tolist()
+    probes = [gaussian.log_negativity(state, GLOBAL_CUTS[p - 1]).item() for p in contangle.PROBES]
+    pairblock = gaussian.log_negativity(state, GLOBAL_CUTS[4]).item()
     deviations = [abs(ln**2 - forms.one_vs_rest_contangle[p]) for p, ln in zip(contangle.PROBES, probes)]
-    deviations.append(abs(gaussian.log_negativity(state, PAIRBLOCK).item() ** 2 - forms.interpair_contangle))
+    deviations.append(abs(pairblock**2 - forms.interpair_contangle))
     near = four_mode.near_threshold(params)
     verdicts_ok = True
     for pair in contangle.PAIRS:
@@ -280,10 +305,10 @@ def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
     assert calls["purity"] == 0
 
 
-def test_probe_log_negativities_refuse_a_state_not_built_pure():
+def test_spectral_forms_refuse_a_state_not_built_pure():
     state = build_state(SqueezingParams(0.4, 0.3))
     with pytest.raises(ValueError, match="built pure"):
-        probe_log_negativities(gaussian.CovarianceMatrix(4, state.data))
+        spectral_forms(gaussian.CovarianceMatrix(4, state.data))
 
 
 def _squeezer_product(a, s) -> gaussian.SymplecticTransform:

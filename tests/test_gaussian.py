@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,10 +181,24 @@ def test_symplectic_eigenvalues_of_partial_transpose():
     assert nu[1] == pytest.approx(math.exp(2 * r), abs=1e-11)
 
 
-def test_symplectic_eigenvalues_indefinite_fallback():
-    # not a physical CM; the general route must still return the moduli
-    bad = CovarianceMatrix(1, np.diag([1.0, -0.5]))
-    assert np.allclose(symplectic_eigenvalues(bad), [math.sqrt(0.5)], atol=1e-12)
+def test_indefinite_matrix_has_no_symplectic_spectrum(monkeypatch):
+    # Williamson's theorem needs a positive definite matrix: an indefinite
+    # one raises, alone and inside a stack, and no general eigensolver
+    # stands in for the Cholesky route
+    def no_general_route(matrix):
+        raise AssertionError("gaussian must not call np.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_general_route)
+    indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
+    stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
+    for bad in (np.diag([1.0, -0.5]), indefinite, stack):
+        with pytest.raises(ValueError, match="positive definite"):
+            symplectic_eigenvalues(CovarianceMatrix(bad.shape[-1] // 2, bad))
+    valid = np.delete(stack, 1, axis=0)
+    nu = symplectic_eigenvalues(CovarianceMatrix(2, valid))
+    for k, matrix in enumerate(valid):
+        assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(2, matrix)))
+    assert not re.search(r"\beigvals\b", inspect.getsource(gaussian))
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.5])
@@ -196,7 +212,7 @@ def test_log_negativity_vacuum_and_swap():
     assert log_negativity(vacuum_cm(2), part) == 0.0
     state = tmsv(0.8)
     assert log_negativity(state, part) == pytest.approx(
-        log_negativity(state, part.swapped()), abs=1e-10
+        log_negativity(state, ModePartition(part.side_b, part.side_a)), abs=1e-10
     )
 
 
@@ -281,24 +297,6 @@ def test_stacked_squeezer_matches_single_degrees():
         assert np.array_equal(stacked.data[k], two_mode_squeezer(0, 2, r, 3).data)
 
 
-def test_indefinite_matrix_in_a_stack_alone_takes_the_general_route(monkeypatch):
-    indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
-    stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
-    real_eigvals = np.linalg.eigvals
-    general = []
-
-    def counting_eigvals(matrix):
-        general.append(np.shape(matrix))
-        return real_eigvals(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    nu = symplectic_eigenvalues(CovarianceMatrix(2, stack))
-    # one 2-D general-route call, for the indefinite matrix only
-    assert general == [(4, 4)]
-    for k, matrix in enumerate(stack):
-        assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(2, matrix)))
-
-
 def test_stack_with_one_asymmetric_matrix_raises_its_own_error():
     bad = np.eye(2)
     bad[0, 1] = 1e-6
@@ -331,7 +329,9 @@ def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypat
 
     monkeypatch.setattr(CovarianceMatrix, "is_pure", no_purity_test)
     pure_route = log_negativity(flagged, part)
-    assert np.array_equal(pure_route, gaussian.reduced_log_negativity(reduce(flagged, {0})))
+    reduced = reduce(flagged, {0})
+    kernel = gaussian.spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
+    assert np.array_equal(pure_route, kernel)
     assert np.allclose(pure_route, [1.8, 0.1, 5.0], atol=1e-9)
     # the same pure matrices unflagged are refused, not measured another way
     with pytest.raises(ValueError, match="built pure"):

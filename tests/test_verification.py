@@ -160,12 +160,16 @@ def test_each_grid_point_is_computed_once(monkeypatch):
     counting(four_mode, "build_state")
     counting(four_mode, "spectral_forms")
     verification.run_all(GridConfig())
-    # 676 grid records, 3 off-grid records and 9 sampled reports; 6 grid
-    # blocks, 5 interior blocks, 1 threshold block and 27 sampled states;
-    # 6 grid blocks, 1 threshold block and 9 reports
-    assert calls["closed_forms"] <= 688
-    assert calls["build_state"] <= 39
-    assert calls["spectral_forms"] <= 16
+    # closed_forms: 676 grid points, 3 off-grid points (strong_monogamy's
+    # a=5 and shape's a=3 and a=6) and 9 sampled reports.  build_state: 6
+    # grid blocks of BLOCK_POINTS, 5 interior blocks, 1 threshold block, 27
+    # sampled states (9 each for gaussian_invariants, inseparability and
+    # report_consistency) and gaussian_invariants' stack of the 9 samples.
+    # spectral_forms: 6 grid blocks, 1 threshold block, 9 reports and that
+    # stack of the samples
+    assert calls["closed_forms"] <= 676 + 3 + 9
+    assert calls["build_state"] <= 6 + 5 + 1 + 27 + 1
+    assert calls["spectral_forms"] <= 6 + 1 + 9 + 1
 
 
 def test_closed_form_crash_stays_in_the_suites_that_read_records(monkeypatch):
@@ -204,3 +208,14 @@ def test_state_crash_stays_in_the_suites_that_read_block_states(monkeypatch):
     assert counts == {
         name: (1, 1) if name in crashed else (n, 0) for name, n in DEFAULT_COUNTS.items()
     }
+
+
+def test_record_fault_that_only_the_record_check_sees(monkeypatch):
+    # the pair-block value read off the {3,4} reduction in place of {1,2}:
+    # on the default grid the two sides agree far inside interpair_agreement's
+    # 1e-8, but log_negativity reduces {1,2}|{3,4} to {1,2}, and
+    # gaussian_invariants compares the record with it bit for bit
+    monkeypatch.setattr(four_mode, "_TWO_MODE_SIDES", [[2, 3]] + four_mode._TWO_MODE_SIDES[1:])
+    counts = _counts(verification.run_all(GridConfig()))
+    assert counts.pop("gaussian_invariants")[1] > 0
+    assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "gaussian_invariants"}
