@@ -181,24 +181,39 @@ def test_symplectic_eigenvalues_of_partial_transpose():
     assert nu[1] == pytest.approx(math.exp(2 * r), abs=1e-11)
 
 
-def test_indefinite_matrix_has_no_symplectic_spectrum(monkeypatch):
-    # Williamson's theorem needs a positive definite matrix: an indefinite
-    # one raises, alone and inside a stack, and no general eigensolver
-    # stands in for the Cholesky route
+def _forbid_general_eigensolver(monkeypatch):
     def no_general_route(matrix):
         raise AssertionError("gaussian must not call np.linalg.eigvals")
 
     monkeypatch.setattr(np.linalg, "eigvals", no_general_route)
-    indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
-    stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
-    for bad in (np.diag([1.0, -0.5]), indefinite, stack):
+
+
+def test_symplectic_eigenvalues_indefinite_fallback(monkeypatch):
+    # the name is kept from when an eigvals fallback took indefinite
+    # matrices; Williamson's theorem needs a positive definite matrix, so an
+    # indefinite one now raises, and no general eigensolver stands in for the
+    # Cholesky route
+    _forbid_general_eigensolver(monkeypatch)
+    for bad in (np.diag([1.0, -0.5]), np.diag([1.0, 3.0, -0.5, 2.0])):
         with pytest.raises(ValueError, match="positive definite"):
             symplectic_eigenvalues(CovarianceMatrix(bad.shape[-1] // 2, bad))
+    assert not re.search(r"\beigvals\b", inspect.getsource(gaussian))
+
+
+def test_indefinite_matrix_in_a_stack_alone_takes_the_general_route(monkeypatch):
+    # the name is kept from when the general route took the indefinite matrix
+    # of a stack alone; there is no general route now: one indefinite matrix
+    # makes the whole stack raise, and the valid matrices of that stack still
+    # equal their single-matrix spectra
+    _forbid_general_eigensolver(monkeypatch)
+    indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
+    stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
+    with pytest.raises(ValueError, match="positive definite"):
+        symplectic_eigenvalues(CovarianceMatrix(2, stack))
     valid = np.delete(stack, 1, axis=0)
     nu = symplectic_eigenvalues(CovarianceMatrix(2, valid))
     for k, matrix in enumerate(valid):
         assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(2, matrix)))
-    assert not re.search(r"\beigvals\b", inspect.getsource(gaussian))
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.5])
