@@ -73,39 +73,31 @@ def _transform_entries(a: float, s: float) -> list[float]:
     ]
 
 
-def build_state(params: SqueezingParams | Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
-    """Covariance matrix of gamma(a, s); rejects negative squeezing degrees.
+def build_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
+    """Stack of the covariance matrices gamma(a, s) of a sequence of points, in order.
 
-    A sequence of points gives the stack of their matrices, in order.
-    The transform S is written out from math.cosh and math.sinh of a and
-    s, the libm values two_mode_squeezer uses, so it equals
-    two_mode_squeezer(2, 3, a) @ two_mode_squeezer(0, 1, a) @
-    two_mode_squeezer(1, 2, s) bit for bit.  S is checked once, as one
-    SymplecticTransform, and acts on the cached vacuum.
+    The transform S of each point is written out from math.cosh and
+    math.sinh of a and s, the libm values two_mode_squeezer uses, so it
+    equals two_mode_squeezer(2, 3, a) @ two_mode_squeezer(0, 1, a) @
+    two_mode_squeezer(1, 2, s) bit for bit.  The stack of transforms is
+    checked once, as one SymplecticTransform, and acts on the cached
+    vacuum.
     """
-    if isinstance(params, SqueezingParams):
-        data = np.array(_transform_entries(params.a, params.s)).reshape(8, 8)
-    else:
-        data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
+    data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
     return gaussian.apply(gaussian.SymplecticTransform(4, data), gaussian.vacuum_cm(4))
 
 
-def bounding_tripartite_state(
-    params: SqueezingParams | Sequence[SqueezingParams],
-) -> gaussian.CovarianceMatrix:
-    """Pure three-mode state that majorizes the 1, 2, 3 reduction.
+def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
+    """Stack of the pure three-mode states that majorize the 1, 2, 3 reductions of the points.
 
-    Built from a pair squeezer of degree a on modes 1, 2 followed by an
-    interpair squeezer of degree t = contangle.bounding_squeezing_degree
-    on modes 2, 3, acting on vacuum.  The defining property, checked in
-    the test suite, is that reduce(state, {1,2,3}) - sigma_p is positive
-    semidefinite for the matching four-mode state.  A sequence of points
-    gives the stack of their states, in order.
+    Each is built from a pair squeezer of degree a on modes 1, 2 followed
+    by an interpair squeezer of degree t =
+    contangle.bounding_squeezing_degree on modes 2, 3, acting on vacuum.
+    The defining property, checked in the test suite and by verify, is
+    that reduce(state, {1,2,3}) - sigma_p is positive semidefinite for
+    the matching four-mode state.
     """
-    if isinstance(params, SqueezingParams):
-        a, t = params.a, contangle.bounding_squeezing_degree(params)
-    else:
-        a, t = [p.a for p in params], [contangle.bounding_squeezing_degree(p) for p in params]
+    a, t = [p.a for p in params], [contangle.bounding_squeezing_degree(p) for p in params]
     transform = gaussian.compose(
         gaussian.two_mode_squeezer(0, 1, a, 3),
         gaussian.two_mode_squeezer(1, 2, t, 3),
@@ -137,7 +129,7 @@ class SpectralForms(NamedTuple):
     """The spectral side of every cross-check, for one state or a stack of them."""
 
     probe_ln: np.ndarray  # across each probe cut, probes 1..4 along a new last axis
-    pairblock_ln: np.ndarray | float  # across {1,2}|{3,4}, as gaussian.log_negativity takes it
+    pairblock_ln: np.ndarray  # across {1,2}|{3,4}, as gaussian.log_negativity takes it
     pair_nu_min: np.ndarray  # smallest PT symplectic eigenvalue, pairs in contangle.PAIRS order
 
 
@@ -235,5 +227,5 @@ def full_inseparability_check(params: SqueezingParams) -> bool:
     the first cut that carries none; holds exactly when both squeezing
     degrees are strictly positive.
     """
-    state = build_state(params)
-    return all(gaussian.log_negativity(state, cut) > WITNESS_TOL for cut in GLOBAL_CUTS)
+    state = build_state([params])
+    return all(gaussian.log_negativity(state, cut)[0] > WITNESS_TOL for cut in GLOBAL_CUTS)

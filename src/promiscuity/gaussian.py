@@ -12,9 +12,10 @@ Conventions
 * Logarithmic negativity uses the natural logarithm, so a two-mode
   squeezed vacuum with squeezing r has log-negativity exactly 2r.
 * Matrices may be stacked along leading axes.  Every function acts on
-  the trailing two axes and gives one value per matrix: a Python scalar
-  for a single 2-D matrix, an array for a stack.  Each matrix of a
-  stack is computed exactly as it would be alone.
+  the trailing two axes and gives one numpy value per matrix, shaped
+  like the leading axes; a single 2-D matrix is a stack with no leading
+  axes.  Each matrix of a stack is computed exactly as it would be
+  alone.
 
 All mode indices in this module are 0-based.
 """
@@ -47,11 +48,6 @@ def _check_defect(defect: np.ndarray, tol: float, message: str) -> None:
     bad = defect > tol
     if bad.any():
         raise ValueError(f"{message} {defect[bad].flat[0]:.3e}")
-
-
-def unstack(values: np.ndarray):
-    """Per-matrix values as a Python scalar for one matrix, as-is for a stack."""
-    return values.item() if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return 2 * self.n_modes
 
-    def spectral_noise_floor(self):
+    def spectral_noise_floor(self) -> np.ndarray:
         """Resolution limit of float64 spectral predicates on this matrix.
 
         Backward-stable dense eigensolvers place eigenvalues to within
@@ -104,9 +100,9 @@ class CovarianceMatrix:
         worst sampled case, which pins the true spectrum two decades below
         the float64 result.
         """
-        return unstack(2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1)))
+        return 2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1))
 
-    def is_pure(self):
+    def is_pure(self) -> np.ndarray:
         """Numerical purity check: every symplectic eigenvalue within max(PHYSICALITY_TOL, noise floor) of 1.
 
         A check only; no route reads it (see the `pure` field).  At deep
@@ -115,7 +111,7 @@ class CovarianceMatrix:
         """
         band = np.maximum(PHYSICALITY_TOL, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
-        return unstack(deviation <= band)
+        return deviation <= band
 
 
 @dataclass(frozen=True)
@@ -358,7 +354,7 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
     return np.sort(nu, axis=-1)
 
 
-def spectrum_log_negativity(nu: np.ndarray, floor):
+def spectrum_log_negativity(nu: np.ndarray, floor) -> np.ndarray:
     """Log-negativity of a pure state across a cut, from the reduced spectrum of one side.
 
     sum(arccosh nu_k) along the last axis, per matrix of a stack: nu is
@@ -371,17 +367,16 @@ def spectrum_log_negativity(nu: np.ndarray, floor):
     # reduced block's own spectral resolution of 1 count as exactly 1;
     # genuine squeezing above that floor stays resolvable
     nu = np.where(nu <= 1.0 + np.expand_dims(floor, -1), 1.0, nu)
-    return unstack(np.arccosh(nu).sum(axis=-1))
+    return np.arccosh(nu).sum(axis=-1)
 
 
-def log_negativity(sigma: CovarianceMatrix, partition: ModePartition):
+def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
     """Logarithmic negativity of a state built pure across a partition, in natural-log units.
 
     -sum(ln nu_k) over the partially transposed symplectic eigenvalues
     below 1.  Symmetric under swapping the two sides in exact arithmetic;
     in float64 a cut whose sides are of one size is taken on side_a, so
-    swapping them can move the value by rounding.  A float for one
-    matrix, an array for a stack.
+    swapping them can move the value by rounding.
 
     The state's Schmidt form is a tensor product of two-mode squeezed
     pairs across the cut, so the partially transposed spectrum is

@@ -87,14 +87,27 @@ class Grid:
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     """Squeezer product, purity, involution, mode exchange, and the spectral record.
 
-    The spectral_forms record of the stack of the samples must equal, bit
-    for bit, what the general routes give on that stack.
+    Each check is taken once on the stack of the samples and read per
+    sample.  The spectral_forms record of that stack must equal, bit for
+    bit, what the general routes give on it.
     """
     result = SuiteResult("gaussian_invariants")
     probe = four_mode.GLOBAL_CUTS[0]
+    states = four_mode.build_state(grid.samples)
+    # the written-out transform of build_state against the product of its
+    # three squeezers, S_34(a) S_12(a) S_23(s), byte for byte
+    a, s = [params.a for params in grid.samples], [params.s for params in grid.samples]
+    product = gaussian.compose(
+        gaussian.two_mode_squeezer(2, 3, a, 4),
+        gaussian.two_mode_squeezer(0, 1, a, 4),
+        gaussian.two_mode_squeezer(1, 2, s, 4),
+    )
+    reference = gaussian.apply(product, gaussian.vacuum_cm(4)).data
+    pure = states.is_pure().tolist()
+    double_pt = gaussian.partial_transpose(gaussian.partial_transpose(states, probe), probe).data
+    swap = gaussian.permute_modes(states, (3, 2, 1, 0)).data
     # the general routes: log_negativity on the probe cuts and {1,2}|{3,4},
     # and each pair's partial transpose
-    states = four_mode.build_state(grid.samples)
     record = four_mode.spectral_forms(states)
     ln = np.stack([gaussian.log_negativity(states, cut) for cut in four_mode.GLOBAL_CUTS[:5]], axis=-1)
     pair_cuts = [gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1})) for i, j in contangle.PAIRS]
@@ -106,33 +119,22 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
         (record.probe_ln == ln[:, :4]).all(axis=-1)
         & (record.pairblock_ln == ln[:, 4])
         & (record.pair_nu_min == nu_min).all(axis=-1)
-    )
-    for params, matches in zip(grid.samples, record_ok.tolist()):
-        state = four_mode.build_state(params)
+    ).tolist()
+    for k, params in enumerate(grid.samples):
+        state = states.data[k]
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        # the written-out transform of build_state against the product of
-        # its three squeezers, S_34(a) S_12(a) S_23(s), byte for byte
-        product = gaussian.compose(
-            gaussian.two_mode_squeezer(2, 3, params.a, 4),
-            gaussian.two_mode_squeezer(0, 1, params.a, 4),
-            gaussian.two_mode_squeezer(1, 2, params.s, 4),
-        )
         result.check(
-            state.data.tobytes() == gaussian.apply(product, gaussian.vacuum_cm(4)).data.tobytes(),
+            state.tobytes() == reference[k].tobytes(),
             f"state differs from the squeezer product at {point}",
         )
-        result.check(state.is_pure(), f"purity lost at {point}")
-        double_pt = gaussian.partial_transpose(
-            gaussian.partial_transpose(state, probe), probe
-        )
+        result.check(pure[k], f"purity lost at {point}")
         result.check(
-            float(np.abs(double_pt.data - state.data).max()) == 0.0,
+            float(np.abs(double_pt[k] - state).max()) == 0.0,
             f"partial transpose not involutive at {point}",
         )
-        result.check(matches, f"spectral record differs from the general routes at {point}")
-        swap = gaussian.permute_modes(state, (3, 2, 1, 0))
+        result.check(record_ok[k], f"spectral record differs from the general routes at {point}")
         result.check(
-            float(np.abs(swap.data - state.data).max()) <= 1e-9,
+            float(np.abs(swap[k] - state).max()) <= 1e-9,
             f"mode-exchange symmetry broken at {point}",
         )
     return result

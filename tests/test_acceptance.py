@@ -62,7 +62,7 @@ def test_acceptance_02_interpair_block():
     start = time.perf_counter()
     for a, s in points:
         params = contangle.SqueezingParams(a, s)
-        spectral = gaussian.log_negativity(four_mode.build_state(params), pairblock)
+        spectral = gaussian.log_negativity(four_mode.build_state([params]), pairblock)[0]
         if abs(spectral * spectral - 4.0 * s * s) > 1e-8:
             failures.append(f"off 4s^2 by > 1e-8 at a={a} s={s}")
     elapsed = time.perf_counter() - start
@@ -120,7 +120,7 @@ def test_acceptance_05_pair_separability():
     for a in GRID:
         for s in GRID:
             params = contangle.SqueezingParams(a, s)
-            nu_min = four_mode.spectral_forms(four_mode.build_state(params)).pair_nu_min
+            nu_min = four_mode.spectral_forms(four_mode.build_state([params])).pair_nu_min[0]
             verdicts = dict(zip(contangle.PAIRS, four_mode.ppt_separable(nu_min).tolist()))
             threshold = contangle.separability_threshold(s)
             for pair in always_separable:
@@ -134,7 +134,7 @@ def test_acceptance_05_pair_separability():
         if s == 0.0:
             continue
         at = contangle.SqueezingParams(contangle.separability_threshold(s), s)
-        reduced = gaussian.reduce(four_mode.build_state(at), [1, 2])
+        reduced = gaussian.reduce(four_mode.build_state([at]), [1, 2])
         nu_min = float(
             gaussian.symplectic_eigenvalues(
                 gaussian.partial_transpose(
@@ -153,8 +153,8 @@ def test_acceptance_06_bounding_state_positivity():
     for a in axis:
         for s in axis:
             params = contangle.SqueezingParams(float(a), float(s))
-            reduced = gaussian.reduce(four_mode.build_state(params), [0, 1, 2])
-            bounding = four_mode.bounding_tripartite_state(params)
+            reduced = gaussian.reduce(four_mode.build_state([params]), [0, 1, 2])
+            bounding = four_mode.bounding_tripartite_state([params])
             min_eig = float(np.linalg.eigvalsh(reduced.data - bounding.data).min())
             if min_eig < -1e-8:
                 failures.append(f"min eigenvalue {min_eig:.3e} at a={a:.3f} s={s:.3f}")
@@ -228,12 +228,12 @@ def _spectral_tripartite_bound(a: float, s: float) -> float:
     # 3|12 in place of the g[m^2] closed forms, less the pair contangles
     # tau_12 and tau_23
     params = contangle.SqueezingParams(a, s)
-    sigma_p = four_mode.bounding_tripartite_state(params)
+    sigma_p = four_mode.bounding_tripartite_state([params])
     cut_1 = gaussian.ModePartition(frozenset({0}), frozenset({1, 2}))
     cut_3 = gaussian.ModePartition(frozenset({2}), frozenset({0, 1}))
     tau = contangle.closed_forms(params).pairwise_contangle
-    term1 = gaussian.log_negativity(sigma_p, cut_1) ** 2 - tau[(1, 2)]
-    term2 = gaussian.log_negativity(sigma_p, cut_3) ** 2 - tau[(2, 3)]
+    term1 = gaussian.log_negativity(sigma_p, cut_1).item() ** 2 - tau[(1, 2)]
+    term2 = gaussian.log_negativity(sigma_p, cut_3).item() ** 2 - tau[(2, 3)]
     return max(0.0, min(term1, term2))
 
 

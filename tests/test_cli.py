@@ -363,11 +363,19 @@ def test_verify_cli_reports_failure_exit(monkeypatch):
         return dataclasses.replace(forms, tripartite_bound=forms.tripartite_bound + 1e-3)
 
     monkeypatch.setattr(contangle, "closed_forms", raised_bound)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(["verify", "--grid-density", "5"])
-    assert code == 1
-    assert "FAIL" in buf.getvalue()
+    failed = [r for r in verification.run_all(GridConfig(density=5)) if r.failures]
+    assert any(len(r.failures) > 1 for r in failed)
+    # one first failure per failing suite; every failure under --verbose
+    for flags, expected in (
+        ([], [f"  first failure: {r.failures[0]}" for r in failed]),
+        (["--verbose"], [f"  {failure}" for r in failed for failure in r.failures]),
+    ):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["verify", "--grid-density", "5", *flags])
+        assert code == 1
+        assert "FAIL" in buf.getvalue()
+        assert [line for line in buf.getvalue().splitlines() if line.startswith("  ")] == expected
 
 
 def test_verify_rejects_degenerate_a_axis(run_cli, tmp_path):

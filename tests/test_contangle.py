@@ -118,13 +118,13 @@ def test_one_vs_rest_contangle_spectral_cross_check():
     from promiscuity import four_mode
 
     params = SqueezingParams(0.9, 1.3)
-    state = four_mode.build_state(params)
+    state = four_mode.build_state([params])
     closed = closed_forms(params).one_vs_rest_contangle
     for probe in (1, 2, 3, 4):
         part = gaussian.ModePartition(
             frozenset({probe - 1}), frozenset({0, 1, 2, 3}) - {probe - 1}
         )
-        spectral = gaussian.log_negativity(state, part) ** 2
+        spectral = gaussian.log_negativity(state, part)[0] ** 2
         assert closed[probe] == pytest.approx(spectral, abs=1e-9)
 
 
@@ -184,7 +184,7 @@ def test_tripartite_bound_rises_to_an_interior_peak():
 
 
 def test_bounding_state_is_physical_three_mode_pure():
-    sigma_p = bounding_tripartite_state(SqueezingParams(1.5, 1.0))
+    sigma_p = bounding_tripartite_state([SqueezingParams(1.5, 1.0)])
     assert sigma_p.n_modes == 3
     assert gaussian.symplectic_eigenvalues(sigma_p).min() >= 1 - 1e-9
     assert sigma_p.is_pure()
@@ -195,18 +195,18 @@ def test_bounding_state_majorized_by_reduction():
 
     for a, s in [(0.5, 0.5), (1.5, 1.0), (2.0, 2.0)]:
         params = SqueezingParams(a, s)
-        reduced = gaussian.reduce(four_mode.build_state(params), {0, 1, 2})
-        diff = reduced.data - bounding_tripartite_state(params).data
+        reduced = gaussian.reduce(four_mode.build_state([params]), {0, 1, 2})
+        diff = reduced.data - bounding_tripartite_state([params]).data
         assert float(np.linalg.eigvalsh(diff).min()) >= -1e-8
 
 
 def test_bounding_state_probe_three_matches_closed_form():
     a, s = 1.2, 0.8
-    sigma_p = bounding_tripartite_state(SqueezingParams(a, s))
+    sigma_p = bounding_tripartite_state([SqueezingParams(a, s)])
     ratio = (math.tanh(s) / math.cosh(a)) ** 2
     m3_closed = (1 + ratio) / (1 - ratio)
     reduced = gaussian.reduce(sigma_p, {2})
-    m3_spectral = math.sqrt(float(np.linalg.det(reduced.data)))
+    m3_spectral = math.sqrt(float(np.linalg.det(reduced.data[0])))
     assert m3_spectral == pytest.approx(m3_closed, abs=1e-10)
 
 

@@ -25,20 +25,20 @@ PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 
 
 def test_build_state_basics():
-    state = build_state(SqueezingParams(1.5, 1.0))
+    state = build_state([SqueezingParams(1.5, 1.0)])
     assert state.n_modes == 4
     assert gaussian.symplectic_eigenvalues(state).min() >= 1 - 1e-9
     assert state.is_pure()
 
 
 def test_build_state_vacuum_limit():
-    assert np.array_equal(build_state(SqueezingParams(0.0, 0.0)).data, np.eye(8))
+    assert np.array_equal(build_state([SqueezingParams(0.0, 0.0)]).data[0], np.eye(8))
 
 
 def test_build_state_factorizes_without_middle_squeezer():
     # s = 0 leaves two independent two-mode squeezed pairs
     a = 0.9
-    state = build_state(SqueezingParams(a, 0.0))
+    state = build_state([SqueezingParams(a, 0.0)])
     pair = gaussian.apply(
         gaussian.two_mode_squeezer(0, 1, a, 2), gaussian.vacuum_cm(2)
     ).data
@@ -46,20 +46,20 @@ def test_build_state_factorizes_without_middle_squeezer():
     for mi, mj in [(0, 1), (2, 3)]:
         block = [mi, mj, mi + 4, mj + 4]
         expected[np.ix_(block, block)] = pair
-    assert np.allclose(state.data, expected, atol=1e-13)
+    assert np.allclose(state.data[0], expected, atol=1e-13)
 
 
 def test_build_state_swap_symmetry():
     # simultaneous exchange 1 <-> 4, 2 <-> 3 leaves the state invariant
-    state = build_state(SqueezingParams(1.1, 0.7))
+    state = build_state([SqueezingParams(1.1, 0.7)])
     swapped = gaussian.permute_modes(state, [3, 2, 1, 0])
     assert np.allclose(state.data, swapped.data, atol=1e-12)
 
 
 def test_pair_ppt_separable_follows_closed_rules():
     params = SqueezingParams(0.5, 1.0)
-    state = build_state(params)
-    verdicts = dict(zip(contangle.PAIRS, ppt_separable(spectral_forms(state).pair_nu_min).tolist()))
+    state = build_state([params])
+    verdicts = dict(zip(contangle.PAIRS, ppt_separable(spectral_forms(state).pair_nu_min[0]).tolist()))
     assert not verdicts[(1, 2)]
     assert not verdicts[(3, 4)]
     for i, j in [(1, 3), (1, 4), (2, 4)]:
@@ -67,7 +67,7 @@ def test_pair_ppt_separable_follows_closed_rules():
     # below threshold 0.788 the middle pair is still entangled
     assert not verdicts[(2, 3)]
     middle = contangle.PAIRS.index((2, 3))
-    assert ppt_separable(spectral_forms(build_state(SqueezingParams(1.0, 1.0))).pair_nu_min[middle])
+    assert ppt_separable(spectral_forms(build_state([SqueezingParams(1.0, 1.0)])).pair_nu_min[0, middle])
 
 
 def test_full_report_benchmark_numbers():
@@ -147,6 +147,10 @@ def test_full_inseparability_check_walks_the_global_cuts(monkeypatch, point, cut
 # the (1, 2) nu_min rounds to 1, so the FAINT_TAU skip decides the verdict
 @example(a=1e-10, s=0.0)
 @example(a=1.4e-45, s=0.0)
+# a faint middle squeezer below the pair threshold: the closed m_23 rounds
+# to 1, so tau_23 = 0, while the (2, 3) nu_min = 1 - 2e-9 lies past
+# SEPARABILITY_TOL, so the PPT_MARGIN skip decides the verdict
+@example(a=0.0, s=1e-9)
 def test_reports_are_consistent_on_random_draws(a, s):
     report = full_report(SqueezingParams(a, s))
     assert report.consistent
@@ -194,7 +198,8 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
     points = _seeded_points()
     stacked = _spectral_quantities(build_state(points))
     of_one = [_spectral_quantities(build_state([p])) for p in points]
-    single = [_spectral_quantities(build_state(p)) for p in points]
+    # one 2-D matrix, row 0 of a stack of one, through the trailing-axes rule
+    single = [_spectral_quantities(gaussian.CovarianceMatrix(4, build_state([p]).data[0], pure=True)) for p in points]
     assert not stacked["pure"].all() and stacked["pure"].any()
     for name, values in stacked.items():
         assert values.shape[0] == len(points)
@@ -204,7 +209,6 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
     bounds = bounding_tripartite_state(interior).data
     for k, p in enumerate(interior):
         assert np.array_equal(bounds[k], bounding_tripartite_state([p]).data[0])
-        assert np.array_equal(bounds[k], bounding_tripartite_state(p).data)
 
 
 def _reference_report(params: SqueezingParams) -> EntanglementReport:
@@ -306,7 +310,7 @@ def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
 
 
 def test_spectral_forms_refuse_a_state_not_built_pure():
-    state = build_state(SqueezingParams(0.4, 0.3))
+    state = build_state([SqueezingParams(0.4, 0.3)])
     with pytest.raises(ValueError, match="built pure"):
         spectral_forms(gaussian.CovarianceMatrix(4, state.data))
 
@@ -321,7 +325,7 @@ def _squeezer_product(a, s) -> gaussian.SymplecticTransform:
 
 def test_build_state_writes_out_the_squeezer_product_exactly(monkeypatch):
     grid, size = verification.Grid(GridConfig()).points, verification.BLOCK_POINTS
-    cases = [SqueezingParams(a, s) for a, s in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.5, 2.5))]
+    cases = [[SqueezingParams(a, s)] for a, s in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.5, 2.5))]
     cases += [grid[k : k + size] for k in range(0, len(grid), size)]
     transforms = []
     apply = gaussian.apply
@@ -333,11 +337,7 @@ def test_build_state_writes_out_the_squeezer_product_exactly(monkeypatch):
     monkeypatch.setattr(gaussian, "apply", recording)
     for params in cases:
         state = build_state(params)
-        if isinstance(params, SqueezingParams):
-            a, s = params.a, params.s
-        else:
-            a, s = [p.a for p in params], [p.s for p in params]
-        product = _squeezer_product(a, s)
+        product = _squeezer_product([p.a for p in params], [p.s for p in params])
         assert np.array_equal(transforms[-1].data, product.data)
         expected = apply(product, gaussian.vacuum_cm(4)).data
         assert state.data.shape == expected.shape
@@ -358,7 +358,7 @@ def _count_validations(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize(
-    "params", [SqueezingParams(1.5, 1.0), [SqueezingParams(1.5, 1.0), SqueezingParams(0.5, 2.0)]]
+    "params", [[SqueezingParams(1.5, 1.0)], [SqueezingParams(1.5, 1.0), SqueezingParams(0.5, 2.0)]]
 )
 def test_build_state_checks_one_transform(monkeypatch, params):
     gaussian.vacuum_cm(4)

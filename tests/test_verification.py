@@ -91,8 +91,10 @@ RECORD_SUITES = {
 
 @pytest.mark.parametrize(
     "field, report_red",
-    # nu_min moved by 1e-6 toward 1 stays inside PPT_MARGIN, where a report
-    # skips the verdict; the threshold nu_min check of verify still sees it
+    # scaling nu_min by 1 + 1e-6 flips no verdict at the density-6 samples,
+    # where every entangled pair's nu_min is at most 0.098 and every
+    # separable pair's at least 1 - 1.1e-16, which the scaling lifts above
+    # 1; the threshold nu_min check of verify still sees it
     [("probe_ln", True), ("pairblock_ln", True), ("pair_nu_min", False)],
 )
 def test_spectral_record_fault_turns_spectral_suites_red(monkeypatch, field, report_red):
@@ -130,6 +132,24 @@ DEFAULT_COUNTS = {
     "nongaussianity": 73,
     "squashed": 30,
 }
+# and on the 61x61 grid, which holds the one faint middle-pair verdict that
+# verify scores and a report skips: tau_23 = 5.7e-7, below FAINT_TAU, at
+# a=0.875 s=2.375
+DENSE_COUNTS = {
+    "gaussian_invariants": 45,
+    "one_vs_rest_agreement": 14884,
+    "interpair_agreement": 3721,
+    "pair_separability": 22385,
+    "monogamy": 7442,
+    "strong_monogamy": 11164,
+    "bounding_state": 3600,
+    "shape": 7382,
+    "inseparability": 9,
+    "report_consistency": 18,
+    "qudit_tangles": 43,
+    "nongaussianity": 73,
+    "squashed": 30,
+}
 # an interior point of the default grid that is not one of the 3x3 samples
 FAULT_POINT = contangle.SqueezingParams(0.5, 1.0)
 
@@ -139,9 +159,8 @@ def _counts(results):
 
 
 def test_default_grid_suite_counts():
-    assert _counts(verification.run_all(GridConfig())) == {
-        name: (n, 0) for name, n in DEFAULT_COUNTS.items()
-    }
+    for cfg, counts in ((GridConfig(), DEFAULT_COUNTS), (GridConfig(density=61), DENSE_COUNTS)):
+        assert _counts(verification.run_all(cfg)) == {name: (n, 0) for name, n in counts.items()}
 
 
 def test_each_grid_point_is_computed_once(monkeypatch):
@@ -162,13 +181,12 @@ def test_each_grid_point_is_computed_once(monkeypatch):
     verification.run_all(GridConfig())
     # closed_forms: 676 grid points, 3 off-grid points (strong_monogamy's
     # a=5 and shape's a=3 and a=6) and 9 sampled reports.  build_state: 6
-    # grid blocks of BLOCK_POINTS, 5 interior blocks, 1 threshold block, 27
-    # sampled states (9 each for gaussian_invariants, inseparability and
-    # report_consistency) and gaussian_invariants' stack of the 9 samples.
-    # spectral_forms: 6 grid blocks, 1 threshold block, 9 reports and that
-    # stack of the samples
+    # grid blocks of BLOCK_POINTS, 5 interior blocks, 1 threshold block, 9
+    # inseparability samples, 9 reports and gaussian_invariants' one stack
+    # of the 9 samples.  spectral_forms: 6 grid blocks, 1 threshold block,
+    # 9 reports and that stack of the samples
     assert calls["closed_forms"] <= 676 + 3 + 9
-    assert calls["build_state"] <= 6 + 5 + 1 + 27 + 1
+    assert calls["build_state"] <= 6 + 5 + 1 + 9 + 9 + 1
     assert calls["spectral_forms"] <= 6 + 1 + 9 + 1
 
 
@@ -198,7 +216,7 @@ def test_state_crash_stays_in_the_suites_that_read_block_states(monkeypatch):
     real = four_mode.build_state
 
     def raising(params):
-        if isinstance(params, list) and FAULT_POINT in params:
+        if FAULT_POINT in params:
             raise ValueError("injected state fault")
         return real(params)
 
@@ -219,3 +237,18 @@ def test_record_fault_that_only_the_record_check_sees(monkeypatch):
     counts = _counts(verification.run_all(GridConfig()))
     assert counts.pop("gaussian_invariants")[1] > 0
     assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "gaussian_invariants"}
+
+
+def test_transform_fault_turns_gaussian_invariants_red(monkeypatch):
+    # build_state's written-out S with a and s swapped: it is still a pure,
+    # mode-exchange symmetric state, so only the squeezer-product check
+    # sees it, at every sample off the diagonal a = s
+    real = four_mode._transform_entries
+    monkeypatch.setattr(four_mode, "_transform_entries", lambda a, s: real(s, a))
+    grid = verification.Grid(GridConfig())
+    result = verification.suite_gaussian_invariants(grid)
+    assert result.checks == DEFAULT_COUNTS["gaussian_invariants"]
+    assert result.failures == [
+        f"state differs from the squeezer product at a={p.a:.6g} s={p.s:.6g}" for p in grid.samples if p.a != p.s
+    ]
+    assert len(result.failures) == 6
