@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,6 +203,32 @@ def test_sweep_equals_point_by_point_reference(tmp_path, cfg):
     out_file = tmp_path / "sweep.csv"
     assert cli.main(["fourmode", "sweep", "--out", str(out_file), "--config", str(grid)]) == 0
     assert out_file.read_bytes() == _reference_sweep(cfg).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (None, "9ec180b81e50e5625fb99049fba0ffbbf76b67354fcd61edf4a8c6f10979b773"),
+        ("a_max = 7.0\ns_max = 7.0\ngrid_density = 57\n",
+         "25959cda0b47195ffa4aeb46e6ff36b0ef0764cc85901e62ca7db878e41e01a4"),
+        ("a_max = 1e-4\ns_max = 5e-8\ngrid_density = 21\n",
+         "12fc654643fcf334960b1a0fc508d4d0189354b17beeb7c24a9aa4d07d17df42"),
+    ],
+    ids=["default_201", "wide_57", "faint_21"],
+)
+def test_sweep_bytes_are_pinned(tmp_path, config, digest):
+    # The sweep and closed_forms share one kernel, so only a recorded digest
+    # catches a bit change in it.  These are the bytes before the flat kernel;
+    # ROADMAP item 6 (scale-aware faint-entanglement forms) re-records them on purpose.
+    out_file = tmp_path / "sweep.csv"
+    argv = ["fourmode", "sweep", "--out", str(out_file)]
+    if config is None:
+        argv += ["--steps", "201"]
+    else:
+        (tmp_path / "grid.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "grid.cfg")]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flag", ["--a-max", "--s-max"])
