@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from pathlib import Path
 
 from . import contangle
 from .config import GridConfig, load_config
@@ -55,17 +53,16 @@ def _text(value) -> str:
     return str(value)
 
 
+# the monogamy_ok and strong_monogamy_ok cells of a sweep line
+_FLAG_CELLS = {
+    (mono, strong): f"{_text(mono)},{_text(strong)}" for mono in (False, True) for strong in (False, True)
+}
+
+
 def _json_ready(value):
     if isinstance(value, bool) or not isinstance(value, float):
         return value
     return _round12(value)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_bytes(text.encode("ascii"))
 
 
 def _closed_form_columns(forms: contangle.ClosedForms) -> dict:
@@ -98,6 +95,8 @@ def _format_table(row: dict, style: str) -> str:
         header = ",".join(row)
         values = ",".join(_text(value) for value in row.values())
         return f"{header}\n{values}\n"
+    import json  # only a rendered report needs it, so sweep, --help and argument errors skip it
+
     payload = {name: _json_ready(value) for name, value in row.items()}
     return json.dumps(payload, indent=2) + "\n"
 
@@ -133,7 +132,7 @@ def cmd_fourmode_report(args, parser) -> int:
         "consistent": report.consistent,
         "max_route_deviation": report.max_route_deviation,
     }
-    _emit(_format_table(row, args.format), None)
+    sys.stdout.write(_format_table(row, args.format))
     if not row["consistent"]:
         print("error: closed-form and spectral routes disagree", file=sys.stderr)
         return 1
@@ -157,20 +156,25 @@ def cmd_fourmode_sweep(args, parser) -> int:
         return terms, _text(s), _text(terms.tau_pairblock)
 
     tau_14 = _text(contangle.SEPARABLE_CONTANGLE)
-    lines = [",".join(SWEEP_FIELDS)]
+    # each row is encoded as soon as it is done, so its per-point lines are freed row by row
+    rows = [(",".join(SWEEP_FIELDS) + "\n").encode("ascii")]
     try:
         for a in cfg.a_values():
             s = s_values[0]
             row = contangle.a_terms(a)
-            a_cell, tau_12 = _text(a), _text(row.tau_pair)
+            # the a, tau_12 and tau_14 cells are fixed along a row
+            template = f"{_text(a)},%s,{_text(row.tau_pair)},%.12g,{tau_14},%s,%.12g,%.12g,%.12g,%s\n"
+            lines = []
             for s in s_values:
                 terms, s_cell, tau_pairblock = column(s)
                 tau_1_rest, _, tau_23, _, _, res, bound, mono, strong = contangle.point_forms(row, terms)
-                lines.append(f"{a_cell},{s_cell},{tau_12},{tau_23:.12g},{tau_14},{tau_pairblock},"
-                             f"{tau_1_rest:.12g},{res:.12g},{bound:.12g},{_text(mono)},{_text(strong)}")
+                lines.append(template % (s_cell, tau_23, tau_pairblock, tau_1_rest, res, bound,
+                                         _FLAG_CELLS[mono, strong]))
+            rows.append("".join(lines).encode("ascii"))
     except OverflowError as exc:
         raise _overflow_at(exc, a, s) from None
-    _emit("\n".join(lines) + "\n", args.out)
+    with open(args.out, "wb") as out:  # opened only once every point has succeeded
+        out.writelines(rows)
     return 0
 
 
@@ -196,7 +200,7 @@ def cmd_qudit_report(args, parser) -> int:
         "squashed_pairwise_form": bounds.pairwise_form,
         "squashed_pairwise_witness": bounds.pairwise_witness,
     }
-    _emit(_format_table(row, args.format), None)
+    sys.stdout.write(_format_table(row, args.format))
     return 0
 
 

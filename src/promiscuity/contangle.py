@@ -84,12 +84,13 @@ def g_function(x: float) -> float:
     one-mode blocks dip below 1 only by float noise); anything lower is
     rejected as unphysical; a non-finite one is an overflow upstream.
     """
+    if 1.0 <= x < math.inf:  # the common case first; NaN and ±inf fall through to isfinite
+        return math.asinh(math.sqrt(x - 1.0)) ** 2
     if not math.isfinite(x):
         raise OverflowError("g_function argument must be finite")
     if x < 1.0 - M_CLAMP_TOL:
         raise ValueError(f"g_function argument must be >= 1, got {x}")
-    # max(x, 1.0), spelled out: the builtin costs more than the rest of g
-    return math.asinh(math.sqrt((1.0 if x < 1.0 else x) - 1.0)) ** 2
+    return 0.0  # x in the clamp band counts as 1, and g[1] is +0.0
 
 
 def separability_threshold(s: float) -> float:
@@ -129,13 +130,6 @@ def _m_23(at: ATerms, st: STerms) -> float:
     return _clamp_m(num / (4.0 * (at.cosh_sq + math.exp(2 * st.s) * at.sinh_sq)))
 
 
-def _m_rest(at: ATerms, st: STerms, probe: int) -> float:
-    # sqrt-det of the probe's one-mode reduction; probes 1, 4 are the outer modes, 2, 3 the middle
-    if probe in (1, 4):
-        return at.cosh_sq + st.cosh_2s * at.sinh_sq
-    return at.sinh_sq + st.cosh_2s * at.cosh_sq
-
-
 def _bound_m_3_vs_12(a: float, s: float, cosh_a: float, tanh_s: float) -> float:
     ratio = (tanh_s / cosh_a) ** 2
     if ratio == 1.0:
@@ -158,25 +152,34 @@ def point_forms(at: ATerms, st: STerms) -> tuple:
     """(tau_1_rest, tau_2_rest, tau_23, then the ClosedForms fields from
     probe1_slack on) at the point (at.a, st.s), from the terms of its axes.
 
-    The evaluation order fixes which error a point outside the float64
-    domain raises first.
+    Every report, sweep and verify point runs through here, so the body is
+    flat: the one-mode m of the outer probes (1, 4) and the middle ones
+    (2, 3) are written out, and at or above the separability threshold,
+    where m_23 = 1, tau_23 is g[1] = 0 without a call.  The common path
+    calls only g_function and _bound_m_3_vs_12, which
+    bounding_squeezing_degree shares.  The evaluation order still fixes
+    which error a point outside the float64 domain raises first.
     """
-    a, s, tau_12 = at.a, st.s, at.tau_pair
-    m = _m_rest(at, st, 1)
+    a, cosh_a, cosh_sq, sinh_sq, tau_12 = at
+    s, cosh_2s, _, _, tanh_s, threshold, _ = st
+    m = cosh_sq + cosh_2s * sinh_sq
     tau_1_rest = g_function(m * m)
     probe1 = tau_1_rest - tau_12
     if probe1 < -MONOGAMY_TOL:
         raise ArithmeticError(f"residual contangle {probe1} below tolerance at a={a}, s={s}")
-    m_3 = _bound_m_3_vs_12(a, s, at.cosh, st.tanh)
-    m_1 = at.cosh_sq + m_3 * at.sinh_sq
+    m_3 = _bound_m_3_vs_12(a, s, cosh_a, tanh_s)
+    m_1 = cosh_sq + m_3 * sinh_sq
     term1 = g_function(m_1 ** 2) - tau_12
-    m = 1.0 if a >= st.threshold else _m_23(at, st)
-    tau_23 = g_function(m * m)
+    if a >= threshold:
+        tau_23 = 0.0
+    else:
+        m = _m_23(at, st)
+        tau_23 = g_function(m * m)
     # min and max spelled out, picking the operand the builtins pick
     term3 = g_function(m_3 ** 2) - tau_23
     bound = term3 if term3 < term1 else term1
     bound = bound if bound > 0.0 else 0.0
-    m = _m_rest(at, st, 2)
+    m = sinh_sq + cosh_2s * cosh_sq
     tau_2_rest = g_function(m * m)
     slack = tau_2_rest - tau_12 - tau_23
     slack = slack if slack < probe1 else probe1

@@ -49,7 +49,9 @@ def test_g_function_anchors():
 
 
 def test_g_function_clamp_band():
-    assert g_function(1.0 - 5e-10) == 0.0
+    clamped = g_function(1.0 - 5e-10)
+    # +0.0, not -0.0, which the CSV would print as -0
+    assert clamped == 0.0 and math.copysign(1.0, clamped) == 1.0
     with pytest.raises(ValueError):
         g_function(1.0 - 1e-6)
     with pytest.raises(ValueError):
@@ -57,6 +59,9 @@ def test_g_function_clamp_band():
     # a non-finite argument is an overflow upstream, not a bad argument
     with pytest.raises(OverflowError, match="finite"):
         g_function(math.inf)
+    # NaN fails the fast path's range test and still ends in the finite check
+    with pytest.raises(OverflowError, match="finite"):
+        g_function(math.nan)
 
 
 def test_separability_threshold_value():
@@ -319,4 +324,4 @@ def test_threshold_splits_middle_pair(s):
     entangled = closed_forms(SqueezingParams(max(0.0, thr - 0.05), s)).pairwise_contangle[(2, 3)]
     separable = closed_forms(SqueezingParams(thr + 0.05, s)).pairwise_contangle[(2, 3)]
     assert entangled > 0.0
-    assert separable == 0.0
+    assert separable == 0.0 and math.copysign(1.0, separable) == 1.0
