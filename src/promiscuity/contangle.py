@@ -153,16 +153,16 @@ def point_forms(at: ATerms, st: STerms) -> tuple:
     probe1_slack on) at the point (at.a, st.s), from the terms of its axes.
 
     Every report, sweep and verify point runs through here, so the body is
-    flat: the one-mode m of the outer probes (1, 4) and the middle ones
-    (2, 3) are written out, and at or above the separability threshold,
-    where m_23 = 1, tau_23 is g[1] = 0 without a call.  The common path
-    calls only g_function and _bound_m_3_vs_12, which
-    bounding_squeezing_degree shares.  The evaluation order still fixes
-    which error a point outside the float64 domain raises first.
+    flat: the probes' one-mode m are written out, and at or above the
+    separability threshold, where m_23 = 1, tau_23 is g[1] = +0.0 without
+    a call.  The common path calls no helper but g_function and
+    _bound_m_3_vs_12, which bounding_squeezing_degree shares.  The
+    evaluation order still fixes which error a point outside the float64
+    domain raises first.
     """
     a, cosh_a, cosh_sq, sinh_sq, tau_12 = at
     s, cosh_2s, _, _, tanh_s, threshold, _ = st
-    m = cosh_sq + cosh_2s * sinh_sq
+    m = cosh_sq + cosh_2s * sinh_sq  # sqrt-det of the one-mode reduction of outer probes 1, 4
     tau_1_rest = g_function(m * m)
     probe1 = tau_1_rest - tau_12
     if probe1 < -MONOGAMY_TOL:
@@ -179,7 +179,7 @@ def point_forms(at: ATerms, st: STerms) -> tuple:
     term3 = g_function(m_3 ** 2) - tau_23
     bound = term3 if term3 < term1 else term1
     bound = bound if bound > 0.0 else 0.0
-    m = sinh_sq + cosh_2s * cosh_sq
+    m = sinh_sq + cosh_2s * cosh_sq  # and of the middle probes 2, 3
     tau_2_rest = g_function(m * m)
     slack = tau_2_rest - tau_12 - tau_23
     slack = slack if slack < probe1 else probe1
