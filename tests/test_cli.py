@@ -231,6 +231,27 @@ def test_sweep_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+REPORT_POINTS = [("0", "0"), ("1.5", "1"), ("0.5", "0.25"), ("2.5", "2.5"), ("2.4", "2.3"),
+                 ("0.0625", "7.4375"), ("-0", "1e-9")]
+
+
+def test_report_bytes_are_pinned(capsys):
+    # One digest over the argv, exit code and stdout of 22 report requests, so a
+    # byte change in either report shows in tier-1.  ROADMAP items 1 (spectra from
+    # the symplectic factor), 6 (closed forms without cancellation) and 7 (faint
+    # entanglement from the correlation block) re-record it on purpose.
+    requests = [["fourmode", "report", "--a", a, "--s", s, "--format", fmt]
+                for a, s in REPORT_POINTS for fmt in ("json", "csv")]
+    requests += [["qudit", "report", "--d", d, "--format", fmt]
+                 for d in ("4", "8", "36", "1456") for fmt in ("json", "csv")]
+    digest = hashlib.sha256()
+    for argv in requests:
+        rc = cli.main(argv)
+        assert rc == 0
+        digest.update(f"{' '.join(argv)}\n{rc}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "866bed8d058bcf2eb2998bcffbc76f0c4a35a62d00b5b55f77e4212f7d7a9d7a"
+
+
 @pytest.mark.parametrize("flag", ["--a-max", "--s-max"])
 def test_sweep_rejects_infinite_bound(run_cli, tmp_path, flag):
     # inf * 0 would otherwise name a point at a = nan that nobody asked for
