@@ -9,8 +9,11 @@ verify            run every property suite and report counts
 
 All numeric output is rendered with 12 significant digits and newline
 "\n" line endings, so identical inputs produce byte-identical output.
-Exit codes: 0 success, 1 internal inconsistency or failed verification,
-2 bad arguments.
+Exit codes: 0 success, 1 internal inconsistency, failed verification or
+a numeric failure at a valid input, 2 bad arguments.  Each argument rule
+lives in the type that owns it and raises ValueError there, so a
+ValueError that reaches main always means a broken rule; one raised while
+a report or sweep computes is a numeric failure at that point.
 
 Only the closed forms and the grid config load with this module; each
 handler imports the spectral layers it needs, so `fourmode sweep`,
@@ -101,31 +104,22 @@ def _format_table(row: dict, style: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _overflow_at(exc: OverflowError, a: float, s: float) -> OverflowError:
-    return OverflowError(f"float64 overflow ({exc}) at a={a}, s={s}")
+def _failed_at(exc: ValueError, a: float, s: float) -> ArithmeticError:
+    # a valid point where float64 gives out is a numeric failure (exit 1), not a bad argument
+    if isinstance(exc, OverflowError):
+        return OverflowError(f"float64 overflow ({exc}) at a={a}, s={s}")
+    return ArithmeticError(f"{exc} at a={a}, s={s}")
 
 
-def _nonnegative(label: str):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{label} must be a number, got {text!r}")
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"{label} must be non-negative, got {text}")
-        return value + 0.0  # -0.0 becomes 0.0, so -0 and 0 print the same bytes
+def cmd_fourmode_report(args) -> int:
+    # -0.0 + 0.0 is 0.0, so -0 and 0 print the same bytes
+    params = contangle.SqueezingParams(args.a + 0.0, args.s + 0.0)
+    from . import four_mode  # after the argument check, so a bad argument loads no numpy
 
-    return parse
-
-
-def cmd_fourmode_report(args, parser) -> int:
-    from . import four_mode
-
-    params = contangle.SqueezingParams(args.a, args.s)
     try:
         report = four_mode.full_report(params)
-    except OverflowError as exc:
-        raise _overflow_at(exc, params.a, params.s) from None
+    except (OverflowError, ValueError) as exc:
+        raise _failed_at(exc, params.a, params.s) from None
     row = {
         **_closed_form_columns(report),
         "near_threshold": report.near_threshold,
@@ -139,15 +133,16 @@ def cmd_fourmode_report(args, parser) -> int:
     return 0
 
 
-def cmd_fourmode_sweep(args, parser) -> int:
-    if args.steps < 2:
-        parser.error(f"--steps must be >= 2, got {args.steps}")
-    cfg = GridConfig(
-        a_min=args.a_min, a_max=args.a_max, s_min=args.s_min, s_max=args.s_max,
-        density=args.steps,
-    )
+def _grid(args, **flags) -> GridConfig:
+    # the flags, overridden by the config file, checked once as one grid
     if args.config:
-        cfg = load_config(args.config, base=cfg)
+        flags.update(load_config(args.config))
+    return GridConfig(**flags)
+
+
+def cmd_fourmode_sweep(args) -> int:
+    cfg = _grid(args, a_min=args.a_min, a_max=args.a_max, s_min=args.s_min, s_max=args.s_max,
+                density=args.steps)
     s_values = cfg.s_values()
 
     @functools.cache  # on first use, so an s past float64 fails at its own first point
@@ -171,14 +166,14 @@ def cmd_fourmode_sweep(args, parser) -> int:
                 lines.append(template % (s_cell, tau_23, tau_pairblock, tau_1_rest, res, bound,
                                          _FLAG_CELLS[mono, strong]))
             rows.append("".join(lines).encode("ascii"))
-    except OverflowError as exc:
-        raise _overflow_at(exc, a, s) from None
+    except (OverflowError, ValueError) as exc:
+        raise _failed_at(exc, a, s) from None
     with open(args.out, "wb") as out:  # opened only once every point has succeeded
         out.writelines(rows)
     return 0
 
 
-def cmd_qudit_report(args, parser) -> int:
+def cmd_qudit_report(args) -> int:
     from . import qudit
 
     report = qudit.tangle_report(args.d)
@@ -204,15 +199,10 @@ def cmd_qudit_report(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     from . import verification
 
-    cfg = GridConfig(density=args.grid_density)
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
-    if cfg.a_min == cfg.a_max:  # the shape suite compares neighbouring a values
-        parser.error(f"verify needs a_min < a_max, got a_min = a_max = {cfg.a_min}")
-    results = verification.run_all(cfg)
+    results = verification.run_all(_grid(args, density=args.grid_density))
     failed = False
     for result in results:
         status = "ok" if result.ok else "FAIL"
@@ -242,16 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = fourmode.add_subparsers(dest="subcommand", required=True)
 
     report = fsub.add_parser("report", help="entanglement report at one (a, s) point")
-    report.add_argument("--a", type=_nonnegative("a"), required=True, help="pair squeezing degree")
-    report.add_argument("--s", type=_nonnegative("s"), required=True, help="interpair squeezing degree")
+    report.add_argument("--a", type=float, required=True, help="pair squeezing degree")
+    report.add_argument("--s", type=float, required=True, help="interpair squeezing degree")
     report.add_argument("--format", choices=("json", "csv"), default="json")
     report.set_defaults(handler=cmd_fourmode_report)
 
     sweep = fsub.add_parser("sweep", help="grid sweep written to a CSV file")
-    sweep.add_argument("--a-min", type=_nonnegative("a-min"), default=0.0)
-    sweep.add_argument("--a-max", type=_nonnegative("a-max"), default=2.5)
-    sweep.add_argument("--s-min", type=_nonnegative("s-min"), default=0.0)
-    sweep.add_argument("--s-max", type=_nonnegative("s-max"), default=2.5)
+    sweep.add_argument("--a-min", type=float, default=0.0)
+    sweep.add_argument("--a-max", type=float, default=2.5)
+    sweep.add_argument("--s-min", type=float, default=0.0)
+    sweep.add_argument("--s-max", type=float, default=2.5)
     sweep.add_argument("--steps", type=int, default=26, help="grid points per axis (>= 2)")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--config", help="key = value file overriding grid settings")
@@ -275,10 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "grid_density", None) is not None and args.grid_density < 2:
-        parser.error(f"--grid-density must be >= 2, got {args.grid_density}")
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
     except (ArithmeticError, OSError) as exc:

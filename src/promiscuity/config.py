@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 DEFAULT_GRID_DENSITY = 26
@@ -20,14 +20,10 @@ class GridConfig:
     density: int = DEFAULT_GRID_DENSITY
 
     def __post_init__(self) -> None:
-        if self.density < 2:
-            raise ValueError(f"grid density must be >= 2, got {self.density}")
-        for key in _FLOAT_KEYS:
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"grid bound {key} must be finite, got {value}")
-        if not (0 <= self.a_min <= self.a_max and 0 <= self.s_min <= self.s_max):
-            raise ValueError("grid ranges must satisfy 0 <= min <= max")
+        for field in fields(self):
+            _check_setting(field.name, getattr(self, field.name))
+        if not (self.a_min <= self.a_max and self.s_min <= self.s_max):
+            raise ValueError(f"grid ranges must satisfy min <= max, got {self}")
 
     def a_values(self) -> list[float]:
         return _axis(self.a_min, self.a_max, self.density)
@@ -36,27 +32,38 @@ class GridConfig:
         return _axis(self.s_min, self.s_max, self.density)
 
 
+def _check_setting(name: str, value) -> None:
+    """Check one grid setting against its own rule: density >= 2, bounds finite and >= 0."""
+    if name == "density":
+        if value < 2:
+            raise ValueError(f"grid density must be >= 2, got {value}")
+    elif not math.isfinite(value):
+        raise ValueError(f"grid bound {name} must be finite, got {value}")
+    elif value < 0:
+        raise ValueError(f"grid bound {name} must be non-negative, got {value}")
+
+
 def _axis(lo: float, hi: float, density: int) -> list[float]:
     step = (hi - lo) / (density - 1)
     return [lo + k * step for k in range(density)]
 
 
 _FLOAT_KEYS = ("a_min", "a_max", "s_min", "s_max")
-_INT_KEYS = ("grid_density",)
 
 
-def load_config(path: str | Path, base: GridConfig | None = None) -> GridConfig:
-    """Apply `key = value` overrides from a config file to a GridConfig.
+def load_config(path: str | Path) -> dict:
+    """The GridConfig fields that a `key = value` config file sets.
 
     Recognized keys: grid_density, a_min, a_max, s_min, s_max.  Blank
-    lines and '#' comments are ignored; an unreadable file, unknown keys
-    or unparseable values raise ValueError.
+    lines and '#' comments are ignored.  Each value is checked against its
+    own rule; min <= max is left to the GridConfig of the merged settings.
+    An unreadable file, unknown keys or broken values raise ValueError.
     """
-    cfg = base if base is not None else GridConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,11 +73,13 @@ def load_config(path: str | Path, base: GridConfig | None = None) -> GridConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         try:
             if key in _FLOAT_KEYS:
-                cfg = replace(cfg, **{key: float(value)})
-            elif key in _INT_KEYS:
-                cfg = replace(cfg, density=int(value))
+                name, number = key, float(value)
+            elif key == "grid_density":
+                name, number = "density", int(value)
             else:
                 raise ValueError(f"unknown config key {key!r}")
+            _check_setting(name, number)
+            settings[name] = number
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return cfg
+    return settings

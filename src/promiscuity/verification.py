@@ -374,8 +374,11 @@ def run_all(cfg: GridConfig) -> list[SuiteResult]:
 
     Corruption severe enough to crash a suite (e.g. a hard monogamy
     violation) must still surface as a countable failure, not as a
-    traceback that aborts the whole battery.
+    traceback that aborts the whole battery.  A grid with a_min = a_max
+    raises ValueError, since the shape suite compares neighbouring a values.
     """
+    if cfg.a_min == cfg.a_max:
+        raise ValueError(f"verify needs a_min < a_max, got a_min = a_max = {cfg.a_min}")
     grid = Grid(cfg)
     results = []
     for suite in SUITES:

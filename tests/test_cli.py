@@ -78,12 +78,12 @@ def test_report_beyond_float64_range_is_one_stderr_line(run_cli):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "a=1000" in err and "s=0" in err
-    # the symplectic check overflows: usage and error lines only, exit 2
-    code, _, err = run_cli("fourmode", "report", "--a", "400", "--s", "1")
-    assert code == 2
+    # the symplectic check overflows at a valid point: one error line naming it, exit 1
+    code, out, err = run_cli("fourmode", "report", "--a", "400", "--s", "1")
+    assert code == 1 and out == ""
     assert "RuntimeWarning" not in err
-    assert len(err.splitlines()) == 2
-    assert "not symplectic" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "not symplectic" in err and "a=400.0, s=1.0" in err
 
 
 @pytest.mark.parametrize("a, s", [(4.0, 1.5), (0.0, 5.5), (4.8, 1.0), (2.8, 3.0)])
@@ -107,10 +107,32 @@ def test_report_where_only_the_lone_middle_squeezer_fails_the_symplectic_check(c
 
 @pytest.mark.parametrize("a, s", [("3", "5"), ("0", "8"), ("400", "1")])
 def test_report_refuses_a_transform_that_is_not_symplectic(capsys, a, s):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["fourmode", "report", "--a", a, "--s", s])
-    assert exit_info.value.code == 2
-    assert "not symplectic" in capsys.readouterr().err
+    # a valid point where float64 loses the symplectic check is a failure (1), not a bad argument
+    assert cli.main(["fourmode", "report", "--a", a, "--s", s]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "not symplectic" in lines[0] and f"at a={float(a)}, s={float(s)}" in lines[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_inconsistent_report_prints_the_report_and_exits_one(capsys, monkeypatch, fmt):
+    # forge a disagreement: every route deviation exceeds a negative tolerance
+    from promiscuity import four_mode
+
+    monkeypatch.setattr(four_mode, "ROUTE_TOL", -1.0)
+    assert cli.main(["fourmode", "report", "--a", "1.5", "--s", "1", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    if fmt == "json":
+        payload = json.loads(captured.out)
+    else:
+        header, row = captured.out.splitlines()
+        assert header == REPORT_HEADER
+        payload = dict(zip(header.split(","), row.split(",")))
+    assert list(payload) == REPORT_HEADER.split(",")
+    assert payload["consistent"] in (False, "false")
+    assert captured.err == "error: closed-form and spectral routes disagree\n"
 
 
 def test_report_rejects_unknown_flag(run_cli):
@@ -267,7 +289,7 @@ def test_sweep_rejects_single_step(run_cli, tmp_path):
         "fourmode", "sweep", "--steps", "1", "--out", str(tmp_path / "x.csv")
     )
     assert code == 2
-    assert "steps" in err
+    assert "grid density must be >= 2, got 1" in err
 
 
 def test_sweep_columns_match_report_columns(run_cli, tmp_path):
@@ -447,20 +469,94 @@ def test_verify_rejects_infinite_config_bound(run_cli, tmp_path):
     assert err.splitlines()[-1].endswith("grid.cfg:1: grid bound a_max must be finite, got inf")
 
 
+def _main_exit_code(argv) -> int:
+    # cli.main returns its exit code, or argparse exits with it
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SWEEP = ["fourmode", "sweep", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, fragment",
+    [
+        # a valid point where float64 fails the symplectic check: a numeric failure
+        (["fourmode", "report", "--a", "3", "--s", "5"], None, 1, "not symplectic: defect 2.438e-10 at a=3.0, s=5.0"),
+        (["fourmode", "report", "--a", "0", "--s", "8"], None, 1, "not symplectic: defect 1.837e-10 at a=0.0, s=8.0"),
+        (["fourmode", "report", "--a", "5", "--s", "6"], None, 1, "not symplectic: defect 3.997e-08 at a=5.0, s=6.0"),
+        (["fourmode", "report", "--a", "400", "--s", "1"], None, 1, "not symplectic: defect inf at a=400.0, s=1.0"),
+        (["fourmode", "report", "--a", "710", "--s", "0"], None, 1, "not symplectic: defect inf at a=710.0, s=0.0"),
+        # the config file overrides the flags, and the merged grid is checked once
+        ([*SWEEP, "--steps", "1", "--config", "{cfg}"], "grid_density = 3\n", 0, ""),
+        ([*SWEEP, "--config", "{cfg}"], "a_min = 3\na_max = 5\n", 0, ""),
+        ([*SWEEP, "--a-min", "3", "--config", "{cfg}"], "a_max = 5\n", 0, ""),
+        # broken rules: bad arguments
+        (["fourmode", "report", "--a", "nan", "--s", "1"], None, 2, "squeezing degree a must be a finite number"),
+        (["fourmode", "report", "--a", "inf", "--s", "1"], None, 2, "squeezing degree a must be a finite number"),
+        (["fourmode", "report", "--a", "-1", "--s", "1"], None, 2, "must be non-negative"),
+        ([*SWEEP, "--steps", "1"], None, 2, "must be >= 2, got 1"),
+        (["verify", "--grid-density", "1"], None, 2, "must be >= 2, got 1"),
+        ([*SWEEP, "--config", "{cfg}"], "a_max = inf\n", 2, "grid.cfg:1: grid bound a_max must be finite"),
+        ([*SWEEP, "--config", "{cfg}"], "a_max = -1\n", 2, "grid.cfg:1: grid bound a_max must be non-negative"),
+        ([*SWEEP, "--config", "{cfg}"], "a_min = 5\na_max = 3\n", 2, "min <= max"),
+        (["verify", "--config", "{cfg}"], "a_min = 1\na_max = 1\n", 2, "a_min = a_max = 1.0"),
+    ],
+    ids=[
+        "symplectic_3_5", "symplectic_0_8", "symplectic_5_6", "symplectic_400_1", "symplectic_710_0",
+        "file_density_over_steps", "file_lines_in_any_order", "flag_and_file_bounds",
+        "a_nan", "a_inf", "a_negative", "single_step", "single_grid_point", "file_bound_inf",
+        "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis",
+    ],
+)
+def test_exit_codes(capsys, tmp_path, argv, config, code, fragment):
+    # 0 ok, 1 a failure at a valid input (one error line), 2 a broken argument rule
+    if config is not None:
+        (tmp_path / "grid.cfg").write_text(config)
+    argv = [arg.format(out=tmp_path / "sweep.csv", cfg=tmp_path / "grid.cfg") for arg in argv]
+    assert _main_exit_code(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    elif code == 1:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert fragment in captured.err
+
+
+def test_config_lines_apply_in_any_order(tmp_path):
+    # the file's settings are merged before the grid is checked, so line order is moot
+    outputs = []
+    for order, text in enumerate(("a_min = 3\na_max = 5\n", "a_max = 5\na_min = 3\n")):
+        (tmp_path / "grid.cfg").write_text(text)
+        out_file = tmp_path / f"sweep{order}.csv"
+        assert cli.main(["fourmode", "sweep", "--out", str(out_file), "--config", str(tmp_path / "grid.cfg")]) == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].startswith(b"3,0,")
+
+
 def test_load_config_round_trip(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("grid_density = 11\ns_min = 0.5\ns_max = 1.5\n")
     loaded = load_config(cfg)
-    assert loaded.density == 11
-    assert loaded.s_values()[0] == 0.5
-    assert loaded.s_values()[-1] == 1.5
-    assert len(loaded.s_values()) == 11
+    # only the fields the file sets, keyed as GridConfig fields
+    assert loaded == {"density": 11, "s_min": 0.5, "s_max": 1.5}
+    grid = GridConfig(**loaded)
+    assert grid.s_values()[0] == 0.5
+    assert grid.s_values()[-1] == 1.5
+    assert len(grid.s_values()) == 11
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text("mystery = 3\n")
-    with pytest.raises(ValueError, match="mystery"):
+    cfg.write_text("a_max = 3\n")
+    assert load_config(cfg) == {"a_max": 3.0}
+    # a bad line refuses the whole file: no partial dict comes back
+    cfg.write_text("a_max = 3\nmystery = 3\n")
+    with pytest.raises(ValueError, match="grid.cfg:2: unknown config key 'mystery'"):
         load_config(cfg)
 
 
@@ -491,6 +587,7 @@ print(code, "numpy" in sys.modules, "json" in sys.modules, file=sys.stderr)
         (["fourmode", "report", "--a", "-1", "--s", "0"], 2, False),
         # control: the spectral route does load numpy, so the probe sees imports
         (["fourmode", "report", "--a", "1.5", "--s", "1"], 0, True),
+        (["fourmode", "report", "--a", "nan", "--s", "0"], 2, False),
     ],
 )
 def test_closed_form_paths_load_no_numpy(tmp_path, argv, code, loads_numpy):

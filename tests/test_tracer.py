@@ -19,6 +19,7 @@ OWNERS = (
 # a sample of what the tracer wraps: spans, counters and linalg calls
 WRAPPED = {
     ("promiscuity.cli", "main"),
+    ("promiscuity.config", "load_config"),
     ("promiscuity.gaussian", "symplectic_eigenvalues"),
     ("promiscuity.gaussian", "log_negativity"),
     ("promiscuity.four_mode", "build_state"),
