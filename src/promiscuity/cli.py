@@ -104,7 +104,7 @@ def _format_table(row: dict, style: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _failed_at(exc: ValueError, a: float, s: float) -> ArithmeticError:
+def _failed_at(exc: Exception, a: float, s: float) -> ArithmeticError:
     # a valid point where float64 gives out is a numeric failure (exit 1), not a bad argument
     if isinstance(exc, OverflowError):
         return OverflowError(f"float64 overflow ({exc}) at a={a}, s={s}")
