@@ -12,8 +12,9 @@ All numeric output is rendered with 12 significant digits and newline
 Exit codes: 0 success, 1 internal inconsistency, failed verification or
 a numeric failure at a valid input, 2 bad arguments.  Each argument rule
 lives in the type that owns it and raises ValueError there, so a
-ValueError that reaches main always means a broken rule; one raised while
-a report or sweep computes is a numeric failure at that point.
+ValueError that reaches main always means a broken rule, reported with
+the usage line of the subcommand that took the argument; one raised
+while a report or sweep computes is a numeric failure at that point.
 
 Only the closed forms and the grid config load with this module; each
 handler imports the spectral layers it needs, so `fourmode sweep`,
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--a", type=float, required=True, help="pair squeezing degree")
     report.add_argument("--s", type=float, required=True, help="interpair squeezing degree")
     report.add_argument("--format", choices=("json", "csv"), default="json")
-    report.set_defaults(handler=cmd_fourmode_report)
+    report.set_defaults(handler=cmd_fourmode_report, parser=report)
 
     sweep = fsub.add_parser("sweep", help="grid sweep written to a CSV file")
     sweep.add_argument("--a-min", type=float, default=0.0)
@@ -245,20 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=26, help="grid points per axis (>= 2)")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--config", help="key = value file overriding grid settings")
-    sweep.set_defaults(handler=cmd_fourmode_sweep)
+    sweep.set_defaults(handler=cmd_fourmode_sweep, parser=sweep)
 
     quditp = sub.add_parser("qudit", help="GHZ/W qudit family diagnostics")
     qsub = quditp.add_subparsers(dest="subcommand", required=True)
     qreport = qsub.add_parser("report", help="tangle and bound report for one d")
     qreport.add_argument("--d", type=int, required=True, help="family label (positive multiple of 4)")
     qreport.add_argument("--format", choices=("json", "csv"), default="json")
-    qreport.set_defaults(handler=cmd_qudit_report)
+    qreport.set_defaults(handler=cmd_qudit_report, parser=qreport)
 
     verify = sub.add_parser("verify", help="run every property suite")
     verify.add_argument("--grid-density", type=int, default=26, help="grid points per axis (>= 2)")
     verify.add_argument("--config", help="key = value file overriding grid settings")
     verify.add_argument("--verbose", action="store_true", help="print every failure, not just the first")
-    verify.set_defaults(handler=cmd_verify)
+    verify.set_defaults(handler=cmd_verify, parser=verify)
     return parser
 
 
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -117,7 +117,9 @@ GLOBAL_CUTS = tuple(
 # spectral_forms' stack of seven two-mode blocks: the {1,2} reduction as
 # it is, then each pair of contangle.PAIRS transposed across its two
 # modes; the +/-1 factors are read-only, so the stack is signed in one
-# product, no copy
+# product, no copy.  Each block of factors is an exactly symmetric outer
+# product of signs, so the signed stack is a view (gaussian._view) of
+# the validated state, like a partial transpose
 _TWO_MODE_SIDES = [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
 _TWO_MODE_SIGNS = np.concatenate(
     [np.ones((1, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
@@ -152,7 +154,7 @@ def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
         gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()
     )
     reduced = gaussian.reductions(state, _TWO_MODE_SIDES)
-    blocks = gaussian.CovarianceMatrix(2, reduced.data * _TWO_MODE_SIGNS)
+    blocks = gaussian._view(2, reduced.data * _TWO_MODE_SIGNS)
     nu = gaussian.symplectic_eigenvalues(blocks)
     floor = blocks.spectral_noise_floor()[..., 0]
     return SpectralForms(

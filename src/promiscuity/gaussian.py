@@ -16,6 +16,12 @@ Conventions
   like the leading axes; a single 2-D matrix is a stack with no leading
   axes.  Each matrix of a stack is computed exactly as it would be
   alone.
+* A covariance matrix is validated where its numbers are made: direct
+  construction, vacuum_cm and apply.  reduce, reductions,
+  partial_transpose and permute_modes only gather entries of a
+  validated matrix or flip their signs, so they return read-only views
+  that skip the check: each is exactly symmetric and finite, and equals
+  what the constructor would store from its data, bit for bit.
 
 All mode indices in this module are 0-based.
 """
@@ -56,7 +62,12 @@ class CovarianceMatrix:
 
     The constructor validates shape, finiteness and symmetry (within
     SYMMETRY_TOL, for every matrix of a stack) and stores an exactly
-    symmetrized copy.  Physicality is deliberately not enforced here:
+    symmetrized copy; input whose symmetrized copy would overflow is
+    refused as non-finite.  This is the module's one validation of
+    covariance entries: reduce, reductions, partial_transpose and
+    permute_modes gather or sign-flip entries of a validated matrix and
+    return unchecked read-only views (_view).
+    Physicality is deliberately not enforced here:
     partial transposition produces valid instances that violate the
     uncertainty bound, which is precisely the signal the entanglement
     tests read off.
@@ -77,12 +88,17 @@ class CovarianceMatrix:
         if self.n_modes < 1:
             raise ValueError("n_modes must be a positive integer")
         arr = _as_square_float_array(self.data, 2 * self.n_modes, "covariance matrix")
-        _check_defect(
-            np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)),
-            SYMMETRY_TOL,
-            "covariance matrix asymmetric beyond tolerance:",
-        )
-        arr = (arr + arr.swapaxes(-1, -2)) / 2.0
+        # entries past half the float64 range overflow the difference or the
+        # sum: no warning is printed, and the overflow ends in a ValueError
+        with np.errstate(over="ignore"):
+            _check_defect(
+                np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)),
+                SYMMETRY_TOL,
+                "covariance matrix asymmetric beyond tolerance:",
+            )
+            arr = (arr + arr.swapaxes(-1, -2)) / 2.0
+        if not np.isfinite(arr).all():
+            raise ValueError("covariance matrix contains non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -112,6 +128,19 @@ class CovarianceMatrix:
         band = np.maximum(PHYSICALITY_TOL, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
         return deviation <= band
+
+
+def _view(n_modes: int, data: np.ndarray, pure: bool = False) -> CovarianceMatrix:
+    # a CovarianceMatrix of entries gathered from a validated one, or of
+    # their signs flipped by an exactly symmetric +/-1 plan; data is then
+    # exactly symmetric and finite, so the (X + X^T)/2 that __post_init__
+    # would store equals it bit for bit, and the check is skipped
+    data.flags.writeable = False
+    view = object.__new__(CovarianceMatrix)
+    object.__setattr__(view, "n_modes", n_modes)
+    object.__setattr__(view, "data", data)
+    object.__setattr__(view, "pure", pure)
+    return view
 
 
 @dataclass(frozen=True)
@@ -259,18 +288,25 @@ def _gather_plan(n_modes: int, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
     return idx[..., :, None], idx[..., None, :]
 
 
-def _submatrix(sigma: CovarianceMatrix, modes: tuple) -> np.ndarray:
-    rows, cols = _gather_plan(sigma.n_modes, modes)
-    return sigma.data[..., rows, cols]
-
-
-def _kept_modes(sigma: CovarianceMatrix, modes: Iterable[int]) -> list[int]:
-    kept = sorted(set(modes))
+def _kept_modes(n_modes: int, modes: tuple) -> tuple:
+    kept = tuple(sorted(set(modes)))
     if not kept:
         raise ValueError("cannot reduce to an empty set of modes")
-    if kept[0] < 0 or kept[-1] >= sigma.n_modes:
-        raise ValueError(f"modes {kept} out of range for {sigma.n_modes}-mode state")
+    if kept[0] < 0 or kept[-1] >= n_modes:
+        raise ValueError(f"modes {list(kept)} out of range for {n_modes}-mode state")
     return kept
+
+
+@functools.cache
+def _reduction_plan(n_modes: int, subsets: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    # the kept mode count and the gather plan of the reductions of an
+    # N-mode matrix to `subsets`, a tuple of mode tuples: checked and
+    # built once per N and subsets.  A bad subset raises on every call,
+    # since the cache keeps no exceptions
+    kept = [_kept_modes(n_modes, modes) for modes in subsets]
+    if len({len(modes) for modes in kept}) != 1:
+        raise ValueError(f"reductions need mode subsets of one size, got {list(map(list, kept))}")
+    return (len(kept[0]), *_gather_plan(n_modes, tuple(kept)))
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
@@ -279,8 +315,8 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     Keeps the q and p rows/columns of the requested modes, preserving qqpp
     ordering; kept modes are reindexed 0..k-1 in ascending original order.
     """
-    kept = _kept_modes(sigma, modes)
-    return CovarianceMatrix(len(kept), _submatrix(sigma, tuple(kept)))
+    k, rows, cols = _reduction_plan(sigma.n_modes, (tuple(modes),))
+    return _view(k, sigma.data[..., rows[0], cols[0]])
 
 
 def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> CovarianceMatrix:
@@ -289,10 +325,8 @@ def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> Cov
     The reduction to the k-th subset sits at index k of a new axis just
     before the matrix axes, and equals what reduce gives for that subset.
     """
-    kept = [_kept_modes(sigma, modes) for modes in subsets]
-    if len({len(modes) for modes in kept}) != 1:
-        raise ValueError(f"reductions need mode subsets of one size, got {kept}")
-    return CovarianceMatrix(len(kept[0]), _submatrix(sigma, tuple(map(tuple, kept))))
+    k, rows, cols = _reduction_plan(sigma.n_modes, tuple(map(tuple, subsets)))
+    return _view(k, sigma.data[..., rows, cols])
 
 
 def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -306,7 +340,7 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     partition.validate_for(sigma)
     kept = sorted(partition.modes)
     sub = sigma if len(kept) == sigma.n_modes else reduce(sigma, kept)
-    return CovarianceMatrix(sub.n_modes, sub.data * transpose_signs(partition))
+    return _view(sub.n_modes, sub.data * transpose_signs(partition))
 
 
 @functools.cache
@@ -366,7 +400,7 @@ def spectrum_log_negativity(nu: np.ndarray, floor) -> np.ndarray:
     # directions would surface as sqrt(noise), so values within the
     # reduced block's own spectral resolution of 1 count as exactly 1;
     # genuine squeezing above that floor stays resolvable
-    nu = np.where(nu <= 1.0 + np.expand_dims(floor, -1), 1.0, nu)
+    nu = np.where(nu <= 1.0 + floor[..., None], 1.0, nu)
     return np.arccosh(nu).sum(axis=-1)
 
 
@@ -401,4 +435,5 @@ def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMa
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    return CovarianceMatrix(sigma.n_modes, _submatrix(sigma, tuple(perm)), pure=sigma.pure)
+    rows, cols = _gather_plan(sigma.n_modes, tuple(perm))
+    return _view(sigma.n_modes, sigma.data[..., rows, cols], pure=sigma.pure)

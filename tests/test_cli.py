@@ -504,12 +504,13 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
         ([*SWEEP, "--config", "{cfg}"], "a_max = -1\n", 2, "grid.cfg:1: grid bound a_max must be non-negative"),
         ([*SWEEP, "--config", "{cfg}"], "a_min = 5\na_max = 3\n", 2, "min <= max"),
         (["verify", "--config", "{cfg}"], "a_min = 1\na_max = 1\n", 2, "a_min = a_max = 1.0"),
+        (["qudit", "report", "--d", "5"], None, 2, "positive multiple of 4"),
     ],
     ids=[
         "symplectic_3_5", "symplectic_0_8", "symplectic_5_6", "symplectic_400_1", "symplectic_710_0",
         "file_density_over_steps", "file_lines_in_any_order", "flag_and_file_bounds",
         "a_nan", "a_inf", "a_negative", "single_step", "single_grid_point", "file_bound_inf",
-        "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis",
+        "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis", "qudit_d_5",
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, config, code, fragment):
@@ -525,6 +526,10 @@ def test_exit_codes(capsys, tmp_path, argv, config, code, fragment):
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert captured.err.endswith(f"at a={float(argv[3])}, s={float(argv[5])}\n")
+    else:
+        # the usage line of the subcommand that took the argument, not the top-level one
+        command = argv[:1] if argv[0] == "verify" else argv[:2]
+        assert captured.err.startswith(f"usage: promiscuity {' '.join(command)} [-h]")
     assert fragment in captured.err
 
 

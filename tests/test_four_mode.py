@@ -367,9 +367,52 @@ def test_build_state_checks_one_transform(monkeypatch, params):
     assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
 
 
-def test_full_report_makes_at_most_five_covariance_checks(monkeypatch):
+def test_full_report_validates_one_state_and_one_transform(monkeypatch):
+    # the reductions, partial transposes and signed blocks are views of the
+    # one validated state, so only build_state's transform and state are checked
     gaussian.vacuum_cm(4)
     counts = _count_validations(monkeypatch)
     assert full_report(SqueezingParams(1.5, 1.0)).consistent
-    assert counts["SymplecticTransform"] == 1
-    assert counts["CovarianceMatrix"] <= 5
+    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
+
+
+def test_verify_validates_39_covariance_matrices(monkeypatch):
+    # the cached vacua count once each, as in a fresh process
+    gaussian.vacuum_cm.cache_clear()
+    counts = _count_validations(monkeypatch)
+    results = verification.run_all(GridConfig())
+    assert all(result.ok for result in results)
+    assert counts["CovarianceMatrix"] == 39
+
+
+def test_views_equal_validated_matrices(monkeypatch):
+    points = [(0.0, 0.0), (0.0, 1.3), (1.0, 0.0), (4.75, 0.5), (2.5, 2.5)]
+    state = build_state([SqueezingParams(a, s) for a, s in points])
+    views = [
+        gaussian.reduce(state, [0, 2]),
+        gaussian.reduce(state, {3}),
+        gaussian.reductions(state, four_mode._TWO_MODE_SIDES),
+        gaussian.permute_modes(state, (3, 2, 1, 0)),
+        gaussian.partial_transpose(state, PAIR_CUT),
+    ]
+    views += [gaussian.partial_transpose(state, cut) for cut in GLOBAL_CUTS]
+    # spectral_forms' probe reductions and signed seven-block stack
+    spectrum = gaussian.symplectic_eigenvalues
+
+    def recording(sigma):
+        views.append(sigma)
+        return spectrum(sigma)
+
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", recording)
+    spectral_forms(state)
+    assert len(views) == 5 + len(GLOBAL_CUTS) + 2
+    assert views[-1].data.shape == (len(points), 7, 4, 4)
+    negative_zeros = 0
+    for view in views:
+        assert not view.data.flags.writeable
+        checked = gaussian.CovarianceMatrix(view.n_modes, view.data, pure=view.pure)
+        assert checked.data.shape == view.data.shape
+        assert checked.data.tobytes() == view.data.tobytes()
+        negative_zeros += np.count_nonzero((view.data == 0.0) & np.signbit(view.data))
+    # the a = 0 points put signed zeros in the views, which must survive as they are
+    assert negative_zeros > 0

@@ -27,6 +27,7 @@ WRAPPED = {
     ("promiscuity.contangle", "closed_forms"),
     ("promiscuity.verification", "SUITES"),
     ("CovarianceMatrix", "is_pure"),
+    ("CovarianceMatrix", "__post_init__"),
     ("SymplecticTransform", "__post_init__"),
     ("numpy.linalg", "cholesky"),
 }
