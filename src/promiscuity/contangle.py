@@ -80,17 +80,14 @@ STerms = namedtuple("STerms", "s cosh_2s sinh_2s cosh_sq tanh threshold tau_pair
 def g_function(x: float) -> float:
     """g[x] = arcsinh^2(sqrt(x - 1)); monotone, g[1] = 0.
 
-    Inputs in [1 - 1e-9, 1) are clamped to 1 (determinants of reduced
-    one-mode blocks dip below 1 only by float noise); anything lower is
+    Every caller passes m^2 with m >= 1, so an argument below 1 is
     rejected as unphysical; a non-finite one is an overflow upstream.
     """
     if 1.0 <= x < math.inf:  # the common case first; NaN and ±inf fall through to isfinite
         return math.asinh(math.sqrt(x - 1.0)) ** 2
     if not math.isfinite(x):
         raise OverflowError("g_function argument must be finite")
-    if x < 1.0 - M_CLAMP_TOL:
-        raise ValueError(f"g_function argument must be >= 1, got {x}")
-    return 0.0  # x in the clamp band counts as 1, and g[1] is +0.0
+    raise ValueError(f"g_function argument must be >= 1, got {x}")
 
 
 def separability_threshold(s: float) -> float:

@@ -106,23 +106,23 @@ def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.Cov
 
 
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
-_PROBE_SIDES = [[p - 1] for p in contangle.PROBES]
 # the seven bipartitions of the four modes: the probe cuts in the order of
 # contangle.PROBES, then {1,2}|{3,4}, {1,3}|{2,4} and {1,4}|{2,3}.  Each
 # side_a is the side log_negativity reduces its cut to
 GLOBAL_CUTS = tuple(
     gaussian.ModePartition(frozenset(side), frozenset(range(4)).difference(side))
-    for side in _PROBE_SIDES + [[0, 1], [0, 2], [0, 3]]
+    for side in [[p - 1] for p in contangle.PROBES] + [[0, 1], [0, 2], [0, 3]]
 )
-# spectral_forms' stack of seven two-mode blocks: the {1,2} reduction as
-# it is, then each pair of contangle.PAIRS transposed across its two
-# modes; the +/-1 factors are read-only, so the stack is signed in one
-# product, no copy.  Each block of factors is an exactly symmetric outer
-# product of signs, so the signed stack is a view (gaussian._view) of
-# the validated state, like a partial transpose
-_TWO_MODE_SIDES = [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+_PROBE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[:4]]
+# spectral_forms' stack of nine two-mode blocks: the side_a reductions of
+# the last three cuts as they are, then each pair of contangle.PAIRS
+# transposed across its two modes; the +/-1 factors are read-only, so the
+# stack is signed in one product, no copy.  Each block of factors is an
+# exactly symmetric outer product of signs, so the signed stack is a view
+# (gaussian._view) of the validated state, like a partial transpose
+_TWO_MODE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[4:]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
 _TWO_MODE_SIGNS = np.concatenate(
-    [np.ones((1, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
+    [np.ones((3, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
 )
 _TWO_MODE_SIGNS.flags.writeable = False
 
@@ -130,8 +130,7 @@ _TWO_MODE_SIGNS.flags.writeable = False
 class SpectralForms(NamedTuple):
     """The spectral side of every cross-check, for one state or a stack of them."""
 
-    probe_ln: np.ndarray  # across each probe cut, probes 1..4 along a new last axis
-    pairblock_ln: np.ndarray  # across {1,2}|{3,4}, as gaussian.log_negativity takes it
+    cut_ln: np.ndarray  # log-negativity across each cut, GLOBAL_CUTS along a new last axis
     pair_nu_min: np.ndarray  # smallest PT symplectic eigenvalue, pairs in contangle.PAIRS order
 
 
@@ -139,27 +138,26 @@ def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
     """The SpectralForms of a state built pure (build_state), from two spectrum calls.
 
     One call covers the four one-mode reductions, whose spectra give the
-    probe log-negativities, the other the stack of seven two-mode blocks:
-    the {1,2} reduction, whose spectrum gives the log-negativity across
-    {1,2}|{3,4}, then the six transposed pair blocks.  Each log-negativity
-    is the one gaussian.log_negativity gives for its cut of GLOBAL_CUTS;
-    verify's gaussian_invariants suite checks the record against that
-    route and each pair's partial transpose, bit for bit.  A state not
-    flagged pure raises ValueError, as in log_negativity.
+    probe log-negativities, the other the stack of nine two-mode blocks:
+    the {1,2}, {1,3} and {1,4} reductions, whose spectra give the
+    log-negativities across the last three cuts, then the six transposed
+    pair blocks.  Each log-negativity is the one gaussian.log_negativity
+    gives for its cut of GLOBAL_CUTS; verify's gaussian_invariants suite
+    checks the record against that route and each pair's partial
+    transpose, bit for bit.  A state not flagged pure raises ValueError,
+    as in log_negativity.
     """
     if not state.pure:
         raise ValueError("spectral forms need a state built pure (build_state)")
     probes = gaussian.reductions(state, _PROBE_SIDES)
-    probe_ln = gaussian.spectrum_log_negativity(
+    one_mode_ln = gaussian.spectrum_log_negativity(
         gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()
     )
     reduced = gaussian.reductions(state, _TWO_MODE_SIDES)
     blocks = gaussian._view(2, reduced.data * _TWO_MODE_SIGNS)
     nu = gaussian.symplectic_eigenvalues(blocks)
-    floor = blocks.spectral_noise_floor()[..., 0]
-    return SpectralForms(
-        probe_ln, gaussian.spectrum_log_negativity(nu[..., 0, :], floor), nu[..., 1:, :].min(axis=-1)
-    )
+    two_mode_ln = gaussian.spectrum_log_negativity(nu[..., :3, :], blocks.spectral_noise_floor()[..., :3])
+    return SpectralForms(np.concatenate([one_mode_ln, two_mode_ln], axis=-1), nu[..., 3:, :].min(axis=-1))
 
 
 def ppt_separable(nu_min):
@@ -169,6 +167,20 @@ def ppt_separable(nu_min):
     mode, as for the pairs.
     """
     return nu_min >= 1.0 - gaussian.SEPARABILITY_TOL
+
+
+def fully_inseparable(cut_ln):
+    """True iff every cut of GLOBAL_CUTS carries entanglement, from a SpectralForms.cut_ln, elementwise.
+
+    Each log-negativity is witnessed above WITNESS_TOL.  In exact terms
+    that holds iff both squeezing degrees are strictly positive, but the
+    record resolves less: spectrum_log_negativity reads a reduced
+    symplectic eigenvalue within the noise floor of 1 as exactly 1, so a
+    cut whose log-negativity is below about 1e-6 reads 0.  The verdict is
+    therefore False at faint points such as (a, s) = (1e-9, 0.5), whose
+    1|234 cut carries 2.3e-9, and (0.5, 3e-8), whose 12|34 cut carries 6e-8.
+    """
+    return (cut_ln > WITNESS_TOL).all(axis=-1)
 
 
 def near_threshold(params: SqueezingParams) -> bool:
@@ -196,9 +208,9 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
     spectral = spectral_forms(state)
 
     one_rest = forms.one_vs_rest_contangle
-    probe_ln = spectral.probe_ln[0].tolist()
-    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, probe_ln)]
-    deviations.append(abs(spectral.pairblock_ln.item() ** 2 - forms.interpair_contangle))
+    cut_ln = spectral.cut_ln[0].tolist()
+    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, cut_ln)]
+    deviations.append(abs(cut_ln[4] ** 2 - forms.interpair_contangle))
 
     near = near_threshold(params)
     verdicts_ok = True
@@ -220,14 +232,3 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
         consistent=verdicts_ok and max_deviation <= ROUTE_TOL,
         max_route_deviation=max_deviation,
     )
-
-
-def full_inseparability_check(params: SqueezingParams) -> bool:
-    """True iff every one of the 7 global bipartitions (GLOBAL_CUTS) carries entanglement.
-
-    Witnessed by gaussian.log_negativity > WITNESS_TOL, cut by cut up to
-    the first cut that carries none; holds exactly when both squeezing
-    degrees are strictly positive.
-    """
-    state = build_state([params])
-    return all(gaussian.log_negativity(state, cut)[0] > WITNESS_TOL for cut in GLOBAL_CUTS)

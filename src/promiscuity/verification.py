@@ -2,12 +2,12 @@
 
 Each suite sweeps a parameter grid and counts independent checks; the
 first failure is recorded with the parameter point that produced it.
-One Grid per run computes each point's contangle.closed_forms record
-and each block's four_mode.spectral_forms record once: every closed
-side is a field of the one, and every spectral side a field of the
-other.  A corruption of either layer (wrong log base, wrong squeezer
-convention, broken partial transpose) therefore surfaces as a counted
-failure, not silent drift.
+One Grid per run computes each point's contangle.closed_forms record,
+one four_mode.spectral_forms record for the whole grid and one for its
+3x3 samples, each once: every closed side is a field of the first, and
+every spectral side a field of the others.  A corruption of either
+layer (wrong log base, wrong squeezer convention, broken partial
+transpose) therefore surfaces as a counted failure, not silent drift.
 """
 from __future__ import annotations
 
@@ -60,9 +60,9 @@ def _ends_and_middle(values: list[float]) -> list[float]:
 
 
 class Grid:
-    """The a-major points of one verify run, its 3x3 samples, and each
-    point's closed record and each block's spectral record, computed once
-    on first use.
+    """The a-major points of one verify run and its 3x3 samples, with each
+    point's closed record, the grid's spectral record, and the samples'
+    states and spectral record, each computed once on first use.
     A computation that raises is not cached, so each reader fails alone.
     """
 
@@ -77,11 +77,18 @@ class Grid:
         return [contangle.closed_forms(params) for params in self.points]
 
     @functools.cached_property
-    def blocks(self) -> list[tuple]:
-        # (points, spectral record, closed records); every spectral record
-        # is computed before any closed one
-        spectral = [four_mode.spectral_forms(four_mode.build_state(chunk)) for chunk in _blocks(self.points)]
-        return list(zip(_blocks(self.points), spectral, _blocks(self.forms)))
+    def spectral(self) -> four_mode.SpectralForms:
+        # one record, taken in blocks of BLOCK_POINTS points and joined once
+        records = [four_mode.spectral_forms(four_mode.build_state(chunk)) for chunk in _blocks(self.points)]
+        return four_mode.SpectralForms(*map(np.concatenate, zip(*records)))
+
+    @functools.cached_property
+    def sample_states(self) -> gaussian.CovarianceMatrix:
+        return four_mode.build_state(self.samples)
+
+    @functools.cached_property
+    def sample_spectral(self) -> four_mode.SpectralForms:
+        return four_mode.spectral_forms(self.sample_states)
 
 
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
@@ -93,7 +100,7 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     """
     result = SuiteResult("gaussian_invariants")
     probe = four_mode.GLOBAL_CUTS[0]
-    states = four_mode.build_state(grid.samples)
+    states = grid.sample_states
     # the written-out transform of build_state against the product of its
     # three squeezers, S_34(a) S_12(a) S_23(s), byte for byte
     a, s = [params.a for params in grid.samples], [params.s for params in grid.samples]
@@ -106,20 +113,16 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     pure = states.is_pure().tolist()
     double_pt = gaussian.partial_transpose(gaussian.partial_transpose(states, probe), probe).data
     swap = gaussian.permute_modes(states, (3, 2, 1, 0)).data
-    # the general routes: log_negativity on the probe cuts and {1,2}|{3,4},
-    # and each pair's partial transpose
-    record = four_mode.spectral_forms(states)
-    ln = np.stack([gaussian.log_negativity(states, cut) for cut in four_mode.GLOBAL_CUTS[:5]], axis=-1)
+    # the general routes: log_negativity on every cut, and each pair's
+    # partial transpose
+    record = grid.sample_spectral
+    ln = np.stack([gaussian.log_negativity(states, cut) for cut in four_mode.GLOBAL_CUTS], axis=-1)
     pair_cuts = [gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1})) for i, j in contangle.PAIRS]
     nu_min = np.stack(
         [gaussian.symplectic_eigenvalues(gaussian.partial_transpose(states, cut)).min(axis=-1) for cut in pair_cuts],
         axis=-1,
     )
-    record_ok = (
-        (record.probe_ln == ln[:, :4]).all(axis=-1)
-        & (record.pairblock_ln == ln[:, 4])
-        & (record.pair_nu_min == nu_min).all(axis=-1)
-    ).tolist()
+    record_ok = ((record.cut_ln == ln).all(axis=-1) & (record.pair_nu_min == nu_min).all(axis=-1)).tolist()
     for k, params in enumerate(grid.samples):
         state = states.data[k]
         point = f"a={params.a:.6g} s={params.s:.6g}"
@@ -143,26 +146,25 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
 def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    for block, spectral, records in grid.blocks:
-        rows = spectral.probe_ln.tolist()
-        for params, forms, row in zip(block, records, rows):
-            for probe, value in zip(contangle.PROBES, row):
-                result.check(
-                    abs(value * value - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
-                    f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
-                )
+    rows = grid.spectral.cut_ln[:, :4].tolist()
+    for params, forms, row in zip(grid.points, grid.forms, rows):
+        for probe, value in zip(contangle.PROBES, row):
+            result.check(
+                abs(value * value - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
+                f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
+            )
     return result
 
 
 def suite_interpair_agreement(grid: Grid) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    for block, spectral, records in grid.blocks:
-        for params, forms, value in zip(block, records, spectral.pairblock_ln.tolist()):
-            result.check(
-                abs(value * value - forms.interpair_contangle) <= 1e-8,
-                f"a={params.a:.6g} s={params.s:.6g}",
-            )
+    values = grid.spectral.cut_ln[:, 4].tolist()
+    for params, forms, value in zip(grid.points, grid.forms, values):
+        result.check(
+            abs(value * value - forms.interpair_contangle) <= 1e-8,
+            f"a={params.a:.6g} s={params.s:.6g}",
+        )
     return result
 
 
@@ -173,14 +175,13 @@ def suite_pair_separability(grid: Grid) -> SuiteResult:
     holds; the threshold itself is checked for nu_min = 1 instead.
     """
     result = SuiteResult("pair_separability")
-    for block, spectral, records in grid.blocks:
-        rows = four_mode.ppt_separable(spectral.pair_nu_min).tolist()
-        for params, forms, row in zip(block, records, rows):
-            point = f"a={params.a:.6g} s={params.s:.6g}"
-            for pair, separable in zip(contangle.PAIRS, row):
-                if pair == (2, 3) and four_mode.near_threshold(params):
-                    continue
-                result.check(separable == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
+    rows = four_mode.ppt_separable(grid.spectral.pair_nu_min).tolist()
+    for params, forms, row in zip(grid.points, grid.forms, rows):
+        point = f"a={params.a:.6g} s={params.s:.6g}"
+        for pair, separable in zip(contangle.PAIRS, row):
+            if pair == (2, 3) and four_mode.near_threshold(params):
+                continue
+            result.check(separable == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
     at_threshold = [
         contangle.SqueezingParams(contangle.separability_threshold(s), s)
         for s in grid.cfg.s_values()
@@ -279,14 +280,12 @@ def suite_shape(grid: Grid) -> SuiteResult:
 
 
 def suite_inseparability(grid: Grid) -> SuiteResult:
-    """Full inseparability iff both squeezing degrees are positive."""
+    """Full inseparability iff both squeezing degrees are positive, at the samples."""
     result = SuiteResult("inseparability")
-    for params in grid.samples:
+    verdicts = four_mode.fully_inseparable(grid.sample_spectral.cut_ln).tolist()
+    for params, verdict in zip(grid.samples, verdicts):
         expected = params.a > 0.0 and params.s > 0.0
-        result.check(
-            four_mode.full_inseparability_check(params) == expected,
-            f"a={params.a:.6g} s={params.s:.6g}",
-        )
+        result.check(verdict == expected, f"a={params.a:.6g} s={params.s:.6g}")
     return result
 
 

@@ -49,13 +49,11 @@ def test_g_function_anchors():
 
 
 def test_g_function_clamp_band():
-    clamped = g_function(1.0 - 5e-10)
-    # +0.0, not -0.0, which the CSV would print as -0
-    assert clamped == 0.0 and math.copysign(1.0, clamped) == 1.0
-    with pytest.raises(ValueError):
-        g_function(1.0 - 1e-6)
-    with pytest.raises(ValueError):
-        g_function(0.5)
+    # no band below 1 is clamped: every caller passes m^2 with m >= 1
+    assert g_function(1.0) == 0.0 and math.copysign(1.0, g_function(1.0)) == 1.0
+    for x in (math.nextafter(1.0, 0.0), 1.0 - 5e-10, 1.0 - 1e-9, 1.0 - 1e-6, 0.5, 0.0):
+        with pytest.raises(ValueError, match="argument must be >= 1"):
+            g_function(x)
     # a non-finite argument is an overflow upstream, not a bad argument
     with pytest.raises(OverflowError, match="finite"):
         g_function(math.inf)

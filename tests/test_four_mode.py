@@ -14,8 +14,8 @@ from promiscuity.four_mode import (
     EntanglementReport,
     bounding_tripartite_state,
     build_state,
-    full_inseparability_check,
     full_report,
+    fully_inseparable,
     ppt_separable,
     spectral_forms,
 )
@@ -108,10 +108,9 @@ def test_full_report_consistency_across_regimes():
 
 
 def test_full_inseparability_truth_table():
-    assert full_inseparability_check(SqueezingParams(1.0, 1.0))
-    assert not full_inseparability_check(SqueezingParams(0.0, 1.0))
-    assert not full_inseparability_check(SqueezingParams(1.0, 0.0))
-    assert not full_inseparability_check(SqueezingParams(0.0, 0.0))
+    points = [SqueezingParams(a, s) for a, s in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0))]
+    cut_ln = spectral_forms(build_state(points)).cut_ln
+    assert fully_inseparable(cut_ln).tolist() == [True, False, False, False]
 
 
 def _partition(*side_a: int) -> gaussian.ModePartition:
@@ -124,21 +123,20 @@ def test_global_cuts_are_the_seven_bipartitions_in_order():
     assert GLOBAL_CUTS == tuple(_partition(*side) for side in sides)
 
 
-@pytest.mark.parametrize("point, cuts", [((1.0, 1.0), 7), ((0.0, 1.0), 1), ((1.0, 0.0), 5)])
-def test_full_inseparability_check_walks_the_global_cuts(monkeypatch, point, cuts):
-    # log_negativity on each cut in order, up to the first one that
-    # carries no entanglement: probe 1 without arm squeezing, {1,2}|{3,4}
-    # without the middle squeezer
-    seen = []
-    log_negativity = gaussian.log_negativity
-
-    def recording(state, cut):
-        seen.append(cut)
-        return log_negativity(state, cut)
-
-    monkeypatch.setattr(gaussian, "log_negativity", recording)
-    full_inseparability_check(SqueezingParams(*point))
-    assert seen == list(GLOBAL_CUTS[:cuts])
+@pytest.mark.parametrize(
+    "point, verdict",
+    # the last two are faint: a cut whose log-negativity is below about 1e-6
+    # reads 0 (fully_inseparable's docstring), although both degrees are positive
+    [((1.0, 1.0), True), ((0.0, 1.0), False), ((1.0, 0.0), False), ((4.75, 0.5), True),
+     ((1e-9, 0.5), False), ((0.5, 3e-8), False)],
+)
+def test_fully_inseparable_reads_log_negativity_on_every_cut(monkeypatch, point, verdict):
+    state = build_state([SqueezingParams(*point)])
+    witnessed = all(gaussian.log_negativity(state, cut)[0] > four_mode.WITNESS_TOL for cut in GLOBAL_CUTS)
+    calls = []
+    monkeypatch.setattr(gaussian, "log_negativity", lambda *args: calls.append(args))
+    assert fully_inseparable(spectral_forms(state).cut_ln).tolist() == [witnessed] == [verdict]
+    assert calls == []
 
 
 @given(a=squeezings, s=squeezings)
@@ -162,7 +160,7 @@ def test_reports_are_consistent_on_random_draws(a, s):
        s=st.floats(min_value=0.05, max_value=2.5, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_positive_squeezing_gives_full_inseparability(a, s):
-    assert full_inseparability_check(SqueezingParams(a, s))
+    assert fully_inseparable(spectral_forms(build_state([SqueezingParams(a, s)])).cut_ln).tolist() == [True]
 
 
 def _seeded_points() -> list[SqueezingParams]:
@@ -205,6 +203,9 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
         assert values.shape[0] == len(points)
         assert np.array_equal(values, np.concatenate([row[name] for row in of_one])), name
         assert np.array_equal(values, np.stack([row[name] for row in single])), name
+    # the record's log-negativity of each cut is the general route's, bit for bit
+    for k, cut in enumerate(GLOBAL_CUTS):
+        assert stacked["cut_ln"][..., k].tobytes() == stacked[f"ln {cut}"].tobytes(), cut
     interior = [p for p in points if p.a > 0 and p.s > 0]
     bounds = bounding_tripartite_state(interior).data
     for k, p in enumerate(interior):
@@ -278,14 +279,16 @@ def test_full_report_bytes_are_pinned(point, deviation, consistent):
 
 
 def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
+    # the {1,2}, {1,3} and {1,4} reductions as they are, then the six pairs transposed
     signs = four_mode._TWO_MODE_SIGNS
-    assert signs.shape == (7, 4, 4)
-    assert np.array_equal(signs[0], np.ones((4, 4)))
-    for block in signs[1:]:
+    assert signs.shape == (9, 4, 4)
+    assert np.array_equal(signs[:3], np.ones((3, 4, 4)))
+    for block in signs[3:]:
         assert np.array_equal(block, gaussian.transpose_signs(PAIR_CUT))
     with pytest.raises(ValueError, match="read-only"):
-        signs[1, 3, 3] = 1.0
-    assert four_mode._TWO_MODE_SIDES == [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+        signs[3, 3, 3] = 1.0
+    assert four_mode._PROBE_SIDES == [[0], [1], [2], [3]]
+    assert four_mode._TWO_MODE_SIDES == [[0, 1], [0, 2], [0, 3]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
 
 
 def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
@@ -376,13 +379,13 @@ def test_full_report_validates_one_state_and_one_transform(monkeypatch):
     assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
 
 
-def test_verify_validates_39_covariance_matrices(monkeypatch):
+def test_verify_validates_30_covariance_matrices(monkeypatch):
     # the cached vacua count once each, as in a fresh process
     gaussian.vacuum_cm.cache_clear()
     counts = _count_validations(monkeypatch)
     results = verification.run_all(GridConfig())
     assert all(result.ok for result in results)
-    assert counts["CovarianceMatrix"] == 39
+    assert counts["CovarianceMatrix"] == 30
 
 
 def test_views_equal_validated_matrices(monkeypatch):
@@ -396,7 +399,7 @@ def test_views_equal_validated_matrices(monkeypatch):
         gaussian.partial_transpose(state, PAIR_CUT),
     ]
     views += [gaussian.partial_transpose(state, cut) for cut in GLOBAL_CUTS]
-    # spectral_forms' probe reductions and signed seven-block stack
+    # spectral_forms' probe reductions and signed nine-block stack
     spectrum = gaussian.symplectic_eigenvalues
 
     def recording(sigma):
@@ -406,7 +409,7 @@ def test_views_equal_validated_matrices(monkeypatch):
     monkeypatch.setattr(gaussian, "symplectic_eigenvalues", recording)
     spectral_forms(state)
     assert len(views) == 5 + len(GLOBAL_CUTS) + 2
-    assert views[-1].data.shape == (len(points), 7, 4, 4)
+    assert views[-1].data.shape == (len(points), 9, 4, 4)
     negative_zeros = 0
     for view in views:
         assert not view.data.flags.writeable

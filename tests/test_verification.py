@@ -19,7 +19,7 @@ def test_point_suites_take_s_from_the_s_axis(monkeypatch):
 
         return wrapper
 
-    for name in ("build_state", "full_report", "full_inseparability_check"):
+    for name in ("build_state", "full_report"):
         monkeypatch.setattr(four_mode, name, recording(name))
     for suite in (
         verification.suite_gaussian_invariants,
@@ -82,10 +82,12 @@ def test_closed_form_fault_turns_spectral_suites_red(monkeypatch, suite, corrupt
     assert not suite(verification.Grid(cfg)).ok
 
 
+# the part of the spectral_forms record each suite reads: the probe cuts of
+# cut_ln, its {1,2}|{3,4} cut, and pair_nu_min
 RECORD_SUITES = {
-    "probe_ln": verification.suite_one_vs_rest_agreement,
-    "pairblock_ln": verification.suite_interpair_agreement,
-    "pair_nu_min": verification.suite_pair_separability,
+    "probe_ln": (verification.suite_one_vs_rest_agreement, "cut_ln", slice(0, 4)),
+    "pairblock_ln": (verification.suite_interpair_agreement, "cut_ln", 4),
+    "pair_nu_min": (verification.suite_pair_separability, "pair_nu_min", slice(None)),
 }
 
 
@@ -99,19 +101,22 @@ RECORD_SUITES = {
 )
 def test_spectral_record_fault_turns_spectral_suites_red(monkeypatch, field, report_red):
     # report and verify read the spectral side of each check from one
-    # four_mode.spectral_forms record, so scaling a field turns red exactly
+    # four_mode.spectral_forms record, so scaling a slice turns red exactly
     # the suite that reads it
     cfg = GridConfig(density=6)
-    suites = [*RECORD_SUITES.values(), verification.suite_report_consistency]
+    suites = [suite for suite, _, _ in RECORD_SUITES.values()] + [verification.suite_report_consistency]
     assert all(suite(verification.Grid(cfg)).ok for suite in suites)
     real = four_mode.spectral_forms
+    _, record_field, part = RECORD_SUITES[field]
 
     def scaled(state):
         forms = real(state)
-        return forms._replace(**{field: getattr(forms, field) * (1 + 1e-6)})
+        values = getattr(forms, record_field).copy()
+        values[..., part] *= 1 + 1e-6
+        return forms._replace(**{record_field: values})
 
     monkeypatch.setattr(four_mode, "spectral_forms", scaled)
-    for name, suite in RECORD_SUITES.items():
+    for name, (suite, _, _) in RECORD_SUITES.items():
         assert suite(verification.Grid(cfg)).ok is (name != field), name
     assert verification.suite_report_consistency(verification.Grid(cfg)).ok is not report_red
 
@@ -163,31 +168,44 @@ def test_default_grid_suite_counts():
         assert _counts(verification.run_all(cfg)) == {name: (n, 0) for name, n in counts.items()}
 
 
-def test_each_grid_point_is_computed_once(monkeypatch):
-    calls = {"closed_forms": 0, "build_state": 0, "spectral_forms": 0}
+def _count_calls(monkeypatch, *targets) -> dict:
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
 
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
+        def wrapper(*args, real=getattr(module, name), name=name):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    counting(contangle, "closed_forms")
-    counting(four_mode, "build_state")
-    counting(four_mode, "spectral_forms")
+
+def test_each_grid_point_is_computed_once(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, (contangle, "closed_forms"), (four_mode, "build_state"), (four_mode, "spectral_forms")
+    )
     verification.run_all(GridConfig())
     # closed_forms: 676 grid points, 3 off-grid points (strong_monogamy's
     # a=5 and shape's a=3 and a=6) and 9 sampled reports.  build_state: 6
     # grid blocks of BLOCK_POINTS, 5 interior blocks, 1 threshold block, 9
-    # inseparability samples, 9 reports and gaussian_invariants' one stack
-    # of the 9 samples.  spectral_forms: 6 grid blocks, 1 threshold block,
-    # 9 reports and that stack of the samples
+    # reports and the one stack of the 9 samples.  spectral_forms: 6 grid
+    # blocks, 1 threshold block, 9 reports and that stack of the samples
     assert calls["closed_forms"] <= 676 + 3 + 9
-    assert calls["build_state"] <= 6 + 5 + 1 + 9 + 9 + 1
+    assert calls["build_state"] <= 6 + 5 + 1 + 9 + 1
     assert calls["spectral_forms"] <= 6 + 1 + 9 + 1
+
+
+def test_verify_work_is_pinned(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, (gaussian, "symplectic_eigenvalues"), (gaussian, "log_negativity"), (four_mode, "build_state")
+    )
+    assert all(result.ok for result in verification.run_all(GridConfig()))
+    # spectra: two per spectral_forms record (6 grid blocks, 1 threshold
+    # block, 9 reports, 1 stack of the samples), then gaussian_invariants'
+    # purity test, its log_negativity on the 7 cuts and its 6 pair
+    # transposes.  build_state as in test_each_grid_point_is_computed_once
+    assert calls == {"symplectic_eigenvalues": 2 * 17 + 1 + 7 + 6, "log_negativity": 7, "build_state": 22}
 
 
 def test_closed_form_crash_stays_in_the_suites_that_read_records(monkeypatch):
