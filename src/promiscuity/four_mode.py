@@ -80,11 +80,11 @@ def build_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
     math.sinh of a and s, the libm values two_mode_squeezer uses, so it
     equals two_mode_squeezer(2, 3, a) @ two_mode_squeezer(0, 1, a) @
     two_mode_squeezer(1, 2, s) bit for bit.  The stack of transforms is
-    checked once, as one SymplecticTransform, and acts on the cached
-    vacuum.
+    checked once, as one SymplecticTransform, and gives the states
+    through gaussian.pure_state.
     """
     data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
-    return gaussian.apply(gaussian.SymplecticTransform(4, data), gaussian.vacuum_cm(4))
+    return gaussian.pure_state(gaussian.SymplecticTransform(4, data))
 
 
 def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
@@ -102,7 +102,7 @@ def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.Cov
         gaussian.two_mode_squeezer(0, 1, a, 3),
         gaussian.two_mode_squeezer(1, 2, t, 3),
     )
-    return gaussian.apply(transform, gaussian.vacuum_cm(3))
+    return gaussian.pure_state(transform)
 
 
 _PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
@@ -148,7 +148,7 @@ def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
     as in log_negativity.
     """
     if not state.pure:
-        raise ValueError("spectral forms need a state built pure (build_state)")
+        raise ValueError("spectral forms need a state built pure (pure_state)")
     probes = gaussian.reductions(state, _PROBE_SIDES)
     one_mode_ln = gaussian.spectrum_log_negativity(
         gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()

@@ -17,11 +17,14 @@ Conventions
   axes.  Each matrix of a stack is computed exactly as it would be
   alone.
 * A covariance matrix is validated where its numbers are made: direct
-  construction, vacuum_cm and apply.  reduce, reductions,
-  partial_transpose and permute_modes only gather entries of a
-  validated matrix or flip their signs, so they return read-only views
-  that skip the check: each is exactly symmetric and finite, and equals
-  what the constructor would store from its data, bit for bit.
+  construction and pure_state.  reduce, reductions, partial_transpose
+  and permute_modes only gather entries of a validated matrix or flip
+  their signs, so they return read-only views that skip the check: each
+  is exactly symmetric and finite, and equals what the constructor
+  would store from its data, bit for bit.
+* Every state is made as pure_state(S) = S S^T, the vacuum under a
+  symplectic transform, and only pure_state flags a matrix pure; views
+  of a pure state are unflagged.
 
 All mode indices in this module are 0-based.
 """
@@ -73,11 +76,10 @@ class CovarianceMatrix:
     tests read off.
 
     `pure` records provenance, not a measurement: True promises that
-    every matrix of the stack is a pure state.  vacuum_cm sets it, and
-    the symplectic operations apply and permute_modes carry it over;
-    reduce, partial_transpose and direct construction leave it False.
-    log_negativity accepts only flagged states.  is_pure() is the
-    numerical check, which float64 cannot settle at deep squeezing.
+    every matrix of the stack is a pure state.  Only pure_state sets it;
+    views and direct construction leave it False.  log_negativity
+    accepts only flagged states.  is_pure() is the numerical check,
+    which float64 cannot settle at deep squeezing.
     """
 
     n_modes: int
@@ -130,22 +132,22 @@ class CovarianceMatrix:
         return deviation <= band
 
 
-def _view(n_modes: int, data: np.ndarray, pure: bool = False) -> CovarianceMatrix:
-    # a CovarianceMatrix of entries gathered from a validated one, or of
-    # their signs flipped by an exactly symmetric +/-1 plan; data is then
+def _view(n_modes: int, data: np.ndarray) -> CovarianceMatrix:
+    # an unflagged CovarianceMatrix of entries gathered from a validated
+    # one, or sign-flipped by an exactly symmetric +/-1 plan; data is then
     # exactly symmetric and finite, so the (X + X^T)/2 that __post_init__
     # would store equals it bit for bit, and the check is skipped
     data.flags.writeable = False
     view = object.__new__(CovarianceMatrix)
     object.__setattr__(view, "n_modes", n_modes)
     object.__setattr__(view, "data", data)
-    object.__setattr__(view, "pure", pure)
+    object.__setattr__(view, "pure", False)
     return view
 
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """Linear symplectic transform S acting on covariance matrices by congruence.
+    """Linear symplectic transform S; pure_state(S) is the state S S^T it makes from vacuum.
 
     One matrix or a stack of them, like CovarianceMatrix.  Validates
     S Omega S^T = Omega within SYMPLECTIC_TOL for every matrix.
@@ -207,12 +209,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-@functools.cache
-def vacuum_cm(n_modes: int) -> CovarianceMatrix:
-    """Covariance matrix of the N-mode vacuum (the identity); read-only, built once per N."""
-    return CovarianceMatrix(n_modes, np.eye(2 * n_modes), pure=True)
-
-
 def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
     """Two-mode squeezing transform on modes i and j embedded in N modes.
 
@@ -263,17 +259,9 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     return SymplecticTransform(n, total)
 
 
-def apply(transform: SymplecticTransform, sigma: CovarianceMatrix) -> CovarianceMatrix:
-    """Congruence action sigma -> S sigma S^T; a symplectic map keeps a pure state pure."""
-    if transform.n_modes != sigma.n_modes:
-        raise ValueError(
-            f"transform acts on {transform.n_modes} modes, state has {sigma.n_modes}"
-        )
-    return CovarianceMatrix(
-        sigma.n_modes,
-        transform.data @ sigma.data @ transform.data.swapaxes(-1, -2),
-        pure=sigma.pure,
-    )
+def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
+    """The state S S^T that S makes from the vacuum, per matrix of a stack; the one setter of `pure`."""
+    return CovarianceMatrix(transform.n_modes, transform.data @ transform.data.swapaxes(-1, -2), pure=True)
 
 
 @functools.cache
@@ -338,8 +326,7 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     sign changes), hence involutive on full covers.
     """
     partition.validate_for(sigma)
-    kept = sorted(partition.modes)
-    sub = sigma if len(kept) == sigma.n_modes else reduce(sigma, kept)
+    sub = reduce(sigma, partition.modes)
     return _view(sub.n_modes, sub.data * transpose_signs(partition))
 
 
@@ -425,15 +412,15 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
     """
     partition.validate_for(sigma)
     if not sigma.pure:
-        raise ValueError("log-negativity needs a state built pure (vacuum_cm, apply)")
+        raise ValueError("log-negativity needs a state built pure (pure_state)")
     reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))
     return spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:
-    """Reorder modes: new mode k is old mode order[k]; a pure state stays pure."""
+    """Reorder modes: new mode k is old mode order[k]."""
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
     rows, cols = _gather_plan(sigma.n_modes, tuple(perm))
-    return _view(sigma.n_modes, sigma.data[..., rows, cols], pure=sigma.pure)
+    return _view(sigma.n_modes, sigma.data[..., rows, cols])

@@ -109,7 +109,7 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
         gaussian.two_mode_squeezer(0, 1, a, 4),
         gaussian.two_mode_squeezer(1, 2, s, 4),
     )
-    reference = gaussian.apply(product, gaussian.vacuum_cm(4)).data
+    reference = gaussian.pure_state(product).data
     pure = states.is_pure().tolist()
     double_pt = gaussian.partial_transpose(gaussian.partial_transpose(states, probe), probe).data
     swap = gaussian.permute_modes(states, (3, 2, 1, 0)).data

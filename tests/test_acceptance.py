@@ -31,9 +31,7 @@ def test_acceptance_01_benchmark_point():
     tau_12 = contangle.closed_forms(params).pairwise_contangle[(1, 2)]
     tau_34 = contangle.closed_forms(params).pairwise_contangle[(3, 4)]
     strong = contangle.closed_forms(params)
-    pure_pair = gaussian.apply(
-        gaussian.two_mode_squeezer(0, 1, 1.5, 2), gaussian.vacuum_cm(2)
-    )
+    pure_pair = gaussian.pure_state(gaussian.two_mode_squeezer(0, 1, 1.5, 2))
     spectral = gaussian.log_negativity(
         pure_pair, gaussian.ModePartition(frozenset({0}), frozenset({1}))
     )

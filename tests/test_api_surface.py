@@ -110,6 +110,44 @@ def test_a_field_of_the_same_name_does_not_count_as_using_a_function():
     assert _unused(trees) == ["report.describe", "shapes._SPARE", "shapes._orphan", "shapes.area"]
 
 
+def _pure_setters(trees) -> list[str]:
+    """module:line of each call outside gaussian.pure_state that sets the `pure` flag.
+
+    A call sets it by a `pure=` keyword, or by a setattr (or
+    `__setattr__`) of "pure" to anything but the constant False.
+    """
+    found = []
+    for tree in trees:
+        maker = set()
+        for node in tree.body:
+            if tree.module_name == "gaussian" and isinstance(node, ast.FunctionDef) and node.name == "pure_state":
+                maker.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in maker:
+                continue
+            sets = any(keyword.arg == "pure" for keyword in node.keywords)
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if func in ("setattr", "__setattr__") and len(node.args) >= 2:
+                attr, value = node.args[-2:]
+                unflagged = isinstance(value, ast.Constant) and value.value is False
+                sets = sets or (isinstance(attr, ast.Constant) and attr.value == "pure" and not unflagged)
+            if sets:
+                found.append(f"{tree.module_name}:{node.lineno}")
+    return found
+
+
+def test_only_pure_state_flags_a_matrix_pure():
+    setters = _pure_setters(_trees())
+    assert not setters, f"the pure flag is set outside gaussian.pure_state at {setters}"
+    sample = ast.parse(
+        "def pure_state(s):\n    return Cm(s, pure=True)\n\n"
+        "def view(d):\n    v = Cm(d, pure=d.pure)\n"
+        "    object.__setattr__(v, 'pure', False)\n    setattr(v, 'pure', d.pure)\n"
+    )
+    sample.module_name = "gaussian"
+    assert _pure_setters([sample]) == ["gaussian:5", "gaussian:7"]
+
+
 def _imported_modules(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

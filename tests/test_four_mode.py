@@ -39,9 +39,7 @@ def test_build_state_factorizes_without_middle_squeezer():
     # s = 0 leaves two independent two-mode squeezed pairs
     a = 0.9
     state = build_state([SqueezingParams(a, 0.0)])
-    pair = gaussian.apply(
-        gaussian.two_mode_squeezer(0, 1, a, 2), gaussian.vacuum_cm(2)
-    ).data
+    pair = gaussian.pure_state(gaussian.two_mode_squeezer(0, 1, a, 2)).data
     expected = np.zeros((8, 8))
     for mi, mj in [(0, 1), (2, 3)]:
         block = [mi, mj, mi + 4, mj + 4]
@@ -331,18 +329,18 @@ def test_build_state_writes_out_the_squeezer_product_exactly(monkeypatch):
     cases = [[SqueezingParams(a, s)] for a, s in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.5, 2.5))]
     cases += [grid[k : k + size] for k in range(0, len(grid), size)]
     transforms = []
-    apply = gaussian.apply
+    pure_state = gaussian.pure_state
 
-    def recording(transform, sigma):
+    def recording(transform):
         transforms.append(transform)
-        return apply(transform, sigma)
+        return pure_state(transform)
 
-    monkeypatch.setattr(gaussian, "apply", recording)
+    monkeypatch.setattr(gaussian, "pure_state", recording)
     for params in cases:
         state = build_state(params)
         product = _squeezer_product([p.a for p in params], [p.s for p in params])
         assert np.array_equal(transforms[-1].data, product.data)
-        expected = apply(product, gaussian.vacuum_cm(4)).data
+        expected = pure_state(product).data
         assert state.data.shape == expected.shape
         assert state.data.tobytes() == expected.tobytes()
 
@@ -364,7 +362,6 @@ def _count_validations(monkeypatch) -> dict:
     "params", [[SqueezingParams(1.5, 1.0)], [SqueezingParams(1.5, 1.0), SqueezingParams(0.5, 2.0)]]
 )
 def test_build_state_checks_one_transform(monkeypatch, params):
-    gaussian.vacuum_cm(4)
     counts = _count_validations(monkeypatch)
     build_state(params)
     assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
@@ -373,19 +370,16 @@ def test_build_state_checks_one_transform(monkeypatch, params):
 def test_full_report_validates_one_state_and_one_transform(monkeypatch):
     # the reductions, partial transposes and signed blocks are views of the
     # one validated state, so only build_state's transform and state are checked
-    gaussian.vacuum_cm(4)
     counts = _count_validations(monkeypatch)
     assert full_report(SqueezingParams(1.5, 1.0)).consistent
     assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
 
 
-def test_verify_validates_30_covariance_matrices(monkeypatch):
-    # the cached vacua count once each, as in a fresh process
-    gaussian.vacuum_cm.cache_clear()
+def test_verify_validates_28_covariance_matrices(monkeypatch):
     counts = _count_validations(monkeypatch)
     results = verification.run_all(GridConfig())
     assert all(result.ok for result in results)
-    assert counts["CovarianceMatrix"] == 30
+    assert counts["CovarianceMatrix"] == 28
 
 
 def test_views_equal_validated_matrices(monkeypatch):
@@ -413,7 +407,7 @@ def test_views_equal_validated_matrices(monkeypatch):
     negative_zeros = 0
     for view in views:
         assert not view.data.flags.writeable
-        checked = gaussian.CovarianceMatrix(view.n_modes, view.data, pure=view.pure)
+        checked = gaussian.CovarianceMatrix(view.n_modes, view.data)
         assert checked.data.shape == view.data.shape
         assert checked.data.tobytes() == view.data.tobytes()
         negative_zeros += np.count_nonzero((view.data == 0.0) & np.signbit(view.data))

@@ -13,23 +13,26 @@ from promiscuity.gaussian import (
     CovarianceMatrix,
     ModePartition,
     SymplecticTransform,
-    apply,
     compose,
     log_negativity,
     partial_transpose,
     permute_modes,
+    pure_state,
     reduce,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezer,
-    vacuum_cm,
 )
 
 squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
 
 
+def vacuum(n_modes: int) -> CovarianceMatrix:
+    return pure_state(SymplecticTransform(n_modes, np.eye(2 * n_modes)))
+
+
 def tmsv(r: float) -> CovarianceMatrix:
-    return apply(two_mode_squeezer(0, 1, r, 2), vacuum_cm(2))
+    return pure_state(two_mode_squeezer(0, 1, r, 2))
 
 
 def test_symplectic_form_blocks():
@@ -52,7 +55,7 @@ def test_cached_plans_are_read_only():
 
 
 def test_vacuum_is_identity():
-    vac = vacuum_cm(4)
+    vac = vacuum(4)
     assert vac.n_modes == 4
     assert vac.dim == 8
     assert np.array_equal(vac.data, np.eye(8))
@@ -61,8 +64,8 @@ def test_vacuum_is_identity():
 
 
 def test_vacuum_rejects_zero_modes():
-    with pytest.raises(ValueError):
-        vacuum_cm(0)
+    with pytest.raises(ValueError, match="positive integer"):
+        SymplecticTransform(0, np.eye(0))
 
 
 def test_covariance_matrix_rejects_asymmetry():
@@ -131,16 +134,12 @@ def test_symplectic_transform_validates():
 def test_compose_applies_rightmost_first():
     a = two_mode_squeezer(0, 1, 0.4, 3)
     b = two_mode_squeezer(1, 2, 0.9, 3)
-    combined = apply(compose(a, b), vacuum_cm(3))
-    step_by_step = apply(a, apply(b, vacuum_cm(3)))
-    assert np.allclose(combined.data, step_by_step.data, atol=1e-12)
-    swapped = apply(compose(b, a), vacuum_cm(3))
+    combined = pure_state(compose(a, b))
+    # b makes its state from the vacuum, then a acts on it by congruence
+    step_by_step = a.data @ pure_state(b).data @ a.data.T
+    assert np.allclose(combined.data, step_by_step, atol=1e-12)
+    swapped = pure_state(compose(b, a))
     assert not np.allclose(combined.data, swapped.data, atol=1e-6)
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(two_mode_squeezer(0, 1, 0.2, 2), vacuum_cm(3))
 
 
 def test_reduce_single_mode_of_tmsv():
@@ -184,11 +183,11 @@ def test_mode_partition_validation():
         ModePartition(frozenset({-1}), frozenset({0}))
     part = ModePartition(frozenset({0}), frozenset({3}))
     with pytest.raises(ValueError):
-        part.validate_for(vacuum_cm(2))
+        part.validate_for(vacuum(2))
 
 
 def test_symplectic_eigenvalues_known_values():
-    assert np.allclose(symplectic_eigenvalues(vacuum_cm(2)), [1.0, 1.0], atol=1e-12)
+    assert np.allclose(symplectic_eigenvalues(vacuum(2)), [1.0, 1.0], atol=1e-12)
     thermal = CovarianceMatrix(1, 2.0 * np.eye(2))
     assert np.allclose(symplectic_eigenvalues(thermal), [2.0], atol=1e-12)
     assert np.allclose(symplectic_eigenvalues(tmsv(1.3)), [1.0, 1.0], atol=1e-9)
@@ -246,7 +245,7 @@ def test_log_negativity_of_tmsv(r):
 
 def test_log_negativity_vacuum_and_swap():
     part = ModePartition(frozenset({0}), frozenset({1}))
-    assert log_negativity(vacuum_cm(2), part) == 0.0
+    assert log_negativity(vacuum(2), part) == 0.0
     state = tmsv(0.8)
     assert log_negativity(state, part) == pytest.approx(
         log_negativity(state, ModePartition(part.side_b, part.side_a)), abs=1e-10
@@ -263,7 +262,7 @@ def test_log_negativity_mixed_state_route():
 
 
 def test_permute_modes_round_trip():
-    state = apply(two_mode_squeezer(0, 1, 0.7, 3), vacuum_cm(3))
+    state = pure_state(two_mode_squeezer(0, 1, 0.7, 3))
     cycled = permute_modes(state, [2, 0, 1])
     nu_before = symplectic_eigenvalues(state)
     nu_after = symplectic_eigenvalues(cycled)
@@ -282,7 +281,7 @@ def test_physicality_of_partial_transpose():
 
 
 def test_spectral_noise_floor_scales():
-    small = vacuum_cm(2).spectral_noise_floor()
+    small = vacuum(2).spectral_noise_floor()
     big = CovarianceMatrix(2, 1e4 * np.eye(4)).spectral_noise_floor()
     assert 0 < small < big
 
@@ -307,7 +306,7 @@ def test_squeezer_chain_outputs_pure_physical_states(a, s):
         two_mode_squeezer(0, 1, a, 4),
         two_mode_squeezer(2, 3, a, 4),
     )
-    state = apply(chain, vacuum_cm(4))
+    state = pure_state(chain)
     # at a = s = 2.45 the spectrum sits 3.4e-9 below 1, inside the noise floor
     band = max(1e-9, state.spectral_noise_floor())
     assert symplectic_eigenvalues(state).min() >= 1 - band
@@ -318,7 +317,7 @@ def test_squeezer_chain_outputs_pure_physical_states(a, s):
 @settings(max_examples=30, deadline=None)
 def test_partial_transpose_involution_random_partitions(r, seed):
     rng = np.random.default_rng(seed)
-    state = apply(two_mode_squeezer(0, 1, r, 3), vacuum_cm(3))
+    state = pure_state(two_mode_squeezer(0, 1, r, 3))
     modes = [0, 1, 2]
     rng.shuffle(modes)
     part = ModePartition(frozenset(modes[:1]), frozenset(modes[1:]))
@@ -376,25 +375,23 @@ def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypat
 
 
 def test_pure_flag_follows_provenance():
-    vac = vacuum_cm(3)
-    assert vac.pure
-    squeezed = apply(two_mode_squeezer(0, 1, 0.7, 3), vac)
+    # pure_state is the one setter of the flag; every view of its state,
+    # a permutation or a full-cover reduction included, is unflagged
+    assert vacuum(3).pure
+    squeezed = pure_state(two_mode_squeezer(0, 1, [0.7, 1.2], 3))
     assert squeezed.pure
-    assert permute_modes(squeezed, [2, 0, 1]).pure
     part = ModePartition(frozenset({0}), frozenset({1, 2}))
+    assert not permute_modes(squeezed, [2, 0, 1]).pure
+    assert not permute_modes(squeezed, [0, 1, 2]).pure
     assert not reduce(squeezed, {0, 1}).pure
     assert not reduce(squeezed, {0, 1, 2}).pure
     assert not gaussian.reductions(squeezed, [[0], [1]]).pure
     assert not partial_transpose(squeezed, part).pure
     assert not CovarianceMatrix(3, squeezed.data).pure
-    # a symplectic map keeps the flag it is given, set or not
-    mixed = CovarianceMatrix(3, 2.0 * np.eye(6))
-    assert not apply(two_mode_squeezer(0, 1, 0.7, 3), mixed).pure
-    assert not permute_modes(mixed, [2, 0, 1]).pure
 
 
 def test_reductions_stack_the_reductions_of_each_subset():
-    state = apply(two_mode_squeezer(0, 2, [0.3, 1.4], 3), vacuum_cm(3))
+    state = pure_state(two_mode_squeezer(0, 2, [0.3, 1.4], 3))
     subsets = [[0, 1], [2, 0], [1, 2]]
     stacked = gaussian.reductions(state, subsets)
     assert stacked.n_modes == 2 and stacked.data.shape == (2, 3, 4, 4)
