@@ -19,11 +19,21 @@ while a report or sweep computes is a numeric failure at that point.
 Only the closed forms and the grid config load with this module; each
 handler imports the spectral layers it needs, so `fourmode sweep`,
 `--help` and argument errors run without numpy.
+
+`fourmode sweep` splits the grid into contiguous blocks of a-rows, one
+per usable CPU (never more blocks than rows; one where the OS reports no
+CPU affinity).  The calling process computes the first block; each other
+block runs in an `os.fork` worker that sends its encoded rows, or its
+ArithmeticError's type and message, down a pipe and leaves through
+`os._exit`.  The first failure in a-major order is raised, a worker that
+dies is an OSError naming it, and `--out` is opened only once every
+block has succeeded, so the bytes are those of one serial pass.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import contangle
@@ -141,10 +151,8 @@ def _grid(args, **flags) -> GridConfig:
     return GridConfig(**flags)
 
 
-def cmd_fourmode_sweep(args) -> int:
-    cfg = _grid(args, a_min=args.a_min, a_max=args.a_max, s_min=args.s_min, s_max=args.s_max,
-                density=args.steps)
-    s_values = cfg.s_values()
+def _sweep_rows(a_values: list, s_values: list) -> list:
+    """The encoded CSV lines of the grid rows at `a_values`, one bytes object per row."""
 
     @functools.cache  # on first use, so an s past float64 fails at its own first point
     def column(s: float) -> tuple:
@@ -153,9 +161,9 @@ def cmd_fourmode_sweep(args) -> int:
 
     tau_14 = _text(contangle.SEPARABLE_CONTANGLE)
     # each row is encoded as soon as it is done, so its per-point lines are freed row by row
-    rows = [(",".join(SWEEP_FIELDS) + "\n").encode("ascii")]
+    rows = []
     try:
-        for a in cfg.a_values():
+        for a in a_values:
             s = s_values[0]
             row = contangle.a_terms(a)
             # the a, tau_12 and tau_14 cells are fixed along a row
@@ -169,7 +177,96 @@ def cmd_fourmode_sweep(args) -> int:
             rows.append("".join(lines).encode("ascii"))
     except (OverflowError, ValueError) as exc:
         raise _failed_at(exc, a, s) from None
-    with open(args.out, "wb") as out:  # opened only once every point has succeeded
+    return rows
+
+
+# a worker's payload: one kind byte, the body's length in 8 big-endian bytes, then the body
+_ROWS, _FAILED = b"R", b"F"
+_HEAD = 9
+# a worker's failure crosses the pipe as its type name and message
+_ARITHMETIC = {error.__name__: error for error in (ArithmeticError, OverflowError, ZeroDivisionError)}
+
+
+def _fork_rows(a_values: list, s_values: list) -> tuple:
+    """Fork a worker that sends `_sweep_rows(a_values, s_values)` down a pipe: (pid, read end).
+
+    The worker never returns: it leaves through os._exit, so nothing of the
+    caller (buffered output, atexit handlers, a test runner) runs twice.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            kind, body = _ROWS, _sweep_rows(a_values, s_values)
+        except ArithmeticError as exc:
+            kind, body = _FAILED, [f"{type(exc).__name__}\n{exc}".encode()]
+        with open(write_end, "wb") as pipe:
+            pipe.write(kind + sum(map(len, body)).to_bytes(_HEAD - 1, "big"))
+            pipe.writelines(body)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_payload(read_end: int) -> tuple:
+    """(head, body, bytes received) from a worker's pipe; short if the worker died."""
+    with open(read_end, "rb", buffering=0, closefd=False) as pipe:
+        head = pipe.read(_HEAD)
+        body = bytearray(int.from_bytes(head[1:], "big") if len(head) == _HEAD else 0)
+        view, got = memoryview(body), 0
+        while got < len(body) and (chunk := pipe.readinto(view[got:])):
+            got += chunk
+    return head, body, got
+
+
+def cmd_fourmode_sweep(args) -> int:
+    cfg = _grid(args, a_min=args.a_min, a_max=args.a_max, s_min=args.s_min, s_max=args.s_max,
+                density=args.steps)
+    a_values, s_values = cfg.a_values(), cfg.s_values()
+    # contiguous blocks of a-rows, one per usable CPU, each past the first in a forked worker:
+    # threads would take turns on the GIL, and numpy's transcendentals differ from libm in the
+    # last bit.  Where the OS reports no CPU affinity (macOS, Windows) the sweep stays serial.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, len(a_values))
+    edges = [len(a_values) * k // count for k in range(count + 1)]
+    blocks = [a_values[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    workers = []  # (pid, read end of its pipe, block), in a-major order
+    try:
+        for block in blocks[1:]:
+            workers.append((*_fork_rows(block, s_values), block))
+        rows = _sweep_rows(blocks[0], s_values)  # the parent's own failure comes first in a-major order
+        payloads = [_read_payload(read_end) for _, read_end, _ in workers]
+    except BaseException:
+        import signal  # only a failed sweep needs it
+
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read_end, _ in workers:
+            os.close(read_end)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _, block), status, (head, body, got) in zip(workers, statuses, payloads):
+        if status != 0 or len(head) != _HEAD or got != len(body):
+            raise OSError(f"sweep worker {pid} for a={block[0]} to {block[-1]} exited with status "
+                          f"{status} after sending {len(head) + got} bytes of its payload")
+        if head[:1] == _FAILED:
+            name, message = body.decode().split("\n", 1)
+            raise _ARITHMETIC.get(name, ArithmeticError)(message)
+        rows.append(body)
+    with open(args.out, "wb") as out:  # opened only once every block has succeeded
+        out.write((",".join(SWEEP_FIELDS) + "\n").encode("ascii"))
         out.writelines(rows)
     return 0
 

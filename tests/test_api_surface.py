@@ -169,3 +169,28 @@ def test_closed_form_modules_import_only_the_standard_library():
             f"{module} imports {foreign}: the closed forms must share no module "
             "with the spectral route they are checked against"
         )
+
+
+def _fork_sites(trees) -> list[str]:
+    """module.name of the top-level definition around each `os.fork`, flagged if it has no `os._exit`."""
+    sites = []
+    for tree in trees:
+        for node in tree.body:
+            used = [
+                inner.attr for inner in ast.walk(node)
+                if isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name) and inner.value.id == "os"
+            ]
+            site = f"{tree.module_name}.{getattr(node, 'name', node.lineno)}"
+            sites += [site if "_exit" in used else f"{site} (no os._exit)"] * used.count("fork")
+    return sites
+
+
+def test_the_sweep_is_the_one_fork_and_its_worker_leaves_through_os_exit():
+    # a forked worker that returned would run its caller's code (a script, a test runner) twice
+    assert _fork_sites(_trees()) == ["cli._fork_rows"]
+    sample = ast.parse(
+        "import os\n\ndef good():\n    if not os.fork():\n        os._exit(0)\n\n"
+        "def bad():\n    return os.fork()\n\nPID = os.fork()\n"
+    )
+    sample.module_name = "jobs"
+    assert _fork_sites([sample]) == ["jobs.good", "jobs.bad (no os._exit)", "jobs.10 (no os._exit)"]

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,7 +230,7 @@ def test_sweep_equals_point_by_point_reference(tmp_path, cfg):
     assert out_file.read_bytes() == _reference_sweep(cfg).encode("ascii")
 
 
-@pytest.mark.parametrize(
+PINNED_SWEEPS = pytest.mark.parametrize(
     "config, digest",
     [
         (None, "9ec180b81e50e5625fb99049fba0ffbbf76b67354fcd61edf4a8c6f10979b773"),
@@ -238,6 +241,9 @@ def test_sweep_equals_point_by_point_reference(tmp_path, cfg):
     ],
     ids=["default_201", "wide_57", "faint_21"],
 )
+
+
+@PINNED_SWEEPS
 def test_sweep_bytes_are_pinned(tmp_path, config, digest):
     # The sweep and closed_forms share one kernel, so only a recorded digest
     # catches a bit change in it.  These are the bytes before the flat kernel;
@@ -251,6 +257,145 @@ def test_sweep_bytes_are_pinned(tmp_path, config, digest):
         argv += ["--config", str(tmp_path / "grid.cfg")]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def _usable_cpus(monkeypatch, count: int) -> list:
+    """Make the sweep see `count` usable CPUs; return the list of its os.fork calls.
+
+    On one CPU a fork raises, since the serial case must never reach it.
+    """
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(1)
+        if count == 1:
+            raise AssertionError("a one-CPU sweep forked")
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    return calls
+
+
+def _no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@PINNED_SWEEPS
+def test_sweep_blocks_reproduce_the_pinned_bytes(monkeypatch, tmp_path, cpus, config, digest):
+    # one contiguous block of a-rows per usable CPU, joined in a-major order
+    forks = _usable_cpus(monkeypatch, cpus)
+    test_sweep_bytes_are_pinned(tmp_path, config, digest)
+    assert len(forks) == cpus - 1
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1), (3, 1), (8, 1)])
+def test_sweep_never_splits_into_more_blocks_than_rows(monkeypatch, tmp_path, cpus, forks):
+    calls = _usable_cpus(monkeypatch, cpus)
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", "--steps", "2", "--a-max", "1.5", "--out", str(out_file)]) == 0
+    assert len(calls) == forks
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER and [line.split(",")[:2] for line in lines[1:]] == [
+        ["0", "0"], ["0", "2.5"], ["1.5", "0"], ["1.5", "2.5"]
+    ]
+    assert _no_children_left()
+
+
+def test_sweep_without_cpu_affinity_runs_serially(monkeypatch, tmp_path):
+    # macOS and Windows have no os.sched_getaffinity
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", "--steps", "3", "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().splitlines()) == 1 + 3 * 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # both blocks fail; the parent's a = 0 block comes first in a-major order
+        (["--s-max", "400"], "error: tanh(s)/cosh(a) rounds to 1 in float64 at a=0.0, s=32.0\n"),
+        # only the worker's a = 360 block fails
+        (["--a-max", "360", "--steps", "2"],
+         "error: float64 overflow ((34, 'Numerical result out of range')) at a=360.0, s=0.0\n"),
+    ],
+    ids=["parent_block", "worker_block"],
+)
+def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch, capsys, tmp_path, argv, message):
+    _usable_cpus(monkeypatch, 2)
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", *argv, "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out_file.exists()
+    assert _no_children_left()
+
+
+def test_sweep_worker_that_dies_is_one_error_line(monkeypatch, capsys, tmp_path):
+    # a worker killed before it sends its rows is an OSError naming it: exit 1, no truncated CSV
+    parent, rows = os.getpid(), cli._sweep_rows
+
+    def dying_rows(a_values, s_values):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows(a_values, s_values)
+
+    monkeypatch.setattr(cli, "_sweep_rows", dying_rows)
+    _usable_cpus(monkeypatch, 2)
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", "--steps", "5", "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: sweep worker ") and "for a=1.25 to 2.5 exited with status -9" in err
+    assert not out_file.exists()
+    assert _no_children_left()
+
+
+def test_sweep_interrupted_in_the_parent_kills_and_reaps_its_workers(monkeypatch, tmp_path):
+    parent, rows = os.getpid(), cli._sweep_rows
+
+    def interrupted_rows(a_values, s_values):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker still busy: only a kill ends it in time
+        return rows(a_values, s_values)
+
+    monkeypatch.setattr(cli, "_sweep_rows", interrupted_rows)
+    _usable_cpus(monkeypatch, 3)
+    out_file = tmp_path / "sweep.csv"
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["fourmode", "sweep", "--out", str(out_file)])
+    assert time.monotonic() - start < 30
+    assert not out_file.exists()
+    assert _no_children_left()
+
+
+# a forked worker must leave through os._exit, never back into its caller's code
+_FORK_PROBE = """
+import os, sys
+from promiscuity import cli
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+print("before")  # still buffered at the fork: a worker that flushed it on its way out would repeat it
+code = cli.main(sys.argv[1:])
+print("after", code, sorted({"multiprocessing", "concurrent.futures", "pickle"} & set(sys.modules)))
+"""
+
+
+def test_sweep_workers_never_return_into_the_caller(tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE, "fourmode", "sweep", "--steps", "5", "--out", str(out_file)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == "before\nafter 0 []\n" and proc.stderr == ""
+    assert len(out_file.read_text().splitlines()) == 1 + 5 * 5
 
 
 REPORT_POINTS = [("0", "0"), ("1.5", "1"), ("0.5", "0.25"), ("2.5", "2.5"), ("2.4", "2.3"),

@@ -18,6 +18,9 @@ def test_scripts_run_and_agree_with_the_cli(tmp_path):
     assert "  consistent                     True" in lines
 
     script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
-    _run(str(SCRIPTS / "sweep_surfaces.py"), "--steps", "6", "--out", str(script_csv))
+    summary = _run(str(SCRIPTS / "sweep_surfaces.py"), "--steps", "6", "--out", str(script_csv)).stdout
+    # the sweep's forked workers leave through os._exit, so the script goes on in one process only
+    assert summary.count(f"wrote {script_csv}\n") == 1
+    assert len(summary.splitlines()) == 1 + 1 + 6
     _run("-m", "promiscuity", "fourmode", "sweep", "--steps", "6", "--out", str(cli_csv))
     assert script_csv.read_bytes() == cli_csv.read_bytes()
