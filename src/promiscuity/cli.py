@@ -24,10 +24,12 @@ handler imports the spectral layers it needs, so `fourmode sweep`,
 per usable CPU (never more blocks than rows; one where the OS reports no
 CPU affinity).  The calling process computes the first block; each other
 block runs in an `os.fork` worker that sends its encoded rows, or its
-ArithmeticError's type and message, down a pipe and leaves through
-`os._exit`.  The first failure in a-major order is raised, a worker that
-dies is an OSError naming it, and `--out` is opened only once every
-block has succeeded, so the bytes are those of one serial pass.
+ArithmeticError's message, down a pipe and leaves through `os._exit`.
+Its exit status alone says which: 0 means it sent its rows, 3 means it
+sent a message, and any other status is a worker that died, an OSError
+naming it (exit 1, one `error:` line).  The first failure in a-major
+order is raised, and `--out` is opened only once every block has
+succeeded, so the bytes are those of one serial pass.
 """
 from __future__ import annotations
 
@@ -180,18 +182,17 @@ def _sweep_rows(a_values: list, s_values: list) -> list:
     return rows
 
 
-# a worker's payload: one kind byte, the body's length in 8 big-endian bytes, then the body
-_ROWS, _FAILED = b"R", b"F"
-_HEAD = 9
-# a worker's failure crosses the pipe as its type name and message
-_ARITHMETIC = {error.__name__: error for error in (ArithmeticError, OverflowError, ZeroDivisionError)}
+# a worker's exit status after it sent an ArithmeticError's message instead of its rows
+_FAILED = 3
 
 
 def _fork_rows(a_values: list, s_values: list) -> tuple:
     """Fork a worker that sends `_sweep_rows(a_values, s_values)` down a pipe: (pid, read end).
 
-    The worker never returns: it leaves through os._exit, so nothing of the
-    caller (buffered output, atexit handlers, a test runner) runs twice.
+    The worker never returns: it leaves through os._exit, with status 0 after
+    its rows, _FAILED after an ArithmeticError's message and 1 on any other
+    path, so nothing of the caller (buffered output, atexit handlers, a test
+    runner) runs twice.
     """
     read_end, write_end = os.pipe()
     try:
@@ -207,26 +208,14 @@ def _fork_rows(a_values: list, s_values: list) -> tuple:
     try:
         os.close(read_end)
         try:
-            kind, body = _ROWS, _sweep_rows(a_values, s_values)
+            body, verdict = _sweep_rows(a_values, s_values), 0
         except ArithmeticError as exc:
-            kind, body = _FAILED, [f"{type(exc).__name__}\n{exc}".encode()]
+            body, verdict = [str(exc).encode()], _FAILED
         with open(write_end, "wb") as pipe:
-            pipe.write(kind + sum(map(len, body)).to_bytes(_HEAD - 1, "big"))
             pipe.writelines(body)
-        status = 0
+        status = verdict
     finally:
         os._exit(status)
-
-
-def _read_payload(read_end: int) -> tuple:
-    """(head, body, bytes received) from a worker's pipe; short if the worker died."""
-    with open(read_end, "rb", buffering=0, closefd=False) as pipe:
-        head = pipe.read(_HEAD)
-        body = bytearray(int.from_bytes(head[1:], "big") if len(head) == _HEAD else 0)
-        view, got = memoryview(body), 0
-        while got < len(body) and (chunk := pipe.readinto(view[got:])):
-            got += chunk
-    return head, body, got
 
 
 def cmd_fourmode_sweep(args) -> int:
@@ -245,7 +234,7 @@ def cmd_fourmode_sweep(args) -> int:
         for block in blocks[1:]:
             workers.append((*_fork_rows(block, s_values), block))
         rows = _sweep_rows(blocks[0], s_values)  # the parent's own failure comes first in a-major order
-        payloads = [_read_payload(read_end) for _, read_end, _ in workers]
+        bodies = [open(read_end, "rb", closefd=False).read() for _, read_end, _ in workers]
     except BaseException:
         import signal  # only a failed sweep needs it
 
@@ -257,13 +246,12 @@ def cmd_fourmode_sweep(args) -> int:
         for pid, read_end, _ in workers:
             os.close(read_end)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _, block), status, (head, body, got) in zip(workers, statuses, payloads):
-        if status != 0 or len(head) != _HEAD or got != len(body):
+    for (pid, _, block), status, body in zip(workers, statuses, bodies):
+        if status == _FAILED:
+            raise ArithmeticError(body.decode())
+        if status != 0:
             raise OSError(f"sweep worker {pid} for a={block[0]} to {block[-1]} exited with status "
-                          f"{status} after sending {len(head) + got} bytes of its payload")
-        if head[:1] == _FAILED:
-            name, message = body.decode().split("\n", 1)
-            raise _ARITHMETIC.get(name, ArithmeticError)(message)
+                          f"{status} after sending {len(body)} bytes of its payload")
         rows.append(body)
     with open(args.out, "wb") as out:  # opened only once every block has succeeded
         out.write((",".join(SWEEP_FIELDS) + "\n").encode("ascii"))

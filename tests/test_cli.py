@@ -317,6 +317,7 @@ def test_sweep_without_cpu_affinity_runs_serially(monkeypatch, tmp_path):
     assert len(out_file.read_text().splitlines()) == 1 + 3 * 3
 
 
+@pytest.mark.parametrize("cpus", [1, 2])  # a worker's failure crosses as the line a serial pass prints
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -328,8 +329,9 @@ def test_sweep_without_cpu_affinity_runs_serially(monkeypatch, tmp_path):
     ],
     ids=["parent_block", "worker_block"],
 )
-def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch, capsys, tmp_path, argv, message):
-    _usable_cpus(monkeypatch, 2)
+def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch, capsys, tmp_path, cpus,
+                                                                     argv, message):
+    _usable_cpus(monkeypatch, cpus)
     out_file = tmp_path / "sweep.csv"
     assert cli.main(["fourmode", "sweep", *argv, "--out", str(out_file)]) == 1
     assert capsys.readouterr().err == message
@@ -337,22 +339,32 @@ def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch
     assert _no_children_left()
 
 
-def test_sweep_worker_that_dies_is_one_error_line(monkeypatch, capsys, tmp_path):
-    # a worker killed before it sends its rows is an OSError naming it: exit 1, no truncated CSV
+@pytest.mark.parametrize("how, status", [("killed", -9), ("exit_7", 7)], ids=["killed", "exit_7"])
+def test_sweep_worker_that_dies_is_one_error_line(monkeypatch, capsys, tmp_path, how, status):
+    # a worker killed before it sends its rows, or one that sends every row and then exits 7,
+    # is an OSError naming it: its status decides, not the bytes it sent.  Exit 1, no CSV.
     parent, rows = os.getpid(), cli._sweep_rows
+    if how == "killed":
+        def dying_rows(a_values, s_values):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rows(a_values, s_values)
 
-    def dying_rows(a_values, s_values):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return rows(a_values, s_values)
-
-    monkeypatch.setattr(cli, "_sweep_rows", dying_rows)
+        monkeypatch.setattr(cli, "_sweep_rows", dying_rows)
+        sent = 0
+    else:
+        leave = os._exit
+        monkeypatch.setattr(cli.os, "_exit", lambda code: leave(7))
+        grid = GridConfig(density=5)  # the worker's block is a = 1.25, 1.875 and 2.5
+        sent = sum(map(len, rows(grid.a_values()[2:], grid.s_values())))
     _usable_cpus(monkeypatch, 2)
     out_file = tmp_path / "sweep.csv"
     assert cli.main(["fourmode", "sweep", "--steps", "5", "--out", str(out_file)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: sweep worker ") and "for a=1.25 to 2.5 exited with status -9" in err
+    assert err.startswith("error: sweep worker ")
+    assert err.endswith(f" for a=1.25 to 2.5 exited with status {status} after sending {sent} bytes of its"
+                        " payload\n")
     assert not out_file.exists()
     assert _no_children_left()
 

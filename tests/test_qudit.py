@@ -90,6 +90,36 @@ def test_materialized_party_entropy_is_additive_over_copies(d):
         assert entropy == pytest.approx(expected, abs=1e-12)
 
 
+def _family_state(d: int) -> PureStateVector:
+    """The d-family member as three parties: d/4 GHZ and d/4 W copies, party k holding qubit k of each."""
+    ghz_copies, w_copies = n_copies(d)
+    amps = np.ones(1, dtype=complex)
+    for copy in [ghz3()] * ghz_copies + [w3()] * w_copies:
+        amps = np.kron(amps, copy.amplitudes)
+    n = ghz_copies + w_copies
+    # qubit 3m + k (copy m, party k) moves to party-major position (k, m)
+    party_major = amps.reshape((2,) * 3 * n).transpose([3 * m + k for k in range(3) for m in range(n)])
+    return PureStateVector((2**n,) * 3, party_major.reshape(-1))
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_family_state_party_entropy_is_the_squashed_one_vs_rest(d):
+    # a pure state's one-party entropy is its squashed entanglement (Christandl & Winter 2004),
+    # taken here from the assembled state, not from per-copy additivity
+    entropy = vn_entropy(reduced_density(_family_state(d), [0]))
+    assert entropy == pytest.approx(squashed_bounds(d).one_vs_rest, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_family_state_pair_log_negativity_is_d_over_4_w_pairs(d):
+    # log-negativity is additive on tensor products (Vidal & Werner 2002) and GHZ pairs carry none,
+    # so the party-(1,2) value grows as d/4 W pairs; d = 12 would need a 4096x4096 reduction
+    dim = 2 ** (d // 2)
+    rho = reduced_density(_family_state(d), [0, 1])
+    w_pair = math.log2(1 + W_PAIR_NEGATIVITY)
+    assert math.log2(1 + negativity(rho, dim, dim)) == pytest.approx((d / 4) * w_pair, abs=1e-12)
+
+
 def test_reduced_density_of_ghz_and_w():
     ghz_one = reduced_density(ghz3(), [0])
     assert np.allclose(ghz_one.data, np.eye(2) / 2, atol=1e-15)
