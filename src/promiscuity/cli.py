@@ -16,9 +16,10 @@ ValueError that reaches main always means a broken rule, reported with
 the usage line of the subcommand that took the argument; one raised
 while a report or sweep computes is a numeric failure at that point.
 
-Only the closed forms and the grid config load with this module; each
-handler imports the spectral layers it needs, so `fourmode sweep`,
-`--help` and argument errors run without numpy.
+Only the closed forms and the grid config load with this module, and
+their records are namedtuples; each handler imports the spectral layers
+it needs, so `fourmode sweep`, `--help` and argument errors run without
+numpy, `dataclasses` or `inspect`.
 
 `fourmode sweep` splits the grid into contiguous blocks of a-rows, one
 per usable CPU (never more blocks than rows; one where the OS reports no

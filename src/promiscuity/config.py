@@ -2,28 +2,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 DEFAULT_GRID_DENSITY = 26
 DEFAULT_RANGE = (0.0, 2.5)
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(namedtuple("GridConfig", "a_min a_max s_min s_max density",
+                            defaults=(*DEFAULT_RANGE, *DEFAULT_RANGE, DEFAULT_GRID_DENSITY))):
     """Rectangular (a, s) parameter grid, inclusive of its endpoints."""
 
-    a_min: float = DEFAULT_RANGE[0]
-    a_max: float = DEFAULT_RANGE[1]
-    s_min: float = DEFAULT_RANGE[0]
-    s_max: float = DEFAULT_RANGE[1]
-    density: int = DEFAULT_GRID_DENSITY
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            _check_setting(field.name, getattr(self, field.name))
+    def __new__(cls, *args, **kwargs) -> GridConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            _check_setting(name, value)
         if not (self.a_min <= self.a_max and self.s_min <= self.s_max):
             raise ValueError(f"grid ranges must satisfy min <= max, got {self}")
+        return self
 
     def a_values(self) -> list[float]:
         return _axis(self.a_min, self.a_max, self.density)

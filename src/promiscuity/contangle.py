@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 M_CLAMP_TOL = 1e-9
 MONOGAMY_TOL = 1e-9
@@ -35,41 +34,32 @@ PROBES = (1, 2, 3, 4)
 SEPARABLE_CONTANGLE = 0.0
 
 
-@dataclass(frozen=True)
-class SqueezingParams:
+class SqueezingParams(namedtuple("SqueezingParams", "a s")):
     """Squeezing degrees of the four-mode family: pair strength a, interpair s."""
 
-    a: float
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("s", self.s)):
+    def __new__(cls, a: float, s: float) -> SqueezingParams:
+        for name, value in (("a", a), ("s", s)):
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"squeezing degree {name} must be a finite number")
             if value < 0:
                 raise ValueError(f"squeezing degree {name} must be non-negative, got {value}")
+        return super().__new__(cls, a, s)
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Every closed-form contangle statistic of one four-mode state.
+ClosedForms = namedtuple(
+    "ClosedForms",
+    "params pairwise_contangle one_vs_rest_contangle interpair_contangle probe1_slack "
+    "monogamy_slack residual tripartite_bound monogamy_ok strong_monogamy_ok",
+)
+ClosedForms.__doc__ = """Every closed-form contangle statistic of one four-mode state.
 
-    Filled by closed_forms.  Pair keys are sorted 1-based tuples; probe
-    keys are 1-based labels.  probe1_slack is g[m_{1|rest}^2] - tau_{1|2},
-    monogamy_slack the minimum sharing slack over the inequivalent probes,
-    and residual the probe-1 slack clamped at 0.
-    """
-
-    params: SqueezingParams
-    pairwise_contangle: dict[tuple[int, int], float]
-    one_vs_rest_contangle: dict[int, float]
-    interpair_contangle: float
-    probe1_slack: float
-    monogamy_slack: float
-    residual: float
-    tripartite_bound: float
-    monogamy_ok: bool
-    strong_monogamy_ok: bool
+Filled by closed_forms; params is the point's SqueezingParams.  Pair keys
+are sorted 1-based tuples; probe keys are 1-based labels.  probe1_slack
+is g[m_{1|rest}^2] - tau_{1|2}, monogamy_slack the minimum sharing slack
+over the inequivalent probes, and residual the probe-1 slack clamped at 0.
+"""
 
 
 # the closed-form terms that depend on a alone and on s alone (a_terms, s_terms)

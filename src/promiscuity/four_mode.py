@@ -17,8 +17,8 @@ User-facing mode labels are 1-based; the gaussian layer underneath is
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,18 +38,15 @@ FAINT_TAU = 1e-6
 PPT_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class EntanglementReport(contangle.ClosedForms):
-    """Closed-form statistics of one four-mode state with their cross-checks.
+EntanglementReport = namedtuple(
+    "EntanglementReport", (*contangle.ClosedForms._fields, "near_threshold", "consistent", "max_route_deviation")
+)
+EntanglementReport.__doc__ = """Closed-form statistics of one four-mode state with their cross-checks.
 
-    The spectral cross-checks of full_report are folded into
-    `consistent` / `max_route_deviation`; `near_threshold` flags points
-    whose middle-pair verdict was not compared.
-    """
-
-    near_threshold: bool
-    consistent: bool
-    max_route_deviation: float
+The ClosedForms fields, then the spectral cross-checks of full_report,
+folded into `consistent` / `max_route_deviation`; `near_threshold` flags
+points whose middle-pair verdict was not compared.
+"""
 
 
 def _transform_entries(a: float, s: float) -> list[float]:
@@ -227,7 +224,7 @@ def full_report(params: SqueezingParams) -> EntanglementReport:
 
     max_deviation = max(deviations)
     return EntanglementReport(
-        **vars(forms),
+        *forms,
         near_threshold=near,
         consistent=verdicts_ok and max_deviation <= ROUTE_TOL,
         max_route_deviation=max_deviation,

@@ -251,7 +251,9 @@ def nongaussianity(d: int) -> float:
     1/2 + 2^(-3d/4 - 1) 3^(-d/4) - 2^(d/2) 3^(-3d/2) 7^(d/4), which with
     q = d/4 is 1/2 + (1/2)(1/24)^q - (28/729)^q; about 0.4824 at d = 4
     and converging to 1/2 as d grows.  Both powers have bases below 1, so
-    they underflow to 0 for large d instead of overflowing.
+    they underflow to 0 for large d instead of overflowing.  The formula
+    is quoted, not derived: the package neither builds the closest
+    Gaussian-reachable state nor computes the distance by a second route.
     """
     q = _validate_d(d) // 4
     return 0.5 + 0.5 * (1 / 24) ** q - (28 / 729) ** q

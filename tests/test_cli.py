@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -571,7 +570,7 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     def broken(params):
         forms = real(params)
         pairwise = {**forms.pairwise_contangle, (2, 3): forms.pairwise_contangle[(2, 3)] + 0.05}
-        return dataclasses.replace(forms, pairwise_contangle=pairwise)
+        return forms._replace(pairwise_contangle=pairwise)
 
     monkeypatch.setattr(contangle, "closed_forms", broken)
     results = verification.run_all(GridConfig(0.0, 2.5, 0.0, 2.5, 6))
@@ -587,7 +586,7 @@ def test_verify_cli_reports_failure_exit(monkeypatch):
 
     def raised_bound(params):
         forms = real(params)
-        return dataclasses.replace(forms, tripartite_bound=forms.tripartite_bound + 1e-3)
+        return forms._replace(tripartite_bound=forms.tripartite_bound + 1e-3)
 
     monkeypatch.setattr(contangle, "closed_forms", raised_bound)
     failed = [r for r in verification.run_all(GridConfig(density=5)) if r.failures]
@@ -654,12 +653,16 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
         # broken rules: bad arguments
         ([*REPORT, "--a", "nan", "--s", "1"], None, 2, "squeezing degree a must be a finite number"),
         ([*REPORT, "--a", "inf", "--s", "1"], None, 2, "squeezing degree a must be a finite number"),
-        ([*REPORT, "--a", "-1", "--s", "1"], None, 2, "must be non-negative"),
+        ([*REPORT, "--a", "-1", "--s", "1"], None, 2, "squeezing degree a must be non-negative, got -1.0"),
         ([*SWEEP, "--steps", "1"], None, 2, "must be >= 2, got 1"),
         (["verify", "--grid-density", "1"], None, 2, "must be >= 2, got 1"),
         ([*SWEEP, "--config", "{cfg}"], "a_max = inf\n", 2, "grid.cfg:1: grid bound a_max must be finite"),
         ([*SWEEP, "--config", "{cfg}"], "a_max = -1\n", 2, "grid.cfg:1: grid bound a_max must be non-negative"),
-        ([*SWEEP, "--config", "{cfg}"], "a_min = 5\na_max = 3\n", 2, "min <= max"),
+        (
+            [*SWEEP, "--config", "{cfg}"], "a_min = 5\na_max = 3\n", 2,
+            "grid ranges must satisfy min <= max, "
+            "got GridConfig(a_min=5.0, a_max=3.0, s_min=0.0, s_max=2.5, density=26)",
+        ),
         (["verify", "--config", "{cfg}"], "a_min = 1\na_max = 1\n", 2, "a_min = a_max = 1.0"),
         (["qudit", "report", "--d", "5"], None, 2, "positive multiple of 4"),
     ],
@@ -731,7 +734,8 @@ def test_main_module_entry_point(run_cli):
         assert sub in out
 
 
-# runs cli.main in a fresh interpreter; its last stderr line is "<exit code> <numpy loaded>"
+# runs cli.main in a fresh interpreter; its last stderr line is the exit code, then
+# whether numpy, json, dataclasses and inspect were loaded
 _NUMPY_PROBE = """
 import sys
 from promiscuity import cli
@@ -739,7 +743,7 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, "numpy" in sys.modules, "json" in sys.modules, file=sys.stderr)
+print(code, *(name in sys.modules for name in ("numpy", "json", "dataclasses", "inspect")), file=sys.stderr)
 """
 
 
@@ -760,5 +764,6 @@ def test_closed_form_paths_load_no_numpy(tmp_path, argv, code, loads_numpy):
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True, timeout=120
     )
-    # json loads only where a report is rendered, which here is the numpy control row
-    assert proc.stderr.splitlines()[-1] == f"{code} {loads_numpy} {loads_numpy}"
+    # json loads only where a report is rendered, and dataclasses and inspect only with the
+    # spectral layers, which here is the numpy control row
+    assert proc.stderr.splitlines()[-1] == f"{code}" + f" {loads_numpy}" * 4

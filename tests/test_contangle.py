@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promiscuity import gaussian
+from promiscuity.config import GridConfig
 from promiscuity.contangle import (
     PAIRS,
     SqueezingParams,
@@ -39,6 +40,19 @@ def test_squeezing_params_validation():
         SqueezingParams(1.0, float("nan"))
     with pytest.raises(ValueError):
         SqueezingParams(float("inf"), 1.0)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(SqueezingParams(1.5, 1.0), "a"), (GridConfig(), "density"), (closed_forms(SqueezingParams(1.5, 1.0)), "residual")],
+    ids=["squeezing_params", "grid_config", "closed_forms"],
+)
+def test_records_refuse_field_assignment(record, field):
+    # a checked record stays checked: no field can be rebound past its constructor
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+    assert getattr(record, field) == before
 
 
 def test_g_function_anchors():

@@ -234,7 +234,7 @@ def _reference_report(params: SqueezingParams) -> EntanglementReport:
         if not skipped and (nu_min >= 1.0 - gaussian.SEPARABILITY_TOL) != (tau == 0.0):
             verdicts_ok = False
     return EntanglementReport(
-        **vars(forms),
+        **forms._asdict(),
         near_threshold=near,
         consistent=verdicts_ok and max(deviations) <= four_mode.ROUTE_TOL,
         max_route_deviation=max(deviations),
@@ -248,7 +248,7 @@ def test_full_report_equals_the_report_from_separate_spectra():
     outcomes = set()
     for params in _seeded_points() + extra:
         report, expected = full_report(params), _reference_report(params)
-        for field in vars(expected):
+        for field in expected._asdict():
             assert getattr(report, field) == getattr(expected, field), (params, field)
         assert report.max_route_deviation.hex() == expected.max_route_deviation.hex()
         assert report.consistent is expected.consistent

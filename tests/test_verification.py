@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from promiscuity import contangle, four_mode, gaussian, verification
@@ -76,7 +74,7 @@ def test_closed_form_fault_turns_spectral_suites_red(monkeypatch, suite, corrupt
 
     def corrupt(params):
         forms = real(params)
-        return dataclasses.replace(forms, **corrupted(forms))
+        return forms._replace(**corrupted(forms))
 
     monkeypatch.setattr(contangle, "closed_forms", corrupt)
     assert not suite(verification.Grid(cfg)).ok
