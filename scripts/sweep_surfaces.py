@@ -2,11 +2,12 @@
 """Sweep the (a, s) grid and summarize the entanglement surfaces.
 
 Writes the same CSV as `promiscuity fourmode sweep` and then prints,
-for every fixed-s row (one per grid value of s, 26 at the default
---steps), where the residual and the tripartite bound sit along a: the
-residual climbs monotonically while the bound rises to a single
-interior peak and decays, so the peak location is the interesting
-number to track between revisions.
+for every fixed-s row (one per grid value of s), where the residual and
+the tripartite bound sit along a: the residual climbs monotonically
+while the bound rises to a single interior peak and decays, so the peak
+location is the interesting number to track between revisions.  The
+grid flags go to the CLI as given, and those left unset take its
+defaults.
 """
 import argparse
 import csv
@@ -35,20 +36,18 @@ def summarize(path: str) -> None:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="sweep.csv", help="CSV output path")
-    parser.add_argument("--steps", type=int, default=26)
-    parser.add_argument("--a-max", type=float, default=2.5)
-    parser.add_argument("--s-max", type=float, default=2.5)
+    grid_flags = ("--steps", "--a-max", "--s-max")
+    for flag in grid_flags:
+        parser.add_argument(flag)
     args = parser.parse_args()
 
-    code = cli_main(
-        [
-            "fourmode", "sweep",
-            "--steps", str(args.steps),
-            "--a-max", str(args.a_max),
-            "--s-max", str(args.s_max),
-            "--out", args.out,
-        ]
-    )
+    # only the grid flags given are passed on, and the CLI checks them
+    argv = ["fourmode", "sweep", "--out", args.out]
+    for flag in grid_flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            argv += [flag, value]
+    code = cli_main(argv)
     if code != 0:
         raise SystemExit(code)
     print(f"wrote {args.out}")

@@ -147,11 +147,12 @@ def cmd_fourmode_report(args) -> int:
     return 0
 
 
-def _grid(args, **flags) -> GridConfig:
-    # the flags, overridden by the config file, checked once as one grid
+def _grid(args) -> GridConfig:
+    # the grid flags given (unset ones leave no entry), overridden by the config file, checked once
+    settings = {name: value for name, value in vars(args).items() if name in GridConfig._fields}
     if args.config:
-        flags.update(load_config(args.config))
-    return GridConfig(**flags)
+        settings.update(load_config(args.config))
+    return GridConfig(**settings)
 
 
 def _sweep_rows(a_values: list, s_values: list) -> list:
@@ -220,8 +221,7 @@ def _fork_rows(a_values: list, s_values: list) -> tuple:
 
 
 def cmd_fourmode_sweep(args) -> int:
-    cfg = _grid(args, a_min=args.a_min, a_max=args.a_max, s_min=args.s_min, s_max=args.s_max,
-                density=args.steps)
+    cfg = _grid(args)
     a_values, s_values = cfg.a_values(), cfg.s_values()
     # contiguous blocks of a-rows, one per usable CPU, each past the first in a forked worker:
     # threads would take turns on the GIL, and numpy's transcendentals differ from libm in the
@@ -289,7 +289,7 @@ def cmd_qudit_report(args) -> int:
 def cmd_verify(args) -> int:
     from . import verification
 
-    results = verification.run_all(_grid(args, density=args.grid_density))
+    results = verification.run_all(_grid(args))
     failed = False
     for result in results:
         status = "ok" if result.ok else "FAIL"
@@ -325,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=cmd_fourmode_report, parser=report)
 
     sweep = fsub.add_parser("sweep", help="grid sweep written to a CSV file")
-    sweep.add_argument("--a-min", type=float, default=0.0)
-    sweep.add_argument("--a-max", type=float, default=2.5)
-    sweep.add_argument("--s-min", type=float, default=0.0)
-    sweep.add_argument("--s-max", type=float, default=2.5)
-    sweep.add_argument("--steps", type=int, default=26, help="grid points per axis (>= 2)")
+    # the grid flags have no default of their own: GridConfig's apply (see _grid)
+    for bound in ("--a-min", "--a-max", "--s-min", "--s-max"):
+        sweep.add_argument(bound, type=float, default=argparse.SUPPRESS)
+    sweep.add_argument("--steps", type=int, dest="density", metavar="STEPS", default=argparse.SUPPRESS,
+                       help="grid points per axis (>= 2)")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--config", help="key = value file overriding grid settings")
     sweep.set_defaults(handler=cmd_fourmode_sweep, parser=sweep)
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     qreport.set_defaults(handler=cmd_qudit_report, parser=qreport)
 
     verify = sub.add_parser("verify", help="run every property suite")
-    verify.add_argument("--grid-density", type=int, default=26, help="grid points per axis (>= 2)")
+    verify.add_argument("--grid-density", type=int, dest="density", metavar="GRID_DENSITY",
+                        default=argparse.SUPPRESS, help="grid points per axis (>= 2)")
     verify.add_argument("--config", help="key = value file overriding grid settings")
     verify.add_argument("--verbose", action="store_true", help="print every failure, not just the first")
     verify.set_defaults(handler=cmd_verify, parser=verify)

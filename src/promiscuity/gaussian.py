@@ -193,11 +193,6 @@ class ModePartition:
     def modes(self) -> frozenset[int]:
         return self.side_a | self.side_b
 
-    def validate_for(self, sigma: CovarianceMatrix) -> None:
-        out = [m for m in self.modes if m >= sigma.n_modes]
-        if out:
-            raise ValueError(f"partition references modes {sorted(out)} outside 0..{sigma.n_modes - 1}")
-
 
 @functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -325,7 +320,6 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     p-column belonging to side_b, which is exact (no arithmetic beyond
     sign changes), hence involutive on full covers.
     """
-    partition.validate_for(sigma)
     sub = reduce(sigma, partition.modes)
     return _view(sub.n_modes, sub.data * transpose_signs(partition))
 
@@ -410,7 +404,7 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
     at deep squeezing the float64 spectrum of a pure state strays
     outside any band the noise floor justifies.
     """
-    partition.validate_for(sigma)
+    _kept_modes(sigma.n_modes, tuple(partition.modes))  # the whole partition, as only one side is reduced
     if not sigma.pure:
         raise ValueError("log-negativity needs a state built pure (pure_state)")
     reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))

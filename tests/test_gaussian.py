@@ -181,9 +181,12 @@ def test_mode_partition_validation():
         ModePartition(frozenset({0}), frozenset({0, 1}))
     with pytest.raises(ValueError):
         ModePartition(frozenset({-1}), frozenset({0}))
+    # a partition reaching past the state's modes is refused on either route
     part = ModePartition(frozenset({0}), frozenset({3}))
-    with pytest.raises(ValueError):
-        part.validate_for(vacuum(2))
+    with pytest.raises(ValueError, match=r"modes \[0, 3\] out of range for 2-mode state"):
+        partial_transpose(vacuum(2), part)
+    with pytest.raises(ValueError, match=r"modes \[0, 3\] out of range for 2-mode state"):
+        log_negativity(tmsv(0.5), part)
 
 
 def test_symplectic_eigenvalues_known_values():
