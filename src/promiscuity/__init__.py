@@ -9,8 +9,11 @@ Layers, bottom to top:
   pure `math`, no numpy.
 * four_mode: state builder, the bounding three-mode state and
   dual-route entanglement reports.
-* qudit: GHZ/W qudit families, brute-force tangle identities and
-  squashed-entanglement bounds.
+* qudit: GHZ/W qudit families, tangle identities and
+  squashed-entanglement bounds from exact per-copy values; pure `math`
+  and `fractions`, no numpy.
+* qubits: the brute-force three-qubit density-matrix route that verify
+  checks the per-copy values against.
 * verification / cli: property suites and the command-line front end.
 """
 

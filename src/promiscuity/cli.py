@@ -17,9 +17,10 @@ the usage line of the subcommand that took the argument; one raised
 while a report or sweep computes is a numeric failure at that point.
 
 Only the closed forms and the grid config load with this module, and
-their records are namedtuples; each handler imports the spectral layers
-it needs, so `fourmode sweep`, `--help` and argument errors run without
-numpy, `dataclasses` or `inspect`.
+their records are namedtuples; each handler imports the layers it needs,
+so `fourmode sweep`, `qudit report` (whose layer is standard library
+only), `--help` and argument errors run without numpy, `dataclasses` or
+`inspect`.
 
 `fourmode sweep` splits the grid into contiguous blocks of a-rows, one
 per usable CPU (never more blocks than rows; one where the OS reports no

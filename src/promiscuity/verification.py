@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import contangle, four_mode, gaussian, qudit
+from . import contangle, four_mode, gaussian, qubits, qudit
 from .config import GridConfig
 
 # spectral-vs-closed agreement on squared log-negativities
@@ -25,6 +25,9 @@ ROUTE_TOL = 1e-7
 # slack for monotonicity and sign checks on sampled grids
 SLACK = 1e-12
 PSD_SLACK = -1e-8
+# qudit's closed-form H and witness against the brute force: the two routes
+# differ by <= 1.5e-16, and a relative fault of 1e-12 moves either by > 4e-13
+PER_COPY_TOL = 1e-14
 
 QUDIT_DIMS = tuple(range(4, 44, 4))
 NONGAUSSIANITY_DIMS = tuple(range(4, 100, 4))
@@ -61,8 +64,9 @@ def _ends_and_middle(values: list[float]) -> list[float]:
 
 class Grid:
     """The a-major points of one verify run and its 3x3 samples, with each
-    point's closed record, the grid's spectral record, and the samples'
-    states and spectral record, each computed once on first use.
+    point's closed record, the grid's spectral record, the samples'
+    states and spectral record, and the brute-force per-copy values of
+    the qudit family, each computed once on first use.
     A computation that raises is not cached, so each reader fails alone.
     """
 
@@ -89,6 +93,16 @@ class Grid:
     @functools.cached_property
     def sample_spectral(self) -> four_mode.SpectralForms:
         return four_mode.spectral_forms(self.sample_states)
+
+    @functools.cached_property
+    def per_copy(self) -> tuple[float, float, float, float, float]:
+        # the brute-force twins of qudit's per-copy constants, from the GHZ and
+        # W vectors: GHZ and W one-vs-rest, W pair tangle, W entropy H, witness
+        ghz, w = qubits.ghz3(), qubits.w3()
+        w_pair = qubits.reduced_density(w, [0, 1])
+        rest = [qubits.one_vs_rest_tangle_qubit(state, 0) for state in (ghz, w)]
+        entropy = qubits.vn_entropy(qubits.reduced_density(w, [0]))
+        return (*rest, qubits.concurrence(w_pair) ** 2, entropy, qubits.negativity(w_pair, 2, 2))
 
 
 def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
@@ -299,8 +313,9 @@ def suite_report_consistency(grid: Grid) -> SuiteResult:
     return result
 
 
-def suite_qudit_tangles(_: Grid) -> SuiteResult:
-    """Exact tangle identities for d in QUDIT_DIMS."""
+def suite_qudit_tangles(grid: Grid) -> SuiteResult:
+    """Exact tangle identities for d in QUDIT_DIMS, and the per-copy
+    tangles they are composed from against the brute force."""
     result = SuiteResult("qudit_tangles")
     for d in QUDIT_DIMS:
         report = qudit.tangle_report(d)
@@ -311,12 +326,10 @@ def suite_qudit_tangles(_: Grid) -> SuiteResult:
             report.one_vs_rest_tangle == Fraction(17 * d, 36), f"one-vs-rest at {point}"
         )
         result.check(report.monogamy_gap == 0, f"monogamy gap at {point}")
-    ghz_rest = qudit.one_vs_rest_tangle_qubit(qudit.ghz3(), 0)
-    w_rest = qudit.one_vs_rest_tangle_qubit(qudit.w3(), 0)
-    w_pair = qudit.concurrence(qudit.reduced_density(qudit.w3(), [0, 1])) ** 2
-    result.check(abs(ghz_rest - 1.0) <= 1e-10, "GHZ per-copy one-vs-rest")
-    result.check(abs(w_rest - 8.0 / 9.0) <= 1e-10, "W per-copy one-vs-rest")
-    result.check(abs(w_pair - 4.0 / 9.0) <= 1e-10, "W per-copy pair tangle")
+    ghz_rest, w_rest, w_pair = grid.per_copy[:3]
+    result.check(abs(ghz_rest - qudit.GHZ_TANGLES.one_vs_rest) <= 1e-10, "GHZ per-copy one-vs-rest")
+    result.check(abs(w_rest - qudit.W_TANGLES.one_vs_rest) <= 1e-10, "W per-copy one-vs-rest")
+    result.check(abs(w_pair - qudit.W_TANGLES.pairwise) <= 1e-10, "W per-copy pair tangle")
     return result
 
 
@@ -337,17 +350,18 @@ def suite_nongaussianity(_: Grid) -> SuiteResult:
     return result
 
 
-def suite_squashed(_: Grid) -> SuiteResult:
-    """Squashed-entanglement bounds and the positivity witness."""
+def suite_squashed(grid: Grid) -> SuiteResult:
+    """Squashed-entanglement bounds and the positivity witness against the brute force."""
     result = SuiteResult("squashed")
+    entropy, witness = grid.per_copy[3:]
     for d in QUDIT_DIMS:
         bounds = qudit.squashed_bounds(d)
         point = f"d={d}"
         result.check(
-            abs(bounds.one_vs_rest - 0.47956 * d) <= 1e-4 * d, f"one-vs-rest at {point}"
+            abs(bounds.one_vs_rest - (d / 4) * (1 + entropy)) <= PER_COPY_TOL * d, f"one-vs-rest at {point}"
         )
         result.check(bounds.tripartite_lower == Fraction(d, 4), f"tripartite at {point}")
-        result.check(bounds.pairwise_witness > 0.29, f"witness at {point}")
+        result.check(abs(bounds.pairwise_witness - witness) <= PER_COPY_TOL, f"witness at {point}")
     return result
 
 

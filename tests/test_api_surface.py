@@ -11,9 +11,9 @@ that can reach it: a bare name loaded in its own module, `module.name`,
 or `from module import name`.  An attribute of the same name on anything
 else (a dataclass field, say) does not count.
 
-The closed-form modules (contangle, config) import only the standard
-library, so the closed forms share no module with the spectral route
-they are checked against.
+The closed-form modules (contangle, config, qudit) import only the
+standard library, so the closed forms share no module with the spectral
+and brute-force routes they are checked against.
 """
 import ast
 import sys
@@ -159,7 +159,7 @@ def _imported_modules(tree: ast.AST):
 
 
 def test_closed_form_modules_import_only_the_standard_library():
-    for module in ("contangle", "config"):
+    for module in ("contangle", "config", "qudit"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         foreign = [
             name for name in _imported_modules(tree)
@@ -167,7 +167,7 @@ def test_closed_form_modules_import_only_the_standard_library():
         ]
         assert not foreign, (
             f"{module} imports {foreign}: the closed forms must share no module "
-            "with the spectral route they are checked against"
+            "with the route they are checked against"
         )
 
 

@@ -741,6 +741,9 @@ print(code, *(name in sys.modules for name in ("numpy", "json", "dataclasses", "
         (["fourmode", "report", "--a", "1.5", "--s", "1"], 0, True),
         # a broken rule is refused before the spectral layers load
         (["fourmode", "report", "--a", "nan", "--s", "0"], 2, False),
+        # qudit reports read exact per-copy constants; csv keeps json unloaded
+        (["qudit", "report", "--d", "8", "--format", "csv"], 0, False),
+        (["qudit", "report", "--d", "6"], 2, False),
     ],
 )
 def test_closed_form_paths_load_no_numpy(tmp_path, argv, code, loads_numpy):

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promiscuity.qudit import (
+from promiscuity.qubits import (
     DensityMatrix,
     PureStateVector,
     concurrence,
     ghz3,
-    n_copies,
     negativity,
-    nongaussianity,
     one_vs_rest_tangle_qubit,
     reduced_density,
-    squashed_bounds,
-    tangle_report,
     vn_entropy,
     w3,
 )
+from promiscuity.qudit import n_copies, nongaussianity, squashed_bounds, tangle_report
 
 # frozen: binary entropy of the W single-qubit reduction, log2(3) - 2/3
 W_ENTROPY = 0.9182958340544894
@@ -213,6 +210,14 @@ def test_squashed_bounds():
         assert bounds.pairwise_form == "omega*d/4"
         assert bounds.pairwise_witness == pytest.approx(W_PAIR_NEGATIVITY, abs=1e-12)
         assert bounds.pairwise_witness > 0.29
+
+
+@pytest.mark.parametrize("d", [4, 36, 1456])
+def test_squashed_bounds_read_the_exact_forms(d):
+    # no float route in between: the report's H and witness are the closed forms, bit for bit
+    bounds = squashed_bounds(d)
+    assert bounds.one_vs_rest == (d / 4) * (1 + (math.log2(3) - 2 / 3))
+    assert bounds.pairwise_witness == (math.sqrt(5) - 1) / 3
 
 
 def test_squashed_one_vs_rest_slope():

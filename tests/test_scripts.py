@@ -13,10 +13,6 @@ def _run(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_scripts_run_and_agree_with_the_cli(tmp_path):
-    lines = _run(str(SCRIPTS / "reproduce_benchmark.py")).stdout.splitlines()
-    assert "  pair contangle (1,2) = (3,4)   9" in lines
-    assert "  consistent                     True" in lines
-
     script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
     summary = _run(str(SCRIPTS / "sweep_surfaces.py"), "--steps", "6", "--out", str(script_csv)).stdout
     # the sweep's forked workers leave through os._exit, so the script goes on in one process only

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from promiscuity import contangle, four_mode, gaussian, verification
+from promiscuity import contangle, four_mode, gaussian, qudit, verification
 from promiscuity.config import GridConfig
 
 
@@ -268,3 +270,22 @@ def test_transform_fault_turns_gaussian_invariants_red(monkeypatch):
         f"state differs from the squeezer product at a={p.a:.6g} s={p.s:.6g}" for p in grid.samples if p.a != p.s
     ]
     assert len(result.failures) == 6
+
+
+@pytest.mark.parametrize(
+    "constant, corrupt, red",
+    [
+        # every d's one-vs-rest and monogamy gap, and the per-copy check
+        ("W_TANGLES", lambda w: w._replace(one_vs_rest=Fraction(7, 9)), {"qudit_tangles": 2 * 10 + 1}),
+        ("W_QUBIT_ENTROPY", lambda h: h * (1 + 1e-12), {"squashed": 10}),
+        ("W_PAIR_NEGATIVITY", lambda witness: witness * (1 + 1e-12), {"squashed": 10}),
+    ],
+    ids=["w_one_vs_rest", "w_qubit_entropy", "w_pair_negativity"],
+)
+def test_qudit_constant_fault_turns_verify_red(monkeypatch, constant, corrupt, red):
+    # the reports read qudit's exact per-copy constants, and verify holds
+    # each against the brute-force density-matrix route
+    monkeypatch.setattr(qudit, constant, corrupt(getattr(qudit, constant)))
+    results = verification.run_all(GridConfig(0.0, 2.5, 0.0, 2.5, 6))
+    assert {r.name: len(r.failures) for r in results if not r.ok} == red
+    assert not any(failure.startswith("suite raised") for r in results for failure in r.failures)
