@@ -25,13 +25,14 @@ only), `--help` and argument errors run without numpy, `dataclasses` or
 `fourmode sweep` splits the grid into contiguous blocks of a-rows, one
 per usable CPU (never more blocks than rows; one where the OS reports no
 CPU affinity).  The calling process computes the first block; each other
-block runs in an `os.fork` worker that sends its encoded rows, or its
-ArithmeticError's message, down a pipe and leaves through `os._exit`.
-Its exit status alone says which: 0 means it sent its rows, 3 means it
-sent a message, and any other status is a worker that died, an OSError
-naming it (exit 1, one `error:` line).  The first failure in a-major
-order is raised, and `--out` is opened only once every block has
-succeeded, so the bytes are those of one serial pass.
+block runs in an `os.fork` worker that sends its encoded rows down a pipe
+and exits 0, or exits 1 on any other path, always through `os._exit`.
+The caller then computes again, in a-major order, every block whose
+worker did not exit 0, so a failure is raised by the caller with the
+message of one serial pass, and a worker lost to a signal or a stray
+exit code costs time, not the answer.  `--out` is opened only once every
+block has succeeded, so the bytes, the first error and the exit code are
+those of one serial pass.
 """
 from __future__ import annotations
 
@@ -71,10 +72,9 @@ def _text(value) -> str:
     return str(value)
 
 
-# the monogamy_ok and strong_monogamy_ok cells of a sweep line
-_FLAG_CELLS = {
-    (mono, strong): f"{_text(mono)},{_text(strong)}" for mono in (False, True) for strong in (False, True)
-}
+# the monogamy_ok and strong_monogamy_ok cells of a sweep line, keyed by strong_monogamy_ok:
+# monogamy_ok is always true, since point_forms raises wherever monogamy fails
+_FLAG_CELLS = {strong: f"{_text(True)},{_text(strong)}" for strong in (False, True)}
 
 
 def _json_ready(value):
@@ -176,26 +176,21 @@ def _sweep_rows(a_values: list, s_values: list) -> list:
             lines = []
             for s in s_values:
                 terms, s_cell, tau_pairblock = column(s)
-                tau_1_rest, _, tau_23, _, _, res, bound, mono, strong = contangle.point_forms(row, terms)
+                tau_1_rest, _, tau_23, _, _, res, bound, _, strong = contangle.point_forms(row, terms)
                 lines.append(template % (s_cell, tau_23, tau_pairblock, tau_1_rest, res, bound,
-                                         _FLAG_CELLS[mono, strong]))
+                                         _FLAG_CELLS[strong]))
             rows.append("".join(lines).encode("ascii"))
     except (OverflowError, ValueError) as exc:
         raise _failed_at(exc, a, s) from None
     return rows
 
 
-# a worker's exit status after it sent an ArithmeticError's message instead of its rows
-_FAILED = 3
-
-
 def _fork_rows(a_values: list, s_values: list) -> tuple:
     """Fork a worker that sends `_sweep_rows(a_values, s_values)` down a pipe: (pid, read end).
 
-    The worker never returns: it leaves through os._exit, with status 0 after
-    its rows, _FAILED after an ArithmeticError's message and 1 on any other
-    path, so nothing of the caller (buffered output, atexit handlers, a test
-    runner) runs twice.
+    The worker never returns: it leaves through os._exit, with status 0
+    once its rows are sent and 1 on any other path, so nothing of the
+    caller (buffered output, atexit handlers, a test runner) runs twice.
     """
     read_end, write_end = os.pipe()
     try:
@@ -210,13 +205,9 @@ def _fork_rows(a_values: list, s_values: list) -> tuple:
     status = 1
     try:
         os.close(read_end)
-        try:
-            body, verdict = _sweep_rows(a_values, s_values), 0
-        except ArithmeticError as exc:
-            body, verdict = [str(exc).encode()], _FAILED
         with open(write_end, "wb") as pipe:
-            pipe.writelines(body)
-        status = verdict
+            pipe.writelines(_sweep_rows(a_values, s_values))
+        status = 0
     finally:
         os._exit(status)
 
@@ -248,13 +239,9 @@ def cmd_fourmode_sweep(args) -> int:
         for pid, read_end, _ in workers:
             os.close(read_end)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _, block), status, body in zip(workers, statuses, bodies):
-        if status == _FAILED:
-            raise ArithmeticError(body.decode())
-        if status != 0:
-            raise OSError(f"sweep worker {pid} for a={block[0]} to {block[-1]} exited with status "
-                          f"{status} after sending {len(body)} bytes of its payload")
-        rows.append(body)
+    for (_, _, block), status, body in zip(workers, statuses, bodies):
+        # a block whose worker did not exit 0 is computed here, ending as one serial pass would
+        rows += [body] if status == 0 else _sweep_rows(block, s_values)
     with open(args.out, "wb") as out:  # opened only once every block has succeeded
         out.write((",".join(SWEEP_FIELDS) + "\n").encode("ascii"))
         out.writelines(rows)

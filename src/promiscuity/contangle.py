@@ -173,8 +173,9 @@ def point_forms(at: ATerms, st: STerms) -> tuple:
     if slack < -MONOGAMY_TOL:
         raise ArithmeticError(f"monogamy violated ({slack}) at a={a}, s={s}")
     residual = probe1 if probe1 > 0.0 else 0.0
-    strong = residual >= bound - MONOGAMY_TOL and bound >= -MONOGAMY_TOL
-    return tau_1_rest, tau_2_rest, tau_23, probe1, slack, residual, bound, slack >= -MONOGAMY_TOL, strong
+    strong = residual >= bound - MONOGAMY_TOL  # bound is clamped to >= 0 above
+    # monogamy_ok: the two guards above raise wherever monogamy fails
+    return tau_1_rest, tau_2_rest, tau_23, probe1, slack, residual, bound, True, strong
 
 
 def closed_forms(params: SqueezingParams) -> ClosedForms:
@@ -183,11 +184,11 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     Monogamy: probe 1 keeps g[m_{1|rest}^2] - tau_{1|2}; probe 2 keeps
     g[m_{2|rest}^2] - tau_{1|2} - tau_{2|3}.  Probes 4 and 3 duplicate
     them by the mode-exchange symmetry.  Both slacks must stay above
-    -MONOGAMY_TOL, else ArithmeticError; the probe-1 branch attains the
-    minimum throughout the sampled parameter range.  The residual is the
-    probe-1 slack with float cancellation near zero clamped to 0; it is
-    zero on both axes (a = 0 or s = 0) and strictly positive inside the
-    quadrant.
+    -MONOGAMY_TOL, else ArithmeticError, so monogamy_ok is True on every
+    record that exists; the probe-1 branch attains the minimum throughout
+    the sampled parameter range.  The residual is the probe-1 slack with
+    float cancellation near zero clamped to 0; it is zero on both axes
+    (a = 0 or s = 0) and strictly positive inside the quadrant.
 
     The tripartite bound caps the genuine tripartite contangle of modes
     1, 2, 3: min of g[m_bound_{1|(23)}^2] - tau_{1|2} and
@@ -197,10 +198,11 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     at s = 0; along each fixed-s row it rises to a single interior peak
     and then decays for large a.
 
-    Strong monogamy holds iff residual >= bound >= 0, with MONOGAMY_TOL
-    slack.  It certifies that the residual entanglement not stored in
-    pairs exceeds everything the three-mode reductions could account for,
-    i.e. genuine four-partite entanglement bracketed from below.
+    Strong monogamy holds iff residual >= bound (never negative), with
+    MONOGAMY_TOL slack.  It certifies that the residual entanglement not
+    stored in pairs exceeds everything the three-mode reductions could
+    account for, i.e. genuine four-partite entanglement bracketed from
+    below.
     point_forms computes every value, from the terms of a and of s.
     """
     at, st = a_terms(params.a), s_terms(params.s)

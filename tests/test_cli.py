@@ -332,34 +332,53 @@ def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch
     assert _no_children_left()
 
 
-@pytest.mark.parametrize("how, status", [("killed", -9), ("exit_7", 7)], ids=["killed", "exit_7"])
-def test_sweep_worker_that_dies_is_one_error_line(monkeypatch, capsys, tmp_path, how, status):
+@pytest.mark.parametrize("how", ["killed", "exit_7"])
+def test_sweep_recomputes_the_block_of_a_lost_worker(monkeypatch, capsys, tmp_path, how):
     # a worker killed before it sends its rows, or one that sends every row and then exits 7,
-    # is an OSError naming it: its status decides, not the bytes it sent.  Exit 1, no CSV.
-    parent, rows = os.getpid(), cli._sweep_rows
+    # costs time, not the answer: its status decides, and the caller computes its block again
+    argv = ["fourmode", "sweep", "--steps", "5", "--out", str(tmp_path / "serial.csv")]
+    with monkeypatch.context() as serial:
+        _usable_cpus(serial, 1)
+        assert cli.main(argv) == 0
     if how == "killed":
+        parent, rows = os.getpid(), cli._sweep_rows
+
         def dying_rows(a_values, s_values):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return rows(a_values, s_values)
 
         monkeypatch.setattr(cli, "_sweep_rows", dying_rows)
-        sent = 0
     else:
         leave = os._exit
         monkeypatch.setattr(cli.os, "_exit", lambda code: leave(7))
-        grid = GridConfig(density=5)  # the worker's block is a = 1.25, 1.875 and 2.5
-        sent = sum(map(len, rows(grid.a_values()[2:], grid.s_values())))
-    _usable_cpus(monkeypatch, 2)
-    out_file = tmp_path / "sweep.csv"
-    assert cli.main(["fourmode", "sweep", "--steps", "5", "--out", str(out_file)]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: sweep worker ")
-    assert err.endswith(f" for a=1.25 to 2.5 exited with status {status} after sending {sent} bytes of its"
-                        " payload\n")
-    assert not out_file.exists()
+    forks = _usable_cpus(monkeypatch, 2)
+    argv[-1] = str(tmp_path / "sweep.csv")
+    assert cli.main(argv) == 0
+    assert len(forks) == 1 and capsys.readouterr().err == ""
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert _no_children_left()
+
+
+def test_sweep_bug_in_a_worker_block_fails_as_a_serial_pass(monkeypatch, tmp_path):
+    # an error that is no numeric failure, raised in the worker's block (a = 1.25, 1.875
+    # and 2.5 of --steps 5), reaches the caller as the same exception a serial pass raises
+    rows = cli._sweep_rows
+
+    def buggy_rows(a_values, s_values):
+        if 1.25 in a_values:
+            raise RuntimeError("bug in the block at a=1.25")
+        return rows(a_values, s_values)
+
+    monkeypatch.setattr(cli, "_sweep_rows", buggy_rows)
+    out_file = tmp_path / "sweep.csv"
+    for cpus in (1, 2):
+        with monkeypatch.context() as split, pytest.raises(RuntimeError, match="^bug in the block at a=1.25$"):
+            forks = _usable_cpus(split, cpus)
+            cli.main(["fourmode", "sweep", "--steps", "5", "--out", str(out_file)])
+        assert len(forks) == cpus - 1
+        assert not out_file.exists()
+        assert _no_children_left()
 
 
 def test_sweep_interrupted_in_the_parent_kills_and_reaps_its_workers(monkeypatch, tmp_path):
