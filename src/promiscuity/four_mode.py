@@ -102,7 +102,6 @@ def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.Cov
     return gaussian.pure_state(transform)
 
 
-_PAIR_CUT = gaussian.ModePartition(frozenset({0}), frozenset({1}))
 # the seven bipartitions of the four modes: the probe cuts in the order of
 # contangle.PROBES, then {1,2}|{3,4}, {1,3}|{2,4} and {1,4}|{2,3}.  Each
 # side_a is the side log_negativity reduces its cut to
@@ -113,15 +112,9 @@ GLOBAL_CUTS = tuple(
 _PROBE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[:4]]
 # spectral_forms' stack of nine two-mode blocks: the side_a reductions of
 # the last three cuts as they are, then each pair of contangle.PAIRS
-# transposed across its two modes; the +/-1 factors are read-only, so the
-# stack is signed in one product, no copy.  Each block of factors is an
-# exactly symmetric outer product of signs, so the signed stack is a view
-# (gaussian._view) of the validated state, like a partial transpose
+# transposed across its two modes
 _TWO_MODE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[4:]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
-_TWO_MODE_SIGNS = np.concatenate(
-    [np.ones((3, 4, 4)), np.broadcast_to(gaussian.transpose_signs(_PAIR_CUT), (6, 4, 4))]
-)
-_TWO_MODE_SIGNS.flags.writeable = False
+_TWO_MODE_TRANSPOSED = [[]] * 3 + [[j - 1] for i, j in contangle.PAIRS]
 
 
 class SpectralForms(NamedTuple):
@@ -150,8 +143,7 @@ def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
     one_mode_ln = gaussian.spectrum_log_negativity(
         gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()
     )
-    reduced = gaussian.reductions(state, _TWO_MODE_SIDES)
-    blocks = gaussian._view(2, reduced.data * _TWO_MODE_SIGNS)
+    blocks = gaussian.reductions(state, _TWO_MODE_SIDES, transposed=_TWO_MODE_TRANSPOSED)
     nu = gaussian.symplectic_eigenvalues(blocks)
     two_mode_ln = gaussian.spectrum_log_negativity(nu[..., :3, :], blocks.spectral_noise_floor()[..., :3])
     return SpectralForms(np.concatenate([one_mode_ln, two_mode_ln], axis=-1), nu[..., 3:, :].min(axis=-1))

@@ -18,10 +18,15 @@ Conventions
   alone.
 * A covariance matrix is validated where its numbers are made: direct
   construction and pure_state.  reduce, reductions, partial_transpose
-  and permute_modes only gather entries of a validated matrix or flip
-  their signs, so they return read-only views that skip the check: each
-  is exactly symmetric and finite, and equals what the constructor
-  would store from its data, bit for bit.
+  and permute_modes are one gather: the q/p rows and columns of a mode
+  tuple, or of a stack of equal-length ones, with each block's p rows
+  and columns on its transposed side (side_b) negated.  The index
+  arrays and +/-1 factors are one cached read-only plan per mode count,
+  modes and transposed sides (_plan), which also checks the modes; a
+  bad subset raises on every call.  Gathered and sign-flipped entries
+  of a validated matrix are exactly symmetric and finite, so the gather
+  returns a read-only view (_gather) that skips the check and equals
+  what the constructor would store from its data, bit for bit.
 * Every state is made as pure_state(S) = S S^T, the vacuum under a
   symplectic transform, and only pure_state flags a matrix pure; views
   of a pure state are unflagged.
@@ -67,9 +72,7 @@ class CovarianceMatrix:
     SYMMETRY_TOL, for every matrix of a stack) and stores an exactly
     symmetrized copy; input whose symmetrized copy would overflow is
     refused as non-finite.  This is the module's one validation of
-    covariance entries: reduce, reductions, partial_transpose and
-    permute_modes gather or sign-flip entries of a validated matrix and
-    return unchecked read-only views (_view).
+    covariance entries (see the module docstring for its views).
     Physicality is deliberately not enforced here:
     partial transposition produces valid instances that violate the
     uncertainty bound, which is precisely the signal the entanglement
@@ -130,19 +133,6 @@ class CovarianceMatrix:
         band = np.maximum(PHYSICALITY_TOL, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
         return deviation <= band
-
-
-def _view(n_modes: int, data: np.ndarray) -> CovarianceMatrix:
-    # an unflagged CovarianceMatrix of entries gathered from a validated
-    # one, or sign-flipped by an exactly symmetric +/-1 plan; data is then
-    # exactly symmetric and finite, so the (X + X^T)/2 that __post_init__
-    # would store equals it bit for bit, and the check is skipped
-    data.flags.writeable = False
-    view = object.__new__(CovarianceMatrix)
-    object.__setattr__(view, "n_modes", n_modes)
-    object.__setattr__(view, "data", data)
-    object.__setattr__(view, "pure", False)
-    return view
 
 
 @dataclass(frozen=True)
@@ -260,36 +250,57 @@ def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
 
 
 @functools.cache
-def _gather_plan(n_modes: int, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # row and column indices of the q and p entries of `modes` in an
-    # N-mode matrix; read-only, built once per N and modes.  One tuple of
-    # modes gives one submatrix, a tuple of equal-length tuples gives
-    # their submatrices stacked just before the matrix axes
-    idx = np.array(modes)
+def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: bool = False) -> tuple:
+    # the kept mode count, the q/p row and column indices and the +/-1
+    # factors (None if `transposed` is) of the gather of an N-mode matrix
+    # onto `modes`, a mode tuple or a tuple of equal-length ones, each
+    # block keeping its modes in ascending order, or as given if
+    # `ordered`.  The factors negate each block's p rows and columns of
+    # its `transposed` modes, except where both are.  The cache keeps no
+    # exceptions, so a bad subset raises on every call
+    stacked = bool(modes) and isinstance(modes[0], tuple)
+    blocks, sides = (modes, transposed) if stacked else ((modes,), (transposed,))
+    if not ordered:
+        blocks = tuple(tuple(sorted(set(kept))) for kept in blocks)
+    for kept in blocks:
+        if not kept:
+            raise ValueError("cannot reduce to an empty set of modes")
+        if min(kept) < 0 or max(kept) >= n_modes:
+            raise ValueError(f"modes {list(kept)} out of range for {n_modes}-mode state")
+    if len(set(map(len, blocks))) != 1:
+        raise ValueError(f"reductions need mode subsets of one size, got {list(map(list, blocks))}")
+    k = len(blocks[0])
+    idx = np.array(blocks if stacked else blocks[0])
     idx = np.concatenate([idx, idx + n_modes], axis=-1)
+    signs = None
+    if transposed is not None:
+        factors = np.ones((len(blocks), 2 * k))
+        for factor, kept, side_b in zip(factors, blocks, sides, strict=True):
+            if not set(side_b) <= set(kept):
+                raise ValueError(f"transposed modes {sorted(side_b)} not in subset {list(kept)}")
+            factor[[k + kept.index(m) for m in side_b]] = -1.0
+        signs = factors[:, :, None] * factors[:, None, :]
+        signs.flags.writeable = False
+        signs = signs if stacked else signs[0]
     idx.flags.writeable = False
-    return idx[..., :, None], idx[..., None, :]
+    return k, idx[..., :, None], idx[..., None, :], signs
 
 
-def _kept_modes(n_modes: int, modes: tuple) -> tuple:
-    kept = tuple(sorted(set(modes)))
-    if not kept:
-        raise ValueError("cannot reduce to an empty set of modes")
-    if kept[0] < 0 or kept[-1] >= n_modes:
-        raise ValueError(f"modes {list(kept)} out of range for {n_modes}-mode state")
-    return kept
-
-
-@functools.cache
-def _reduction_plan(n_modes: int, subsets: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    # the kept mode count and the gather plan of the reductions of an
-    # N-mode matrix to `subsets`, a tuple of mode tuples: checked and
-    # built once per N and subsets.  A bad subset raises on every call,
-    # since the cache keeps no exceptions
-    kept = [_kept_modes(n_modes, modes) for modes in subsets]
-    if len({len(modes) for modes in kept}) != 1:
-        raise ValueError(f"reductions need mode subsets of one size, got {list(map(list, kept))}")
-    return (len(kept[0]), *_gather_plan(n_modes, tuple(kept)))
+def _gather(
+    sigma: CovarianceMatrix, modes: tuple, transposed: tuple | None = None, ordered: bool = False
+) -> CovarianceMatrix:
+    # the one view constructor: the unflagged CovarianceMatrix of the
+    # entries of sigma that _plan gathers and signs
+    k, rows, cols, signs = _plan(sigma.n_modes, modes, transposed, ordered)
+    data = sigma.data[..., rows, cols]
+    if signs is not None:
+        data *= signs
+    data.flags.writeable = False
+    view = object.__new__(CovarianceMatrix)
+    object.__setattr__(view, "n_modes", k)
+    object.__setattr__(view, "data", data)
+    object.__setattr__(view, "pure", False)
+    return view
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
@@ -298,18 +309,22 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     Keeps the q and p rows/columns of the requested modes, preserving qqpp
     ordering; kept modes are reindexed 0..k-1 in ascending original order.
     """
-    k, rows, cols = _reduction_plan(sigma.n_modes, (tuple(modes),))
-    return _view(k, sigma.data[..., rows[0], cols[0]])
+    return _gather(sigma, tuple(modes))
 
 
-def reductions(sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]]) -> CovarianceMatrix:
+def reductions(
+    sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]], transposed: Iterable[Iterable[int]] | None = None
+) -> CovarianceMatrix:
     """Reductions to several mode subsets of one size, as one stack.
 
     The reduction to the k-th subset sits at index k of a new axis just
     before the matrix axes, and equals what reduce gives for that subset.
+    `transposed`, if given, holds one set of modes per subset, each
+    within it: the k-th reduction is then partially transposed with
+    those modes as side_b, as partial_transpose does.
     """
-    k, rows, cols = _reduction_plan(sigma.n_modes, tuple(map(tuple, subsets)))
-    return _view(k, sigma.data[..., rows, cols])
+    sides = None if transposed is None else tuple(map(tuple, transposed))
+    return _gather(sigma, tuple(map(tuple, subsets)), sides)
 
 
 def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -320,24 +335,7 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     p-column belonging to side_b, which is exact (no arithmetic beyond
     sign changes), hence involutive on full covers.
     """
-    sub = reduce(sigma, partition.modes)
-    return _view(sub.n_modes, sub.data * transpose_signs(partition))
-
-
-@functools.cache
-def transpose_signs(partition: ModePartition) -> np.ndarray:
-    """The +/-1 factors partial_transpose multiplies by; read-only, built once per partition.
-
-    Laid out over the partition's own modes in ascending order: -1 on
-    the p rows and columns of side_b, except where both are.
-    """
-    kept = sorted(partition.modes)
-    flipped = [len(kept) + kept.index(m) for m in partition.side_b]
-    signs = np.ones(2 * len(kept))
-    signs[flipped] = -1.0
-    plan = np.outer(signs, signs)
-    plan.flags.writeable = False
-    return plan
+    return _gather(sigma, tuple(partition.modes), tuple(partition.side_b))
 
 
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:
@@ -404,7 +402,7 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
     at deep squeezing the float64 spectrum of a pure state strays
     outside any band the noise floor justifies.
     """
-    _kept_modes(sigma.n_modes, tuple(partition.modes))  # the whole partition, as only one side is reduced
+    _plan(sigma.n_modes, tuple(partition.modes))  # the whole partition's check, as only one side is reduced
     if not sigma.pure:
         raise ValueError("log-negativity needs a state built pure (pure_state)")
     reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))
@@ -416,5 +414,4 @@ def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMa
     perm = list(order)
     if sorted(perm) != list(range(sigma.n_modes)):
         raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    rows, cols = _gather_plan(sigma.n_modes, tuple(perm))
-    return _view(sigma.n_modes, sigma.data[..., rows, cols])
+    return _gather(sigma, tuple(perm), ordered=True)

@@ -75,10 +75,17 @@ class Grid:
         self.points = [contangle.SqueezingParams(a, s) for a in cfg.a_values() for s in cfg.s_values()]
         a_samples, s_samples = _ends_and_middle(cfg.a_values()), _ends_and_middle(cfg.s_values())
         self.samples = [contangle.SqueezingParams(a, s) for a in a_samples for s in s_samples]
+        self._closed = {}
+
+    def _closed_forms(self, params: contangle.SqueezingParams) -> contangle.ClosedForms:
+        # contangle.closed_forms(params), computed once per point
+        if params not in self._closed:
+            self._closed[params] = contangle.closed_forms(params)
+        return self._closed[params]
 
     @functools.cached_property
     def forms(self) -> list[contangle.ClosedForms]:
-        return [contangle.closed_forms(params) for params in self.points]
+        return [self._closed_forms(params) for params in self.points]
 
     @functools.cached_property
     def spectral(self) -> four_mode.SpectralForms:
@@ -304,12 +311,16 @@ def suite_inseparability(grid: Grid) -> SuiteResult:
 
 
 def suite_report_consistency(grid: Grid) -> SuiteResult:
-    """full_report flags every sampled point consistent."""
+    """full_report flags every sampled point consistent and carries its closed forms."""
     result = SuiteResult("report_consistency")
+    closed_fields = len(contangle.ClosedForms._fields)
     for params in grid.samples:
         report = four_mode.full_report(params)
         result.check(report.consistent, f"a={params.a:.6g} s={params.s:.6g}")
-        result.check(report.monogamy_ok, f"monogamy flag at a={params.a:.6g} s={params.s:.6g}")
+        result.check(
+            report[:closed_fields] == grid._closed_forms(params),
+            f"closed forms differ from the report at a={params.a:.6g} s={params.s:.6g}",
+        )
     return result
 
 

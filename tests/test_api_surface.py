@@ -14,6 +14,9 @@ else (a dataclass field, say) does not count.
 The closed-form modules (contangle, config, qudit) import only the
 standard library, so the closed forms share no module with the spectral
 and brute-force routes they are checked against.
+
+No module reads another module's underscore name: what one module needs
+of another is public.
 """
 import ast
 import sys
@@ -194,3 +197,46 @@ def test_the_sweep_is_the_one_fork_and_its_worker_leaves_through_os_exit():
     )
     sample.module_name = "jobs"
     assert _fork_sites([sample]) == ["jobs.good", "jobs.bad (no os._exit)", "jobs.10 (no os._exit)"]
+
+
+def _foreign_private_reads(trees) -> list[str]:
+    """module:line module.name of each read of another package module's underscore name.
+
+    A read is `module._name`, through the module's own name, or
+    `from .module import _name`; dunder names do not count.
+    """
+    modules = {tree.module_name for tree in trees}
+    found = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{tree.module_name}:{node.lineno} {module}.{name}"
+                for module, name in names
+                if module in modules - {tree.module_name} and name.startswith("_") and not name.startswith("__")
+            ]
+    return found
+
+
+def test_no_module_reads_another_modules_underscore_name():
+    reads = _foreign_private_reads(_trees())
+    assert not reads, f"modules reaching into another module's private names: {reads}"
+    source = {
+        "shapes": "import os\n\n_UNIT = 1.0\n\ndef _scaled(w):\n    return w * _UNIT\n\n"
+        "def leave():\n    os._exit(0)\n",
+        "report": "from . import shapes\nfrom .shapes import _UNIT, leave\n\n"
+        "def describe(box):\n    return shapes._scaled(box._area), shapes.__name__, _UNIT\n",
+    }
+    trees = []
+    for name, text in source.items():
+        tree = ast.parse(text)
+        tree.module_name = name
+        trees.append(tree)
+    # own private names, another package's (os._exit), an object's attribute
+    # and a dunder do not count
+    assert _foreign_private_reads(trees) == ["report:2 shapes._UNIT", "report:5 shapes._scaled"]

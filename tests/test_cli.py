@@ -252,19 +252,24 @@ def test_sweep_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+# the real os.fork, taken once, so that a second _usable_cpus on one
+# monkeypatch wraps it and not the first call's wrapper
+_FORK = os.fork
+
+
 def _usable_cpus(monkeypatch, count: int) -> list:
     """Make the sweep see `count` usable CPUs; return the list of its os.fork calls.
 
     On one CPU a fork raises, since the serial case must never reach it.
     """
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
-    calls, fork = [], os.fork
+    calls = []
 
     def counted_fork():
         calls.append(1)
         if count == 1:
             raise AssertionError("a one-CPU sweep forked")
-        return fork()
+        return _FORK()
 
     monkeypatch.setattr(cli.os, "fork", counted_fork)
     return calls
@@ -337,9 +342,8 @@ def test_sweep_recomputes_the_block_of_a_lost_worker(monkeypatch, capsys, tmp_pa
     # a worker killed before it sends its rows, or one that sends every row and then exits 7,
     # costs time, not the answer: its status decides, and the caller computes its block again
     argv = ["fourmode", "sweep", "--steps", "5", "--out", str(tmp_path / "serial.csv")]
-    with monkeypatch.context() as serial:
-        _usable_cpus(serial, 1)
-        assert cli.main(argv) == 0
+    _usable_cpus(monkeypatch, 1)
+    assert cli.main(argv) == 0
     if how == "killed":
         parent, rows = os.getpid(), cli._sweep_rows
 

@@ -277,16 +277,26 @@ def test_full_report_bytes_are_pinned(point, deviation, consistent):
 
 
 def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
-    # the {1,2}, {1,3} and {1,4} reductions as they are, then the six pairs transposed
-    signs = four_mode._TWO_MODE_SIGNS
-    assert signs.shape == (9, 4, 4)
-    assert np.array_equal(signs[:3], np.ones((3, 4, 4)))
-    for block in signs[3:]:
-        assert np.array_equal(block, gaussian.transpose_signs(PAIR_CUT))
+    # the {1,2}, {1,3} and {1,4} reductions as they are, then the six pairs
+    # transposed: the cached plan of the stack negates only each pair block's
+    # second-mode p row and column, and the stack is a read-only view
+    sides, transposed = four_mode._TWO_MODE_SIDES, four_mode._TWO_MODE_TRANSPOSED
+    assert four_mode._PROBE_SIDES == [[0], [1], [2], [3]]
+    assert sides == [[0, 1], [0, 2], [0, 3]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+    plan = gaussian._plan(4, tuple(map(tuple, sides)), tuple(map(tuple, transposed)))
+    signs = plan[3]
+    flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+    assert np.array_equal(signs, [np.ones((4, 4))] * 3 + [flip] * 6)
     with pytest.raises(ValueError, match="read-only"):
         signs[3, 3, 3] = 1.0
-    assert four_mode._PROBE_SIDES == [[0], [1], [2], [3]]
-    assert four_mode._TWO_MODE_SIDES == [[0, 1], [0, 2], [0, 3]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+    state = build_state([SqueezingParams(1.5, 1.0), SqueezingParams(0.0, 2.5)])
+    blocks = gaussian.reductions(state, sides, transposed)
+    assert gaussian._plan(4, tuple(map(tuple, sides)), tuple(map(tuple, transposed))) is plan
+    assert not blocks.data.flags.writeable
+    assert blocks.data.tobytes() == (gaussian.reductions(state, sides).data * signs).tobytes()
+    for k, (i, j) in enumerate(contangle.PAIRS):
+        cut = gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1}))
+        assert blocks.data[:, 3 + k].tobytes() == gaussian.partial_transpose(state, cut).data.tobytes()
 
 
 def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):

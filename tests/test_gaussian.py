@@ -44,14 +44,23 @@ def test_symplectic_form_blocks():
 
 
 def test_cached_plans_are_read_only():
+    # one plan per mode count, modes and transposed sides: the q/p indices of
+    # each block, and +/-1 factors that negate only each block's p rows and
+    # columns of its transposed side
     omega = symplectic_form(2)
-    rows, cols = gaussian._gather_plan(4, ((0, 1), (1, 3)))
-    signs = gaussian.transpose_signs(ModePartition(frozenset({0}), frozenset({1})))
-    assert np.array_equal(signs, np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0]))
-    for plan in (omega, rows, cols, rows.base, signs):
+    plan = gaussian._plan(4, ((0, 1), (1, 3)), ((), (3,)))
+    k, rows, cols, signs = plan
+    assert k == 2
+    assert rows[..., 0].tolist() == cols[..., 0, :].tolist() == [[0, 1, 4, 5], [1, 3, 5, 7]]
+    flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+    assert np.array_equal(signs, [np.ones((4, 4)), flip])
+    one_block = gaussian._plan(3, (0, 2), (0,))
+    assert np.array_equal(one_block[3], np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0]))
+    assert gaussian._plan(4, ((0, 1), (1, 3)))[3] is None
+    for array in (omega, rows, cols, rows.base, signs, one_block[3], one_block[3].base):
         with pytest.raises(ValueError, match="read-only"):
-            plan[..., 0, 0] = 7
-    assert gaussian._gather_plan(4, ((0, 1), (1, 3)))[0] is rows
+            array[..., 0, 0] = 7
+    assert gaussian._plan(4, ((0, 1), (1, 3)), ((), (3,))) is plan
 
 
 def test_vacuum_is_identity():
@@ -212,11 +221,9 @@ def _forbid_general_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_general_route)
 
 
-def test_symplectic_eigenvalues_indefinite_fallback(monkeypatch):
-    # the name is kept from when an eigvals fallback took indefinite
-    # matrices; Williamson's theorem needs a positive definite matrix, so an
-    # indefinite one now raises, and no general eigensolver stands in for the
-    # Cholesky route
+def test_symplectic_eigenvalues_refuse_an_indefinite_matrix(monkeypatch):
+    # Williamson's theorem needs a positive definite matrix, so an indefinite
+    # one raises, and no general eigensolver stands in for the Cholesky route
     _forbid_general_eigensolver(monkeypatch)
     for bad in (np.diag([1.0, -0.5]), np.diag([1.0, 3.0, -0.5, 2.0])):
         with pytest.raises(ValueError, match="positive definite"):
@@ -224,11 +231,10 @@ def test_symplectic_eigenvalues_indefinite_fallback(monkeypatch):
     assert not re.search(r"\beigvals\b", inspect.getsource(gaussian))
 
 
-def test_indefinite_matrix_in_a_stack_alone_takes_the_general_route(monkeypatch):
-    # the name is kept from when the general route took the indefinite matrix
-    # of a stack alone; there is no general route now: one indefinite matrix
-    # makes the whole stack raise, and the valid matrices of that stack still
-    # equal their single-matrix spectra
+def test_one_indefinite_matrix_makes_the_whole_stack_raise(monkeypatch):
+    # there is no general route: one indefinite matrix makes the whole stack
+    # raise, and the valid matrices of that stack still equal their
+    # single-matrix spectra
     _forbid_general_eigensolver(monkeypatch)
     indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
     stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
@@ -255,7 +261,7 @@ def test_log_negativity_vacuum_and_swap():
     )
 
 
-def test_log_negativity_mixed_state_route():
+def test_log_negativity_refuses_an_unflagged_mixed_state():
     # a thermal two-mode product state is mixed and not flagged pure: refused
     thermal = CovarianceMatrix(2, 2.0 * np.eye(4))
     part = ModePartition(frozenset({0}), frozenset({1}))

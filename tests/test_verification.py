@@ -251,10 +251,42 @@ def test_record_fault_that_only_the_record_check_sees(monkeypatch):
     # on the default grid the two sides agree far inside interpair_agreement's
     # 1e-8, but log_negativity reduces {1,2}|{3,4} to {1,2}, and
     # gaussian_invariants compares the record with it bit for bit
-    monkeypatch.setattr(four_mode, "_TWO_MODE_SIDES", [[2, 3]] + four_mode._TWO_MODE_SIDES[1:])
+    with monkeypatch.context() as fault:
+        fault.setattr(four_mode, "_TWO_MODE_SIDES", [[2, 3]] + four_mode._TWO_MODE_SIDES[1:])
+        counts = _counts(verification.run_all(GridConfig()))
+    assert counts.pop("gaussian_invariants")[1] > 0
+    assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "gaussian_invariants"}
+    # a transposition table that leaves the (1, 3) pair block unsigned: the
+    # pair is separable, so its untransposed nu_min >= 1 gives the same
+    # verdict, and only the record check against partial_transpose sees it
+    transposed = list(four_mode._TWO_MODE_TRANSPOSED)
+    transposed[3 + contangle.PAIRS.index((1, 3))] = []
+    monkeypatch.setattr(four_mode, "_TWO_MODE_TRANSPOSED", transposed)
     counts = _counts(verification.run_all(GridConfig()))
     assert counts.pop("gaussian_invariants")[1] > 0
     assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "gaussian_invariants"}
+
+
+def test_report_that_drifts_from_its_closed_forms_turns_report_consistency_red(monkeypatch):
+    # tripartite_bound is read from the closed forms alone, so no route check
+    # of full_report sees a report that moves it; the check against the
+    # point's closed_forms record does, at every sample where the bound is
+    # nonzero, and the suite still counts 18 checks
+    real = four_mode.full_report
+
+    def drifted(params):
+        report = real(params)
+        return report._replace(tripartite_bound=report.tripartite_bound * (1 + 1e-9))
+
+    monkeypatch.setattr(four_mode, "full_report", drifted)
+    grid = verification.Grid(GridConfig())
+    counts = _counts(verification.run_all(GridConfig()))
+    red = [p for p in grid.samples if contangle.closed_forms(p).tripartite_bound != 0.0]
+    assert len(red) > 0
+    assert counts.pop("report_consistency") == (18, len(red))
+    assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "report_consistency"}
+    result = verification.suite_report_consistency(grid)
+    assert result.failures == [f"closed forms differ from the report at a={p.a:.6g} s={p.s:.6g}" for p in red]
 
 
 def test_transform_fault_turns_gaussian_invariants_red(monkeypatch):
