@@ -22,23 +22,13 @@ so `fourmode sweep`, `qudit report` (whose layer is standard library
 only), `--help` and argument errors run without numpy, `dataclasses` or
 `inspect`.
 
-`fourmode sweep` splits the grid into contiguous blocks of a-rows, one
-per usable CPU (never more blocks than rows; one where the OS reports no
-CPU affinity).  The calling process computes the first block; each other
-block runs in an `os.fork` worker that sends its encoded rows down a pipe
-and exits 0, or exits 1 on any other path, always through `os._exit`.
-The caller then computes again, in a-major order, every block whose
-worker did not exit 0, so a failure is raised by the caller with the
-message of one serial pass, and a worker lost to a signal or a stray
-exit code costs time, not the answer.  `--out` is opened only once every
-block has succeeded, so the bytes, the first error and the exit code are
-those of one serial pass.
+`fourmode sweep` computes its rows in one a-major pass and opens `--out`
+only once every row has succeeded, so a failure leaves no file.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import contangle
@@ -185,64 +175,10 @@ def _sweep_rows(a_values: list, s_values: list) -> list:
     return rows
 
 
-def _fork_rows(a_values: list, s_values: list) -> tuple:
-    """Fork a worker that sends `_sweep_rows(a_values, s_values)` down a pipe: (pid, read end).
-
-    The worker never returns: it leaves through os._exit, with status 0
-    once its rows are sent and 1 on any other path, so nothing of the
-    caller (buffered output, atexit handlers, a test runner) runs twice.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            pipe.writelines(_sweep_rows(a_values, s_values))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def cmd_fourmode_sweep(args) -> int:
     cfg = _grid(args)
-    a_values, s_values = cfg.a_values(), cfg.s_values()
-    # contiguous blocks of a-rows, one per usable CPU, each past the first in a forked worker:
-    # threads would take turns on the GIL, and numpy's transcendentals differ from libm in the
-    # last bit.  Where the OS reports no CPU affinity (macOS, Windows) the sweep stays serial.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(cpus, len(a_values))
-    edges = [len(a_values) * k // count for k in range(count + 1)]
-    blocks = [a_values[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    workers = []  # (pid, read end of its pipe, block), in a-major order
-    try:
-        for block in blocks[1:]:
-            workers.append((*_fork_rows(block, s_values), block))
-        rows = _sweep_rows(blocks[0], s_values)  # the parent's own failure comes first in a-major order
-        bodies = [open(read_end, "rb", closefd=False).read() for _, read_end, _ in workers]
-    except BaseException:
-        import signal  # only a failed sweep needs it
-
-        for pid, _, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, read_end, _ in workers:
-            os.close(read_end)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (_, _, block), status, body in zip(workers, statuses, bodies):
-        # a block whose worker did not exit 0 is computed here, ending as one serial pass would
-        rows += [body] if status == 0 else _sweep_rows(block, s_values)
-    with open(args.out, "wb") as out:  # opened only once every block has succeeded
+    rows = _sweep_rows(cfg.a_values(), cfg.s_values())
+    with open(args.out, "wb") as out:  # opened only once every row has succeeded
         out.write((",".join(SWEEP_FIELDS) + "\n").encode("ascii"))
         out.writelines(rows)
     return 0

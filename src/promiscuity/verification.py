@@ -217,11 +217,17 @@ def suite_pair_separability(grid: Grid) -> SuiteResult:
 
 
 def suite_monogamy(grid: Grid) -> SuiteResult:
-    """Sharing inequality holds and the probe-1 branch attains the minimum."""
+    """tau_23 equals its spectral twin and the probe-1 branch attains the minimum.
+
+    The {2,3} reduction is a symmetric two-mode state, so its contangle is
+    ln^2 of its smallest PT symplectic eigenvalue, and 0 where that is >= 1.
+    """
     result = SuiteResult("monogamy")
-    for params, forms in zip(grid.points, grid.forms):
+    nu_23 = grid.spectral.pair_nu_min[:, contangle.PAIRS.index((2, 3))]
+    twins = (np.log(np.minimum(nu_23, 1.0)) ** 2).tolist()
+    for params, forms, twin in zip(grid.points, grid.forms, twins):
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        result.check(forms.monogamy_slack >= -contangle.MONOGAMY_TOL, f"negative slack at {point}")
+        result.check(abs(twin - forms.pairwise_contangle[(2, 3)]) <= ROUTE_TOL, f"tau_23 twin at {point}")
         result.check(
             forms.probe1_slack <= forms.monogamy_slack + SLACK,
             f"probe-1 branch not minimal at {point}",

@@ -1,10 +1,7 @@
 import hashlib
 import json
-import os
-import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -252,180 +249,6 @@ def test_sweep_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
-# the real os.fork, taken once, so that a second _usable_cpus on one
-# monkeypatch wraps it and not the first call's wrapper
-_FORK = os.fork
-
-
-def _usable_cpus(monkeypatch, count: int) -> list:
-    """Make the sweep see `count` usable CPUs; return the list of its os.fork calls.
-
-    On one CPU a fork raises, since the serial case must never reach it.
-    """
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
-    calls = []
-
-    def counted_fork():
-        calls.append(1)
-        if count == 1:
-            raise AssertionError("a one-CPU sweep forked")
-        return _FORK()
-
-    monkeypatch.setattr(cli.os, "fork", counted_fork)
-    return calls
-
-
-def _no_children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@PINNED_SWEEPS
-def test_sweep_blocks_reproduce_the_pinned_bytes(monkeypatch, tmp_path, cpus, config, digest):
-    # one contiguous block of a-rows per usable CPU, joined in a-major order
-    forks = _usable_cpus(monkeypatch, cpus)
-    test_sweep_bytes_are_pinned(tmp_path, config, digest)
-    assert len(forks) == cpus - 1
-    assert _no_children_left()
-
-
-@pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1), (3, 1), (8, 1)])
-def test_sweep_never_splits_into_more_blocks_than_rows(monkeypatch, tmp_path, cpus, forks):
-    calls = _usable_cpus(monkeypatch, cpus)
-    out_file = tmp_path / "sweep.csv"
-    assert cli.main(["fourmode", "sweep", "--steps", "2", "--a-max", "1.5", "--out", str(out_file)]) == 0
-    assert len(calls) == forks
-    lines = out_file.read_text().splitlines()
-    assert lines[0] == SWEEP_HEADER and [line.split(",")[:2] for line in lines[1:]] == [
-        ["0", "0"], ["0", "2.5"], ["1.5", "0"], ["1.5", "2.5"]
-    ]
-    assert _no_children_left()
-
-
-def test_sweep_without_cpu_affinity_runs_serially(monkeypatch, tmp_path):
-    # macOS and Windows have no os.sched_getaffinity
-    _usable_cpus(monkeypatch, 1)
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    out_file = tmp_path / "sweep.csv"
-    assert cli.main(["fourmode", "sweep", "--steps", "3", "--out", str(out_file)]) == 0
-    assert len(out_file.read_text().splitlines()) == 1 + 3 * 3
-
-
-@pytest.mark.parametrize("cpus", [1, 2])  # a worker's failure crosses as the line a serial pass prints
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        # both blocks fail; the parent's a = 0 block comes first in a-major order
-        (["--s-max", "400"], "error: tanh(s)/cosh(a) rounds to 1 in float64 at a=0.0, s=32.0\n"),
-        # only the worker's a = 360 block fails
-        (["--a-max", "360", "--steps", "2"],
-         "error: float64 overflow ((34, 'Numerical result out of range')) at a=360.0, s=0.0\n"),
-    ],
-    ids=["parent_block", "worker_block"],
-)
-def test_sweep_failure_in_either_block_leaves_no_file_and_no_process(monkeypatch, capsys, tmp_path, cpus,
-                                                                     argv, message):
-    _usable_cpus(monkeypatch, cpus)
-    out_file = tmp_path / "sweep.csv"
-    assert cli.main(["fourmode", "sweep", *argv, "--out", str(out_file)]) == 1
-    assert capsys.readouterr().err == message
-    assert not out_file.exists()
-    assert _no_children_left()
-
-
-@pytest.mark.parametrize("how", ["killed", "exit_7"])
-def test_sweep_recomputes_the_block_of_a_lost_worker(monkeypatch, capsys, tmp_path, how):
-    # a worker killed before it sends its rows, or one that sends every row and then exits 7,
-    # costs time, not the answer: its status decides, and the caller computes its block again
-    argv = ["fourmode", "sweep", "--steps", "5", "--out", str(tmp_path / "serial.csv")]
-    _usable_cpus(monkeypatch, 1)
-    assert cli.main(argv) == 0
-    if how == "killed":
-        parent, rows = os.getpid(), cli._sweep_rows
-
-        def dying_rows(a_values, s_values):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return rows(a_values, s_values)
-
-        monkeypatch.setattr(cli, "_sweep_rows", dying_rows)
-    else:
-        leave = os._exit
-        monkeypatch.setattr(cli.os, "_exit", lambda code: leave(7))
-    forks = _usable_cpus(monkeypatch, 2)
-    argv[-1] = str(tmp_path / "sweep.csv")
-    assert cli.main(argv) == 0
-    assert len(forks) == 1 and capsys.readouterr().err == ""
-    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert _no_children_left()
-
-
-def test_sweep_bug_in_a_worker_block_fails_as_a_serial_pass(monkeypatch, tmp_path):
-    # an error that is no numeric failure, raised in the worker's block (a = 1.25, 1.875
-    # and 2.5 of --steps 5), reaches the caller as the same exception a serial pass raises
-    rows = cli._sweep_rows
-
-    def buggy_rows(a_values, s_values):
-        if 1.25 in a_values:
-            raise RuntimeError("bug in the block at a=1.25")
-        return rows(a_values, s_values)
-
-    monkeypatch.setattr(cli, "_sweep_rows", buggy_rows)
-    out_file = tmp_path / "sweep.csv"
-    for cpus in (1, 2):
-        with monkeypatch.context() as split, pytest.raises(RuntimeError, match="^bug in the block at a=1.25$"):
-            forks = _usable_cpus(split, cpus)
-            cli.main(["fourmode", "sweep", "--steps", "5", "--out", str(out_file)])
-        assert len(forks) == cpus - 1
-        assert not out_file.exists()
-        assert _no_children_left()
-
-
-def test_sweep_interrupted_in_the_parent_kills_and_reaps_its_workers(monkeypatch, tmp_path):
-    parent, rows = os.getpid(), cli._sweep_rows
-
-    def interrupted_rows(a_values, s_values):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)  # a worker still busy: only a kill ends it in time
-        return rows(a_values, s_values)
-
-    monkeypatch.setattr(cli, "_sweep_rows", interrupted_rows)
-    _usable_cpus(monkeypatch, 3)
-    out_file = tmp_path / "sweep.csv"
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        cli.main(["fourmode", "sweep", "--out", str(out_file)])
-    assert time.monotonic() - start < 30
-    assert not out_file.exists()
-    assert _no_children_left()
-
-
-# a forked worker must leave through os._exit, never back into its caller's code
-_FORK_PROBE = """
-import os, sys
-from promiscuity import cli
-os.sched_getaffinity = lambda pid: {0, 1, 2}
-print("before")  # still buffered at the fork: a worker that flushed it on its way out would repeat it
-code = cli.main(sys.argv[1:])
-print("after", code, sorted({"multiprocessing", "concurrent.futures", "pickle"} & set(sys.modules)))
-"""
-
-
-def test_sweep_workers_never_return_into_the_caller(tmp_path):
-    out_file = tmp_path / "sweep.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", _FORK_PROBE, "fourmode", "sweep", "--steps", "5", "--out", str(out_file)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.stdout == "before\nafter 0 []\n" and proc.stderr == ""
-    assert len(out_file.read_text().splitlines()) == 1 + 5 * 5
-
-
 REPORT_POINTS = [("0", "0"), ("1.5", "1"), ("0.5", "0.25"), ("2.5", "2.5"), ("2.4", "2.3"),
                  ("0.0625", "7.4375"), ("-0", "1e-9")]
 
@@ -573,7 +396,7 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     results = verification.run_all(GridConfig(0.0, 2.5, 0.0, 2.5, 6))
     # exactly the suites that hold tau_23 against a second route; run_all would
     # also turn a crash of the injector itself into failed checks
-    assert {r.name for r in results if not r.ok} == {"pair_separability", "report_consistency"}
+    assert {r.name for r in results if not r.ok} == {"pair_separability", "monogamy", "report_consistency"}
     assert not any(failure.startswith("suite raised") for r in results for failure in r.failures)
 
 

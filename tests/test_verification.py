@@ -240,7 +240,7 @@ def test_state_crash_stays_in_the_suites_that_read_block_states(monkeypatch):
 
     monkeypatch.setattr(four_mode, "build_state", raising)
     counts = _counts(verification.run_all(GridConfig()))
-    crashed = {"one_vs_rest_agreement", "interpair_agreement", "pair_separability", "bounding_state"}
+    crashed = {"one_vs_rest_agreement", "interpair_agreement", "pair_separability", "monogamy", "bounding_state"}
     assert counts == {
         name: (1, 1) if name in crashed else (n, 0) for name, n in DEFAULT_COUNTS.items()
     }
@@ -287,6 +287,28 @@ def test_report_that_drifts_from_its_closed_forms_turns_report_consistency_red(m
     assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "report_consistency"}
     result = verification.suite_report_consistency(grid)
     assert result.failures == [f"closed forms differ from the report at a={p.a:.6g} s={p.s:.6g}" for p in red]
+
+
+def test_tau_23_fault_turns_only_monogamy_red(monkeypatch):
+    # tau_23 x (1 - 1e-6) moves the closed value by up to 2.5e-5 on the
+    # default grid and keeps every monogamy guard of point_forms passing;
+    # only its spectral twin in the monogamy suite sees it, and every suite
+    # still counts the same checks
+    real = contangle.point_forms
+
+    def scaled(at, st):
+        tau_1_rest, tau_2_rest, tau_23, *tail = real(at, st)
+        return (tau_1_rest, tau_2_rest, tau_23 * (1 - 1e-6), *tail)
+
+    monkeypatch.setattr(contangle, "point_forms", scaled)
+    grid = verification.Grid(GridConfig())
+    counts = _counts(verification.run_all(GridConfig()))
+    red = [p for p, forms in zip(grid.points, grid.forms) if forms.pairwise_contangle[(2, 3)] * 1e-6 > 1e-7]
+    assert len(red) > 0
+    assert counts.pop("monogamy") == (DEFAULT_COUNTS["monogamy"], len(red))
+    assert counts == {name: (n, 0) for name, n in DEFAULT_COUNTS.items() if name != "monogamy"}
+    failures = verification.suite_monogamy(grid).failures
+    assert failures == [f"tau_23 twin at a={p.a:.6g} s={p.s:.6g}" for p in red]
 
 
 def test_transform_fault_turns_gaussian_invariants_red(monkeypatch):
