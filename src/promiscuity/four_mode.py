@@ -29,11 +29,6 @@ from .contangle import SqueezingParams
 ROUTE_TOL = 1e-6
 THRESHOLD_FLAG_TOL = 1e-6
 WITNESS_TOL = 1e-9
-# verdict comparisons are skipped when either route sits within its own
-# margin of the separability boundary: closed contangle below FAINT_TAU,
-# or PT eigenvalue gap 1 - nu_min below PPT_MARGIN.  The two bands are
-# not linearly related (tau ~ gap^2 on pure reductions, tau ~ gap on
-# mixed ones), so both must be checked.
 FAINT_TAU = 1e-6
 PPT_MARGIN = 1e-6
 
@@ -43,9 +38,9 @@ EntanglementReport = namedtuple(
 )
 EntanglementReport.__doc__ = """Closed-form statistics of one four-mode state with their cross-checks.
 
-The ClosedForms fields, then the spectral cross-checks of full_report,
-folded into `consistent` / `max_route_deviation`; `near_threshold` flags
-points whose middle-pair verdict was not compared.
+The ClosedForms fields, then full_report's cross-checks: the largest of
+the route_deviations, folded with the pair_verdicts into `consistent`,
+and `near_threshold`, which flags a middle-pair verdict not compared.
 """
 
 
@@ -174,50 +169,56 @@ def fully_inseparable(cut_ln):
 
 def near_threshold(params: SqueezingParams) -> bool:
     """True within THRESHOLD_FLAG_TOL of the middle-pair separability threshold, where
-    full_report and the verify battery leave the pair-(2, 3) verdict unscored."""
+    pair_verdicts skips the pair-(2, 3) verdict."""
     return abs(params.a - contangle.separability_threshold(params.s)) < THRESHOLD_FLAG_TOL
+
+
+def route_deviations(forms: contangle.ClosedForms, cut_ln_row: Sequence[float]) -> list[float]:
+    """|LN^2 - tau| across the probe cuts in contangle.PROBES order, then {1,2}|{3,4},
+    from a point's closed forms and its row of a SpectralForms.cut_ln."""
+    closed = [forms.one_vs_rest_contangle[p] for p in contangle.PROBES] + [forms.interpair_contangle]
+    return [abs(value**2 - tau) for value, tau in zip(cut_ln_row, closed)]
+
+
+def pair_verdicts(forms: contangle.ClosedForms, nu_min_row: Sequence[float]) -> list[tuple[bool, str | None]]:
+    """(agree, skip) per pair of contangle.PAIRS, from a point's closed forms and its row of a
+    SpectralForms.pair_nu_min.  agree: PPT (ppt_separable) iff the closed contangle is 0.  skip:
+    the first reason that holds, else None; each caller chooses the reasons it honours.
+
+    "near_threshold": the middle pair where near_threshold holds.  "FAINT_TAU" and
+    "PPT_MARGIN": a closed contangle in (0, FAINT_TAU], or 1 - nu_min in (0, PPT_MARGIN].
+    The bands are not linearly related (tau ~ gap^2 on pure reductions, tau ~ gap on mixed
+    ones), so both are tested.
+    """
+    near = near_threshold(forms.params)
+    verdicts = []
+    for pair, nu_min in zip(contangle.PAIRS, nu_min_row):
+        tau = forms.pairwise_contangle[pair]
+        skip = (
+            "near_threshold" if near and pair == (2, 3)
+            else "FAINT_TAU" if 0.0 < tau <= FAINT_TAU
+            else "PPT_MARGIN" if 0.0 < 1.0 - nu_min <= PPT_MARGIN
+            else None
+        )
+        verdicts.append((ppt_separable(nu_min) == (tau == 0.0), skip))
+    return verdicts
 
 
 def full_report(params: SqueezingParams) -> EntanglementReport:
     """All contangle statistics of gamma(a, s), cross-checked spectrally.
 
-    The closed forms fill the report; independently, log-negativities and
-    PPT verdicts are recomputed from the covariance matrix, a stack of
-    one state, through its spectral_forms record.  The state is pure by
-    construction, so no purity test runs.  Any value
-    deviating beyond ROUTE_TOL, or any verdict mismatch, marks the report
-    inconsistent instead of raising.  Points near the middle-pair
-    separability threshold (near_threshold) are flagged as such and
-    exempted from the hard verdict comparison, as are pairs whose
-    entanglement is too faint for either route to certify (see FAINT_TAU
-    and PPT_MARGIN).
+    The closed forms fill the report, and the state's spectral_forms record (a stack of one
+    built pure) is the second route.  A route_deviation beyond ROUTE_TOL, or a pair verdict
+    that disagrees and has no skip reason, marks the report inconsistent instead of raising.
     """
     state = build_state([params])
     forms = contangle.closed_forms(params)
     spectral = spectral_forms(state)
-
-    one_rest = forms.one_vs_rest_contangle
-    cut_ln = spectral.cut_ln[0].tolist()
-    deviations = [abs(value**2 - one_rest[p]) for p, value in zip(contangle.PROBES, cut_ln)]
-    deviations.append(abs(cut_ln[4] ** 2 - forms.interpair_contangle))
-
-    near = near_threshold(params)
-    verdicts_ok = True
-    for (i, j), nu_min in zip(contangle.PAIRS, spectral.pair_nu_min[0].tolist()):
-        if near and (i, j) == (2, 3):
-            continue
-        closed_tau = forms.pairwise_contangle[(i, j)]
-        if 0.0 < closed_tau <= FAINT_TAU:
-            continue
-        if 0.0 < 1.0 - nu_min <= PPT_MARGIN:
-            continue
-        if ppt_separable(nu_min) != (closed_tau == 0.0):
-            verdicts_ok = False
-
-    max_deviation = max(deviations)
+    max_deviation = max(route_deviations(forms, spectral.cut_ln[0].tolist()))
+    verdicts_ok = all(agree or skip for agree, skip in pair_verdicts(forms, spectral.pair_nu_min[0].tolist()))
     return EntanglementReport(
         *forms,
-        near_threshold=near,
+        near_threshold=near_threshold(params),
         consistent=verdicts_ok and max_deviation <= ROUTE_TOL,
         max_route_deviation=max_deviation,
     )

@@ -167,42 +167,32 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
 def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    rows = grid.spectral.cut_ln[:, :4].tolist()
-    for params, forms, row in zip(grid.points, grid.forms, rows):
-        for probe, value in zip(contangle.PROBES, row):
-            result.check(
-                abs(value * value - forms.one_vs_rest_contangle[probe]) <= ROUTE_TOL,
-                f"probe {probe} at a={params.a:.6g} s={params.s:.6g}",
-            )
+    for params, forms, row in zip(grid.points, grid.forms, grid.spectral.cut_ln[:, :5].tolist()):
+        for probe, deviation in zip(contangle.PROBES, four_mode.route_deviations(forms, row)):
+            result.check(deviation <= ROUTE_TOL, f"probe {probe} at a={params.a:.6g} s={params.s:.6g}")
     return result
 
 
 def suite_interpair_agreement(grid: Grid) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    values = grid.spectral.cut_ln[:, 4].tolist()
-    for params, forms, value in zip(grid.points, grid.forms, values):
-        result.check(
-            abs(value * value - forms.interpair_contangle) <= 1e-8,
-            f"a={params.a:.6g} s={params.s:.6g}",
-        )
+    for params, forms, row in zip(grid.points, grid.forms, grid.spectral.cut_ln[:, :5].tolist()):
+        result.check(four_mode.route_deviations(forms, row)[4] <= 1e-8, f"a={params.a:.6g} s={params.s:.6g}")
     return result
 
 
 def suite_pair_separability(grid: Grid) -> SuiteResult:
     """PPT verdicts match the closed-form separability rules.
 
-    The middle-pair verdict is not scored where four_mode.near_threshold
-    holds; the threshold itself is checked for nu_min = 1 instead.
+    Of the skip reasons of four_mode.pair_verdicts only "near_threshold"
+    is honoured; the threshold itself is checked for nu_min = 1 instead.
     """
     result = SuiteResult("pair_separability")
-    rows = four_mode.ppt_separable(grid.spectral.pair_nu_min).tolist()
-    for params, forms, row in zip(grid.points, grid.forms, rows):
+    for params, forms, row in zip(grid.points, grid.forms, grid.spectral.pair_nu_min.tolist()):
         point = f"a={params.a:.6g} s={params.s:.6g}"
-        for pair, separable in zip(contangle.PAIRS, row):
-            if pair == (2, 3) and four_mode.near_threshold(params):
-                continue
-            result.check(separable == (forms.pairwise_contangle[pair] == 0.0), f"pair {pair} at {point}")
+        for pair, (agree, skip) in zip(contangle.PAIRS, four_mode.pair_verdicts(forms, row)):
+            if skip != "near_threshold":
+                result.check(agree, f"pair {pair} at {point}")
     at_threshold = [
         contangle.SqueezingParams(contangle.separability_threshold(s), s)
         for s in grid.cfg.s_values()

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -14,16 +13,12 @@ def run_cli():
     can leak into the output being compared.
     """
 
-    def _run(*args: str, env: dict | None = None):
-        merged = os.environ.copy()
-        if env:
-            merged.update(env)
+    def _run(*args: str):
         proc = subprocess.run(
             [sys.executable, "-m", "promiscuity", *args],
             capture_output=True,
             text=True,
             timeout=120,
-            env=merged,
         )
         return proc.returncode, proc.stdout, proc.stderr
 

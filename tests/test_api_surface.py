@@ -242,3 +242,37 @@ def test_no_module_reads_another_modules_underscore_name():
     # own private names, another package's (os._exit), an object's attribute
     # and a dunder do not count
     assert _foreign_private_reads(trees) == ["report:2 shapes._UNIT", "report:5 shapes._scaled"]
+
+
+# the verdict-skip rule and the PPT rule behind four_mode.pair_verdicts
+SKIP_RULE_NAMES = {"near_threshold", "ppt_separable", "FAINT_TAU", "PPT_MARGIN"}
+
+
+def _skip_rule_reads(trees) -> list[str]:
+    """module:line name of each read of a SKIP_RULE_NAMES name of four_mode outside four_mode."""
+    return [
+        f"{tree.module_name}:{node.lineno} {name}"
+        for tree in trees
+        if tree.module_name != "four_mode"
+        for name, node in _function_references("four_mode", tree)
+        if name in SKIP_RULE_NAMES
+    ]
+
+
+def test_only_four_mode_reaches_the_skip_rule():
+    # report and verify read one (agree, skip) per pair from
+    # four_mode.pair_verdicts, and choose which skip reasons they honour
+    reads = _skip_rule_reads(_trees())
+    assert not reads, f"the verdict-skip rule is read outside four_mode at {reads}"
+    source = {
+        "four_mode": "FAINT_TAU = 1e-6\n\ndef near_threshold(p):\n    return p < FAINT_TAU\n",
+        "verification": "from . import four_mode\nfrom .four_mode import PPT_MARGIN, pair_verdicts\n\n"
+        "def suite(p, report):\n    return four_mode.near_threshold(p), report.FAINT_TAU, pair_verdicts\n",
+    }
+    trees = []
+    for name, text in source.items():
+        tree = ast.parse(text)
+        tree.module_name = name
+        trees.append(tree)
+    # four_mode's own reads and an attribute of another object do not count
+    assert _skip_rule_reads(trees) == ["verification:2 PPT_MARGIN", "verification:5 near_threshold"]

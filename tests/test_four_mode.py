@@ -276,6 +276,34 @@ def test_full_report_bytes_are_pinned(point, deviation, consistent):
     assert report.consistent is consistent
 
 
+def _shared_rule(a: float, s: float):
+    # route_deviations and pair_verdicts of one point, pairs keyed by label
+    params = SqueezingParams(a, s)
+    forms, record = contangle.closed_forms(params), spectral_forms(build_state([params]))
+    verdicts = dict(zip(contangle.PAIRS, four_mode.pair_verdicts(forms, record.pair_nu_min[0].tolist())))
+    return four_mode.route_deviations(forms, record.cut_ln[0].tolist()), verdicts
+
+
+def test_pair_verdicts_name_the_first_skip_reason_at_the_pinned_points():
+    # the faint pair squeezer: tau_12 = tau_34 = 4e-20 but nu_min rounds to
+    # 1, and a = 1e-10 sits within THRESHOLD_FLAG_TOL of the s = 0 threshold
+    _, verdicts = _shared_rule(1e-10, 0.0)
+    assert verdicts[(1, 2)] == verdicts[(3, 4)] == (False, "FAINT_TAU")
+    assert verdicts[(2, 3)][1] == "near_threshold"
+    # the faint middle squeezer: tau_23 rounds to 0 while 1 - nu_min = 2e-9
+    _, verdicts = _shared_rule(0.0, 1e-9)
+    assert verdicts[(2, 3)] == (False, "PPT_MARGIN")
+    # tau_23 = 5.7e-7: the one faint verdict verify scores at density 61,
+    # where both routes agree
+    _, verdicts = _shared_rule(0.875, 2.375)
+    assert verdicts[(2, 3)] == (True, "FAINT_TAU")
+    assert all(skip is None for pair, (_, skip) in verdicts.items() if pair != (2, 3))
+    deviations, verdicts = _shared_rule(1.5, 1.0)
+    assert list(verdicts.values()) == [(True, None)] * len(contangle.PAIRS)
+    assert len(deviations) == 5
+    assert max(deviations).hex() == PINNED_REPORTS[0][1]
+
+
 def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
     # the {1,2}, {1,3} and {1,4} reductions as they are, then the six pairs
     # transposed: the cached plan of the stack negates only each pair block's

@@ -326,6 +326,42 @@ def test_transform_fault_turns_gaussian_invariants_red(monkeypatch):
     assert len(result.failures) == 6
 
 
+def test_negated_pair_verdicts_turn_report_and_pair_separability_red(monkeypatch):
+    # full_report and pair_separability read their verdicts from the one
+    # four_mode.pair_verdicts: negating agree turns both red, and every
+    # suite still counts the same checks
+    real = four_mode.pair_verdicts
+    monkeypatch.setattr(
+        four_mode, "pair_verdicts", lambda forms, row: [(not agree, skip) for agree, skip in real(forms, row)]
+    )
+    assert not four_mode.full_report(contangle.SqueezingParams(1.5, 1.0)).consistent
+    counts = _counts(verification.run_all(GridConfig()))
+    assert {name: checks for name, (checks, _) in counts.items()} == DEFAULT_COUNTS
+    assert {name for name, (_, failed) in counts.items() if failed} == {"pair_separability", "report_consistency"}
+    # every scored verdict fails; the threshold nu_min checks, one per s > 0, read no verdict
+    threshold_checks = sum(s > 0.0 for s in GridConfig().s_values())
+    assert counts["pair_separability"][1] == DEFAULT_COUNTS["pair_separability"] - threshold_checks
+
+
+def test_shifted_probe_deviations_turn_report_and_one_vs_rest_red(monkeypatch):
+    # full_report and one_vs_rest_agreement read their deviations from the
+    # one four_mode.route_deviations: 1e-6 more on the four probe cuts
+    # exceeds verify's 1e-7 everywhere and the report's 1e-6 wherever a
+    # probe deviates at all, while interpair_agreement reads the
+    # {1,2}|{3,4} deviation alone and stays green
+    real = four_mode.route_deviations
+
+    def shifted(forms, row):
+        deviations = real(forms, row)
+        return [value + 1e-6 for value in deviations[:4]] + deviations[4:]
+
+    monkeypatch.setattr(four_mode, "route_deviations", shifted)
+    assert not four_mode.full_report(contangle.SqueezingParams(1.5, 1.0)).consistent
+    counts = _counts(verification.run_all(GridConfig()))
+    assert {name: checks for name, (checks, _) in counts.items()} == DEFAULT_COUNTS
+    assert {name for name, (_, failed) in counts.items() if failed} == {"one_vs_rest_agreement", "report_consistency"}
+
+
 @pytest.mark.parametrize(
     "constant, corrupt, red",
     [
