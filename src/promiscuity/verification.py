@@ -4,10 +4,11 @@ Each suite sweeps a parameter grid and counts independent checks; the
 first failure is recorded with the parameter point that produced it.
 One Grid per run computes each point's contangle.closed_forms record,
 one four_mode.spectral_forms record for the whole grid and one for its
-3x3 samples, each once: every closed side is a field of the first, and
-every spectral side a field of the others.  A corruption of either
-layer (wrong log base, wrong squeezer convention, broken partial
-transpose) therefore surfaces as a counted failure, not silent drift.
+3x3 samples, and each point's four_mode.route_deviations, each once:
+every closed side is a field of the first, and every spectral side a
+field of the others.  A corruption of either layer (wrong log base,
+wrong squeezer convention, broken partial transpose) therefore surfaces
+as a counted failure, not silent drift.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ ROUTE_TOL = 1e-7
 # slack for monotonicity and sign checks on sampled grids
 SLACK = 1e-12
 PSD_SLACK = -1e-8
-# qudit's closed-form H and witness against the brute force: the two routes
-# differ by <= 1.5e-16, and a relative fault of 1e-12 moves either by > 4e-13
+# qudit's exact per-copy tangles, H and witness against the brute force: the
+# two routes differ by <= 5.6e-16, and a relative fault of 1e-12 moves any
+# nonzero one by > 4e-13
 PER_COPY_TOL = 1e-14
 
 QUDIT_DIMS = tuple(range(4, 44, 4))
@@ -64,9 +66,10 @@ def _ends_and_middle(values: list[float]) -> list[float]:
 
 class Grid:
     """The a-major points of one verify run and its 3x3 samples, with each
-    point's closed record, the grid's spectral record, the samples'
-    states and spectral record, and the brute-force per-copy values of
-    the qudit family, each computed once on first use.
+    point's closed record, the grid's spectral record and route
+    deviations, the samples' states and spectral record, and the
+    brute-force per-copy values of the qudit family, each computed once
+    on first use.
     A computation that raises is not cached, so each reader fails alone.
     """
 
@@ -94,6 +97,14 @@ class Grid:
         return four_mode.SpectralForms(*map(np.concatenate, zip(*records)))
 
     @functools.cached_property
+    def deviations(self) -> np.ndarray:
+        # four_mode.route_deviations of each point, one row of five per point
+        deviations = np.empty((len(self.points), 5))
+        for k, (forms, row) in enumerate(zip(self.forms, self.spectral.cut_ln[:, :5].tolist())):
+            deviations[k] = four_mode.route_deviations(forms, row)
+        return deviations
+
+    @functools.cached_property
     def sample_states(self) -> gaussian.CovarianceMatrix:
         return four_mode.build_state(self.samples)
 
@@ -106,9 +117,9 @@ class Grid:
         # the brute-force twins of qudit's per-copy constants, from the GHZ and
         # W vectors: GHZ and W one-vs-rest, W pair tangle, W entropy H, witness
         ghz, w = qubits.ghz3(), qubits.w3()
-        w_pair = qubits.reduced_density(w, [0, 1])
+        w_pair = qubits.reduced_density(w, (2, 2, 2), [0, 1])
         rest = [qubits.one_vs_rest_tangle_qubit(state, 0) for state in (ghz, w)]
-        entropy = qubits.vn_entropy(qubits.reduced_density(w, [0]))
+        entropy = qubits.vn_entropy(qubits.reduced_density(w, (2, 2, 2), [0]))
         return (*rest, qubits.concurrence(w_pair) ** 2, entropy, qubits.negativity(w_pair, 2, 2))
 
 
@@ -167,8 +178,8 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
 def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
     """Closed-form g[m^2] vs squared spectral log-negativity, all probes."""
     result = SuiteResult("one_vs_rest_agreement")
-    for params, forms, row in zip(grid.points, grid.forms, grid.spectral.cut_ln[:, :5].tolist()):
-        for probe, deviation in zip(contangle.PROBES, four_mode.route_deviations(forms, row)):
+    for params, row in zip(grid.points, grid.deviations[:, :4].tolist()):
+        for probe, deviation in zip(contangle.PROBES, row):
             result.check(deviation <= ROUTE_TOL, f"probe {probe} at a={params.a:.6g} s={params.s:.6g}")
     return result
 
@@ -176,8 +187,8 @@ def suite_one_vs_rest_agreement(grid: Grid) -> SuiteResult:
 def suite_interpair_agreement(grid: Grid) -> SuiteResult:
     """Pair-block contangle equals 4s^2 spectrally."""
     result = SuiteResult("interpair_agreement")
-    for params, forms, row in zip(grid.points, grid.forms, grid.spectral.cut_ln[:, :5].tolist()):
-        result.check(four_mode.route_deviations(forms, row)[4] <= 1e-8, f"a={params.a:.6g} s={params.s:.6g}")
+    for params, deviation in zip(grid.points, grid.deviations[:, 4].tolist()):
+        result.check(deviation <= 1e-8, f"a={params.a:.6g} s={params.s:.6g}")
     return result
 
 
@@ -334,9 +345,9 @@ def suite_qudit_tangles(grid: Grid) -> SuiteResult:
         )
         result.check(report.monogamy_gap == 0, f"monogamy gap at {point}")
     ghz_rest, w_rest, w_pair = grid.per_copy[:3]
-    result.check(abs(ghz_rest - qudit.GHZ_TANGLES.one_vs_rest) <= 1e-10, "GHZ per-copy one-vs-rest")
-    result.check(abs(w_rest - qudit.W_TANGLES.one_vs_rest) <= 1e-10, "W per-copy one-vs-rest")
-    result.check(abs(w_pair - qudit.W_TANGLES.pairwise) <= 1e-10, "W per-copy pair tangle")
+    result.check(abs(ghz_rest - qudit.GHZ_TANGLES.one_vs_rest) <= PER_COPY_TOL, "GHZ per-copy one-vs-rest")
+    result.check(abs(w_rest - qudit.W_TANGLES.one_vs_rest) <= PER_COPY_TOL, "W per-copy one-vs-rest")
+    result.check(abs(w_pair - qudit.W_TANGLES.pairwise) <= PER_COPY_TOL, "W per-copy pair tangle")
     return result
 
 

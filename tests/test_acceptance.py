@@ -172,8 +172,8 @@ def test_acceptance_07_qudit_tangle_identities():
     ghz, w = qubits.ghz3(), qubits.w3()
     ghz_rest = qubits.one_vs_rest_tangle_qubit(ghz, 0)
     w_rest = qubits.one_vs_rest_tangle_qubit(w, 0)
-    ghz_pair = qubits.concurrence(qubits.reduced_density(ghz, [0, 1])) ** 2
-    w_pair = qubits.concurrence(qubits.reduced_density(w, [0, 1])) ** 2
+    ghz_pair = qubits.concurrence(qubits.reduced_density(ghz, (2, 2, 2), [0, 1])) ** 2
+    w_pair = qubits.concurrence(qubits.reduced_density(w, (2, 2, 2), [0, 1])) ** 2
     ingredients = (
         ("GHZ one-vs-rest", ghz_rest, 1.0),
         ("W one-vs-rest", w_rest, 8.0 / 9.0),
@@ -206,7 +206,7 @@ def test_acceptance_08_nongaussianity_gap():
 
 def test_acceptance_09_squashed_bounds():
     failures = []
-    eigs = np.linalg.eigvalsh(qubits.reduced_density(qubits.w3(), [0]).data)
+    eigs = np.linalg.eigvalsh(qubits.reduced_density(qubits.w3(), (2, 2, 2), [0]))
     if float(np.abs(eigs - np.array([1.0 / 3.0, 2.0 / 3.0])).max()) > 1e-10:
         failures.append(f"W one-qubit eigenvalues {eigs} not (1/3, 2/3)")
     for d in range(4, 44, 4):

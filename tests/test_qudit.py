@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promiscuity.qubits import (
-    DensityMatrix,
-    PureStateVector,
-    concurrence,
-    ghz3,
-    negativity,
-    one_vs_rest_tangle_qubit,
-    reduced_density,
-    vn_entropy,
-    w3,
-)
+from promiscuity.qubits import concurrence, ghz3, negativity, one_vs_rest_tangle_qubit, reduced_density, vn_entropy, w3
 from promiscuity.qudit import n_copies, nongaussianity, squashed_bounds, tangle_report
 
 # frozen: binary entropy of the W single-qubit reduction, log2(3) - 2/3
@@ -27,12 +17,12 @@ W_PAIR_NEGATIVITY = 0.4120226591665966
 DELTA_4 = float(Fraction(5627, 11664))
 
 valid_dims = st.integers(min_value=1, max_value=10).map(lambda k: 4 * k)
+THREE_QUBITS = (2, 2, 2)
 
 
 def test_ghz_amplitudes():
-    psi = ghz3()
-    assert psi.dims == (2, 2, 2)
-    amp = psi.amplitudes
+    amp = ghz3()
+    assert amp.shape == (8,)
     r = 1 / math.sqrt(2)
     assert amp[0] == pytest.approx(r, abs=1e-15)
     assert amp[7] == pytest.approx(r, abs=1e-15)
@@ -40,19 +30,12 @@ def test_ghz_amplitudes():
 
 
 def test_w_amplitudes():
-    amp = w3().amplitudes
+    amp = w3()
     r = 1 / math.sqrt(3)
     for idx in (1, 2, 4):
         assert amp[idx] == pytest.approx(r, abs=1e-15)
     for idx in (0, 3, 5, 6, 7):
         assert amp[idx] == 0
-
-
-def test_pure_state_vector_validation():
-    with pytest.raises(ValueError):
-        PureStateVector((2, 2), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        PureStateVector((2,), np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("d", [2, 6, 0, -4, 10])
@@ -78,32 +61,32 @@ def test_materialized_party_entropy_is_additive_over_copies(d):
     ghz_copies, w_copies = n_copies(d)
     amps = np.ones(1, dtype=complex)
     for copy in [ghz3()] * ghz_copies + [w3()] * w_copies:
-        amps = np.kron(amps, copy.amplitudes)
+        amps = np.kron(amps, copy)
     n_qubits = 3 * (ghz_copies + w_copies)
-    psi = PureStateVector((2,) * n_qubits, amps)
     expected = squashed_bounds(d).one_vs_rest
     for party in range(3):
-        entropy = vn_entropy(reduced_density(psi, range(party, n_qubits, 3)))
+        entropy = vn_entropy(reduced_density(amps, (2,) * n_qubits, range(party, n_qubits, 3)))
         assert entropy == pytest.approx(expected, abs=1e-12)
 
 
-def _family_state(d: int) -> PureStateVector:
-    """The d-family member as three parties: d/4 GHZ and d/4 W copies, party k holding qubit k of each."""
+def _family_state(d: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The d-family member as three parties, with their dimensions: d/4 GHZ and d/4 W copies,
+    party k holding qubit k of each."""
     ghz_copies, w_copies = n_copies(d)
     amps = np.ones(1, dtype=complex)
     for copy in [ghz3()] * ghz_copies + [w3()] * w_copies:
-        amps = np.kron(amps, copy.amplitudes)
+        amps = np.kron(amps, copy)
     n = ghz_copies + w_copies
     # qubit 3m + k (copy m, party k) moves to party-major position (k, m)
     party_major = amps.reshape((2,) * 3 * n).transpose([3 * m + k for k in range(3) for m in range(n)])
-    return PureStateVector((2**n,) * 3, party_major.reshape(-1))
+    return party_major.reshape(-1), (2**n,) * 3
 
 
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_family_state_party_entropy_is_the_squashed_one_vs_rest(d):
     # a pure state's one-party entropy is its squashed entanglement (Christandl & Winter 2004),
     # taken here from the assembled state, not from per-copy additivity
-    entropy = vn_entropy(reduced_density(_family_state(d), [0]))
+    entropy = vn_entropy(reduced_density(*_family_state(d), [0]))
     assert entropy == pytest.approx(squashed_bounds(d).one_vs_rest, abs=1e-12)
 
 
@@ -112,47 +95,38 @@ def test_family_state_pair_log_negativity_is_d_over_4_w_pairs(d):
     # log-negativity is additive on tensor products (Vidal & Werner 2002) and GHZ pairs carry none,
     # so the party-(1,2) value grows as d/4 W pairs; d = 12 would need a 4096x4096 reduction
     dim = 2 ** (d // 2)
-    rho = reduced_density(_family_state(d), [0, 1])
+    rho = reduced_density(*_family_state(d), [0, 1])
     w_pair = math.log2(1 + W_PAIR_NEGATIVITY)
     assert math.log2(1 + negativity(rho, dim, dim)) == pytest.approx((d / 4) * w_pair, abs=1e-12)
 
 
 def test_reduced_density_of_ghz_and_w():
-    ghz_one = reduced_density(ghz3(), [0])
-    assert np.allclose(ghz_one.data, np.eye(2) / 2, atol=1e-15)
-    w_one = reduced_density(w3(), [0])
-    assert np.allclose(w_one.data, np.diag([2 / 3, 1 / 3]), atol=1e-15)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.array([[1.0, 0.5], [0.3, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.diag([0.7, 0.7]))  # trace != 1
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.diag([1.5, -0.5]))  # negative eigenvalue
+    ghz_one = reduced_density(ghz3(), THREE_QUBITS, [0])
+    assert np.allclose(ghz_one, np.eye(2) / 2, atol=1e-15)
+    w_one = reduced_density(w3(), THREE_QUBITS, [0])
+    assert np.allclose(w_one, np.diag([2 / 3, 1 / 3]), atol=1e-15)
 
 
 def test_entropies():
-    assert vn_entropy(reduced_density(ghz3(), [0])) == pytest.approx(1.0, abs=1e-12)
-    assert vn_entropy(reduced_density(w3(), [0])) == pytest.approx(W_ENTROPY, abs=1e-12)
-    pure = DensityMatrix(2, np.diag([1.0, 0.0]))
+    assert vn_entropy(reduced_density(ghz3(), THREE_QUBITS, [0])) == pytest.approx(1.0, abs=1e-12)
+    assert vn_entropy(reduced_density(w3(), THREE_QUBITS, [0])) == pytest.approx(W_ENTROPY, abs=1e-12)
+    pure = np.diag([1.0, 0.0]).astype(complex)
     assert vn_entropy(pure) == 0.0
 
 
 def test_concurrence_of_two_qubit_reductions():
     # W pairs keep concurrence 2/3; GHZ pairs are classically correlated only
-    w_pair = reduced_density(w3(), [0, 1])
+    w_pair = reduced_density(w3(), THREE_QUBITS, [0, 1])
     assert concurrence(w_pair) == pytest.approx(2 / 3, abs=1e-12)
-    ghz_pair = reduced_density(ghz3(), [0, 1])
+    ghz_pair = reduced_density(ghz3(), THREE_QUBITS, [0, 1])
     assert concurrence(ghz_pair) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negativity_normalization_anchor():
-    bell = PureStateVector((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-    rho = reduced_density(bell, [0, 1])
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    rho = reduced_density(bell, (2, 2), [0, 1])
     assert negativity(rho, 2, 2) == pytest.approx(1.0, abs=1e-12)
-    w_pair = reduced_density(w3(), [0, 1])
+    w_pair = reduced_density(w3(), THREE_QUBITS, [0, 1])
     assert negativity(w_pair, 2, 2) == pytest.approx(W_PAIR_NEGATIVITY, abs=1e-12)
 
 
@@ -243,9 +217,8 @@ def test_report_identities_hold_for_any_valid_dimension(d):
 )
 @settings(max_examples=30, deadline=None)
 def test_probe_tangle_bounded_on_random_three_qubit_states(amps):
-    vec = np.array(amps) / math.sqrt(sum(x * x for x in amps))
-    psi = PureStateVector((2, 2, 2), vec)
+    psi = np.array(amps, dtype=complex) / math.sqrt(sum(x * x for x in amps))
     tangle = one_vs_rest_tangle_qubit(psi, 0)
     assert -1e-12 <= tangle <= 1.0 + 1e-12
-    entropy = vn_entropy(reduced_density(psi, [0]))
+    entropy = vn_entropy(reduced_density(psi, THREE_QUBITS, [0]))
     assert -1e-12 <= entropy <= 1.0 + 1e-12

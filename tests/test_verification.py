@@ -183,17 +183,23 @@ def _count_calls(monkeypatch, *targets) -> dict:
 
 def test_each_grid_point_is_computed_once(monkeypatch):
     calls = _count_calls(
-        monkeypatch, (contangle, "closed_forms"), (four_mode, "build_state"), (four_mode, "spectral_forms")
+        monkeypatch,
+        (contangle, "closed_forms"),
+        (four_mode, "build_state"),
+        (four_mode, "spectral_forms"),
+        (four_mode, "route_deviations"),
     )
     verification.run_all(GridConfig())
     # closed_forms: 676 grid points, 3 off-grid points (strong_monogamy's
     # a=5 and shape's a=3 and a=6) and 9 sampled reports.  build_state: 6
     # grid blocks of BLOCK_POINTS, 5 interior blocks, 1 threshold block, 9
     # reports and the one stack of the 9 samples.  spectral_forms: 6 grid
-    # blocks, 1 threshold block, 9 reports and that stack of the samples
+    # blocks, 1 threshold block, 9 reports and that stack of the samples.
+    # route_deviations: 676 grid points, read by two suites, and 9 reports
     assert calls["closed_forms"] <= 676 + 3 + 9
     assert calls["build_state"] <= 6 + 5 + 1 + 9 + 1
     assert calls["spectral_forms"] <= 6 + 1 + 9 + 1
+    assert calls["route_deviations"] <= 676 + 9
 
 
 def test_verify_work_is_pinned(monkeypatch):
@@ -367,10 +373,13 @@ def test_shifted_probe_deviations_turn_report_and_one_vs_rest_red(monkeypatch):
     [
         # every d's one-vs-rest and monogamy gap, and the per-copy check
         ("W_TANGLES", lambda w: w._replace(one_vs_rest=Fraction(7, 9)), {"qudit_tangles": 2 * 10 + 1}),
+        # every d's pairwise tangle and monogamy gap, and the per-copy check,
+        # which holds the brute force to PER_COPY_TOL
+        ("W_TANGLES", lambda w: w._replace(pairwise=w.pairwise * (1 + 1e-12)), {"qudit_tangles": 2 * 10 + 1}),
         ("W_QUBIT_ENTROPY", lambda h: h * (1 + 1e-12), {"squashed": 10}),
         ("W_PAIR_NEGATIVITY", lambda witness: witness * (1 + 1e-12), {"squashed": 10}),
     ],
-    ids=["w_one_vs_rest", "w_qubit_entropy", "w_pair_negativity"],
+    ids=["w_one_vs_rest", "w_pairwise", "w_qubit_entropy", "w_pair_negativity"],
 )
 def test_qudit_constant_fault_turns_verify_red(monkeypatch, constant, corrupt, red):
     # the reports read qudit's exact per-copy constants, and verify holds
