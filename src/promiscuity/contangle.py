@@ -51,7 +51,7 @@ class SqueezingParams(namedtuple("SqueezingParams", "a s")):
 ClosedForms = namedtuple(
     "ClosedForms",
     "params pairwise_contangle one_vs_rest_contangle interpair_contangle probe1_slack "
-    "monogamy_slack residual tripartite_bound monogamy_ok strong_monogamy_ok",
+    "monogamy_slack residual tripartite_bound strong_monogamy_ok",
 )
 ClosedForms.__doc__ = """Every closed-form contangle statistic of one four-mode state.
 
@@ -174,8 +174,7 @@ def point_forms(at: ATerms, st: STerms) -> tuple:
         raise ArithmeticError(f"monogamy violated ({slack}) at a={a}, s={s}")
     residual = probe1 if probe1 > 0.0 else 0.0
     strong = residual >= bound - MONOGAMY_TOL  # bound is clamped to >= 0 above
-    # monogamy_ok: the two guards above raise wherever monogamy fails
-    return tau_1_rest, tau_2_rest, tau_23, probe1, slack, residual, bound, True, strong
+    return tau_1_rest, tau_2_rest, tau_23, probe1, slack, residual, bound, strong
 
 
 def closed_forms(params: SqueezingParams) -> ClosedForms:
@@ -184,7 +183,7 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     Monogamy: probe 1 keeps g[m_{1|rest}^2] - tau_{1|2}; probe 2 keeps
     g[m_{2|rest}^2] - tau_{1|2} - tau_{2|3}.  Probes 4 and 3 duplicate
     them by the mode-exchange symmetry.  Both slacks must stay above
-    -MONOGAMY_TOL, else ArithmeticError, so monogamy_ok is True on every
+    -MONOGAMY_TOL, else ArithmeticError, so monogamy holds on every
     record that exists; the probe-1 branch attains the minimum throughout
     the sampled parameter range.  The residual is the probe-1 slack with
     float cancellation near zero clamped to 0; it is zero on both axes

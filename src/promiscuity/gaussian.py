@@ -22,11 +22,11 @@ Conventions
   tuple, or of a stack of equal-length ones, with each block's p rows
   and columns on its transposed side (side_b) negated.  The index
   arrays and +/-1 factors are one cached read-only plan per mode count,
-  modes and transposed sides (_plan), which also checks the modes; a
-  bad subset raises on every call.  Gathered and sign-flipped entries
-  of a validated matrix are exactly symmetric and finite, so the gather
-  returns a read-only view (_gather) that skips the check and equals
-  what the constructor would store from its data, bit for bit.
+  modes and transposed sides (_plan).  Gathered and sign-flipped
+  entries of a validated matrix are exactly symmetric and finite, so
+  the gather returns a read-only view (_gather) that skips the check
+  and equals what the constructor would store from its data, bit for
+  bit.
 * Every state is made as pure_state(S) = S S^T, the vacuum under a
   symplectic transform, and only pure_state flags a matrix pure; views
   of a pure state are unflagged.
@@ -48,10 +48,8 @@ PHYSICALITY_TOL = 1e-9
 SEPARABILITY_TOL = 1e-9
 
 
-def _as_square_float_array(data, dim: int, what: str) -> np.ndarray:
+def _as_finite_float_array(data, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-2:] != (dim, dim):
-        raise ValueError(f"{what} must have shape {(dim, dim)}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
@@ -68,7 +66,7 @@ def _check_defect(defect: np.ndarray, tol: float, message: str) -> None:
 class CovarianceMatrix:
     """Real symmetric 2N x 2N covariance matrix in qqpp ordering, or a stack of them.
 
-    The constructor validates shape, finiteness and symmetry (within
+    The constructor validates finiteness and symmetry (within
     SYMMETRY_TOL, for every matrix of a stack) and stores an exactly
     symmetrized copy; input whose symmetrized copy would overflow is
     refused as non-finite.  This is the module's one validation of
@@ -90,9 +88,7 @@ class CovarianceMatrix:
     pure: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be a positive integer")
-        arr = _as_square_float_array(self.data, 2 * self.n_modes, "covariance matrix")
+        arr = _as_finite_float_array(self.data, "covariance matrix")
         # entries past half the float64 range overflow the difference or the
         # sum: no warning is printed, and the overflow ends in a ValueError
         with np.errstate(over="ignore"):
@@ -147,9 +143,7 @@ class SymplecticTransform:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be a positive integer")
-        arr = _as_square_float_array(self.data, 2 * self.n_modes, "symplectic matrix")
+        arr = _as_finite_float_array(self.data, "symplectic matrix")
         omega = symplectic_form(self.n_modes)
         # entries past ~1e154 overflow the product: no warning is printed, and
         # the overflow still ends in a ValueError, here or on the finiteness
@@ -172,12 +166,6 @@ class ModePartition:
         a, b = frozenset(self.side_a), frozenset(self.side_b)
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
-        if not a or not b:
-            raise ValueError("both sides of a partition must be non-empty")
-        if a & b:
-            raise ValueError(f"partition sides overlap: {sorted(a & b)}")
-        if any(m < 0 for m in a | b):
-            raise ValueError("mode indices must be non-negative")
 
     @property
     def modes(self) -> frozenset[int]:
@@ -211,13 +199,7 @@ def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
     n_modes : int
         Total number of modes of the embedding transform.
     """
-    if not (0 <= i < n_modes and 0 <= j < n_modes):
-        raise ValueError(f"mode indices ({i}, {j}) out of range for {n_modes} modes")
-    if i == j:
-        raise ValueError("two-mode squeezer needs two distinct modes")
     degrees = np.asarray(r, dtype=float)
-    if not np.isfinite(degrees).all():
-        raise ValueError("squeezing degree must be finite")
     # math.cosh/sinh per degree: libm values, and OverflowError past float64
     flat = degrees.ravel().tolist()
     c = np.array([math.cosh(x) for x in flat]).reshape(degrees.shape)
@@ -232,16 +214,11 @@ def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
 
 
 def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
-    """Matrix product of symplectic transforms, rightmost applied first."""
-    if not transforms:
-        raise ValueError("compose needs at least one transform")
-    n = transforms[0].n_modes
-    if any(t.n_modes != n for t in transforms):
-        raise ValueError("cannot compose transforms on different mode counts")
+    """Matrix product of one or more symplectic transforms on one mode count, rightmost applied first."""
     total = transforms[0].data
     for t in transforms[1:]:
         total = total @ t.data
-    return SymplecticTransform(n, total)
+    return SymplecticTransform(transforms[0].n_modes, total)
 
 
 def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
@@ -256,19 +233,11 @@ def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: 
     # onto `modes`, a mode tuple or a tuple of equal-length ones, each
     # block keeping its modes in ascending order, or as given if
     # `ordered`.  The factors negate each block's p rows and columns of
-    # its `transposed` modes, except where both are.  The cache keeps no
-    # exceptions, so a bad subset raises on every call
-    stacked = bool(modes) and isinstance(modes[0], tuple)
+    # its `transposed` modes, except where both are
+    stacked = isinstance(modes[0], tuple)
     blocks, sides = (modes, transposed) if stacked else ((modes,), (transposed,))
     if not ordered:
         blocks = tuple(tuple(sorted(set(kept))) for kept in blocks)
-    for kept in blocks:
-        if not kept:
-            raise ValueError("cannot reduce to an empty set of modes")
-        if min(kept) < 0 or max(kept) >= n_modes:
-            raise ValueError(f"modes {list(kept)} out of range for {n_modes}-mode state")
-    if len(set(map(len, blocks))) != 1:
-        raise ValueError(f"reductions need mode subsets of one size, got {list(map(list, blocks))}")
     k = len(blocks[0])
     idx = np.array(blocks if stacked else blocks[0])
     idx = np.concatenate([idx, idx + n_modes], axis=-1)
@@ -276,8 +245,6 @@ def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: 
     if transposed is not None:
         factors = np.ones((len(blocks), 2 * k))
         for factor, kept, side_b in zip(factors, blocks, sides, strict=True):
-            if not set(side_b) <= set(kept):
-                raise ValueError(f"transposed modes {sorted(side_b)} not in subset {list(kept)}")
             factor[[k + kept.index(m) for m in side_b]] = -1.0
         signs = factors[:, :, None] * factors[:, None, :]
         signs.flags.writeable = False
@@ -304,7 +271,7 @@ def _gather(
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
-    """Reduced covariance matrix of a subset of modes (partial trace).
+    """Reduced covariance matrix of a non-empty subset of the modes (partial trace).
 
     Keeps the q and p rows/columns of the requested modes, preserving qqpp
     ordering; kept modes are reindexed 0..k-1 in ascending original order.
@@ -315,7 +282,7 @@ def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
 def reductions(
     sigma: CovarianceMatrix, subsets: Iterable[Iterable[int]], transposed: Iterable[Iterable[int]] | None = None
 ) -> CovarianceMatrix:
-    """Reductions to several mode subsets of one size, as one stack.
+    """Reductions to several equal-size mode subsets, as one stack.
 
     The reduction to the k-th subset sits at index k of a new axis just
     before the matrix axes, and equals what reduce gives for that subset.
@@ -402,7 +369,6 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
     at deep squeezing the float64 spectrum of a pure state strays
     outside any band the noise floor justifies.
     """
-    _plan(sigma.n_modes, tuple(partition.modes))  # the whole partition's check, as only one side is reduced
     if not sigma.pure:
         raise ValueError("log-negativity needs a state built pure (pure_state)")
     reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))
@@ -410,8 +376,5 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
 
 
 def permute_modes(sigma: CovarianceMatrix, order: Iterable[int]) -> CovarianceMatrix:
-    """Reorder modes: new mode k is old mode order[k]."""
-    perm = list(order)
-    if sorted(perm) != list(range(sigma.n_modes)):
-        raise ValueError(f"order {perm} is not a permutation of 0..{sigma.n_modes - 1}")
-    return _gather(sigma, tuple(perm), ordered=True)
+    """Reorder modes: new mode k is old mode order[k], for a permutation `order` of range(n_modes)."""
+    return _gather(sigma, tuple(order), ordered=True)

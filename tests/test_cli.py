@@ -448,6 +448,8 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
         ([*REPORT, "--a", "5", "--s", "6"], None, 1, "not symplectic"),
         ([*REPORT, "--a", "400", "--s", "1"], None, 1, "not symplectic"),
         ([*REPORT, "--a", "710", "--s", "0"], None, 1, "not symplectic"),
+        # the transform's entries overflow to inf at a valid point
+        ([*REPORT, "--a", "709", "--s", "3"], None, 1, "symplectic matrix contains non-finite entries"),
         # cosh(a) overflows float64 at a valid point
         ([*REPORT, "--a", "1000", "--s", "0"], None, 1, "float64 overflow"),
         # the config file overrides the flags, and the merged grid is checked once
@@ -491,7 +493,7 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
     ],
     ids=[
         "symplectic_3_5", "symplectic_0_8", "symplectic_5_6", "symplectic_400_1", "symplectic_710_0",
-        "overflow_1000_0", "file_density_over_steps", "file_lines_in_any_order", "flag_and_file_bounds",
+        "nonfinite_709_3", "overflow_1000_0", "file_density_over_steps", "file_lines_in_any_order", "flag_and_file_bounds",
         "sweep_degenerate_a_axis", "a_nan", "a_inf", "a_negative", "single_step", "single_grid_point",
         "flag_bound_a_inf", "flag_bound_s_inf", "file_line_without_equals", "file_bound_inf",
         "verify_file_bound_inf", "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis",

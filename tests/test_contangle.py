@@ -298,7 +298,6 @@ def test_point_forms_on_shared_axis_terms_equal_closed_forms(points):
                 forms.monogamy_slack,
                 forms.residual,
                 forms.tripartite_bound,
-                forms.monogamy_ok,
                 forms.strong_monogamy_ok,
             )
             assert row.tau_pair == forms.pairwise_contangle[(1, 2)] == forms.pairwise_contangle[(3, 4)]

@@ -77,7 +77,7 @@ def test_full_report_benchmark_numbers():
     assert report.interpair_contangle == 4.0
     assert report.residual == pytest.approx(5.517686046189343, abs=1e-11)
     assert report.tripartite_bound == pytest.approx(0.4511305571890842, abs=1e-11)
-    assert report.monogamy_ok and report.strong_monogamy_ok
+    assert report.strong_monogamy_ok
     assert report.consistent
     assert not report.near_threshold
     assert report.max_route_deviation < 1e-9
@@ -150,7 +150,6 @@ def test_fully_inseparable_reads_log_negativity_on_every_cut(monkeypatch, point,
 def test_reports_are_consistent_on_random_draws(a, s):
     report = full_report(SqueezingParams(a, s))
     assert report.consistent
-    assert report.monogamy_ok
     assert report.strong_monogamy_ok
 
 
