@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -305,6 +307,81 @@ def test_sweep_unwritable_output_exits_one(run_cli, tmp_path):
     )
     assert code == 1
     assert err != ""
+
+
+def test_sweep_keeps_the_out_path_semantics(capsys, tmp_path):
+    # --out is opened in place, not renamed over, once every row has succeeded
+    out_file = tmp_path / "sweep.csv"
+    out_file.write_bytes(b"an earlier sweep\n")
+    for argv in (["--a-max", "400"], ["--s-max", "30"]):
+        assert cli.main(["fourmode", "sweep", *argv, "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert out_file.read_bytes() == b"an earlier sweep\n"
+    # a symlink is written through, and the target keeps its mode
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert cli.main(["fourmode", "sweep", "--steps", "3", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    lines = target.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER and len(lines) == 1 + 3 * 3
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_sweep_leaves_no_spool_behind(tmp_path):
+    # the rows spool to an unnamed file in TMPDIR, which is gone after a sweep that
+    # succeeds and after one that fails
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    script = (
+        "import sys\nfrom promiscuity import cli\n"
+        "print(cli.main(['fourmode', 'sweep', '--out', sys.argv[1]]),"
+        " cli.main(['fourmode', 'sweep', '--a-max', '400', '--out', sys.argv[2]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "ok.csv"), str(tmp_path / "failed.csv")],
+        env={**os.environ, "TMPDIR": str(spool_dir)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == "0 1\n"
+    assert len((tmp_path / "ok.csv").read_text().splitlines()) == 1 + 26 * 26
+    assert not (tmp_path / "failed.csv").exists()
+    assert list(spool_dir.iterdir()) == []
+
+
+def test_sweep_without_a_temp_dir_is_one_error_line(capsys, monkeypatch, tmp_path):
+    # a spool that cannot be made takes the OSError path of main: exit 1, no --out file
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["fourmode", "sweep", "--steps", "3", "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+# runs cli.main in a fresh interpreter and prints its peak resident memory (VmHWM, kB)
+_PEAK_PROBE = """
+import sys
+from promiscuity import cli
+assert cli.main(sys.argv[1:]) == 0
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_sweep_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # one row at a time is held, so 301^2 points (9.7 MB of CSV) peak within 2 MB of 51^2
+    peaks = []
+    for steps in ("51", "301"):
+        argv = ["fourmode", "sweep", "--steps", steps, "--out", str(tmp_path / "sweep.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout))
+    assert abs(peaks[1] - peaks[0]) < 2 * 1024
 
 
 def test_sweep_honors_config_file(run_cli, tmp_path):
