@@ -186,8 +186,10 @@ def closed_forms(params: SqueezingParams) -> ClosedForms:
     -MONOGAMY_TOL, else ArithmeticError, so monogamy holds on every
     record that exists; the probe-1 branch attains the minimum throughout
     the sampled parameter range.  The residual is the probe-1 slack with
-    float cancellation near zero clamped to 0; it is zero on both axes
-    (a = 0 or s = 0) and strictly positive inside the quadrant.
+    float cancellation near zero clamped to 0; it is strictly positive
+    inside the quadrant and zero in exact terms on both axes.  In float64
+    it is exactly 0 at a = 0, but at s = 0 it keeps rounding noise (up to
+    3.6e-15 for a in [0, 2.5]) until ROADMAP item 6's cancellation-free form.
 
     The tripartite bound caps the genuine tripartite contangle of modes
     1, 2, 3: min of g[m_bound_{1|(23)}^2] - tau_{1|2} and

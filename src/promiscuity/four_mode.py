@@ -31,6 +31,7 @@ THRESHOLD_FLAG_TOL = 1e-6
 WITNESS_TOL = 1e-9
 FAINT_TAU = 1e-6
 PPT_MARGIN = 1e-6
+SEPARABILITY_TOL = 1e-9
 
 
 EntanglementReport = namedtuple(
@@ -76,7 +77,7 @@ def build_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
     through gaussian.pure_state.
     """
     data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
-    return gaussian.pure_state(gaussian.SymplecticTransform(4, data))
+    return gaussian.pure_state(gaussian.SymplecticTransform(data))
 
 
 def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
@@ -150,7 +151,7 @@ def ppt_separable(nu_min):
     PPT decides Gaussian separability only when one side holds a single
     mode, as for the pairs.
     """
-    return nu_min >= 1.0 - gaussian.SEPARABILITY_TOL
+    return nu_min >= 1.0 - SEPARABILITY_TOL
 
 
 def fully_inseparable(cut_ln):

@@ -11,11 +11,11 @@ Conventions
   describes a pure state iff every symplectic eigenvalue equals 1.
 * Logarithmic negativity uses the natural logarithm, so a two-mode
   squeezed vacuum with squeezing r has log-negativity exactly 2r.
-* Matrices may be stacked along leading axes.  Every function acts on
-  the trailing two axes and gives one numpy value per matrix, shaped
-  like the leading axes; a single 2-D matrix is a stack with no leading
-  axes.  Each matrix of a stack is computed exactly as it would be
-  alone.
+* Matrices are 2N x 2N, with N read off the last axis, and may be
+  stacked along leading axes.  Every function acts on the trailing two
+  axes and gives one numpy value per matrix, shaped like the leading
+  axes; a single 2-D matrix is a stack with no leading axes.  Each
+  matrix of a stack is computed exactly as it would be alone.
 * A covariance matrix is validated where its numbers are made: direct
   construction and pure_state.  reduce, reductions, partial_transpose
   and permute_modes are one gather: the q/p rows and columns of a mode
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,7 +46,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-SEPARABILITY_TOL = 1e-9
 
 
 def _as_finite_float_array(data, what: str) -> np.ndarray:
@@ -66,15 +66,15 @@ def _check_defect(defect: np.ndarray, tol: float, message: str) -> None:
 class CovarianceMatrix:
     """Real symmetric 2N x 2N covariance matrix in qqpp ordering, or a stack of them.
 
-    The constructor validates finiteness and symmetry (within
-    SYMMETRY_TOL, for every matrix of a stack) and stores an exactly
-    symmetrized copy; input whose symmetrized copy would overflow is
-    refused as non-finite.  This is the module's one validation of
-    covariance entries (see the module docstring for its views).
-    Physicality is deliberately not enforced here:
-    partial transposition produces valid instances that violate the
-    uncertainty bound, which is precisely the signal the entanglement
-    tests read off.
+    N, the n_modes property, is read off the array's last axis.  The
+    constructor validates finiteness and symmetry (within SYMMETRY_TOL,
+    for every matrix of a stack) and stores an exactly symmetrized copy;
+    input whose symmetrized copy would overflow is refused as non-finite.
+    This is the module's one validation of covariance entries (see the
+    module docstring for its views).  Physicality is deliberately not
+    enforced here: partial transposition produces valid instances that
+    violate the uncertainty bound, which is precisely the signal the
+    entanglement tests read off.
 
     `pure` records provenance, not a measurement: True promises that
     every matrix of the stack is a pure state.  Only pure_state sets it;
@@ -83,7 +83,6 @@ class CovarianceMatrix:
     which float64 cannot settle at deep squeezing.
     """
 
-    n_modes: int
     data: np.ndarray
     pure: bool = False
 
@@ -104,8 +103,8 @@ class CovarianceMatrix:
         object.__setattr__(self, "data", arr)
 
     @property
-    def dim(self) -> int:
-        return 2 * self.n_modes
+    def n_modes(self) -> int:
+        return self.data.shape[-1] // 2
 
     def spectral_noise_floor(self) -> np.ndarray:
         """Resolution limit of float64 spectral predicates on this matrix.
@@ -117,7 +116,7 @@ class CovarianceMatrix:
         worst sampled case, which pins the true spectrum two decades below
         the float64 result.
         """
-        return 2e-13 * self.dim * np.abs(self.data).max(axis=(-2, -1))
+        return 2e-13 * self.data.shape[-1] * np.abs(self.data).max(axis=(-2, -1))
 
     def is_pure(self) -> np.ndarray:
         """Numerical purity check: every symplectic eigenvalue within max(PHYSICALITY_TOL, noise floor) of 1.
@@ -135,16 +134,15 @@ class CovarianceMatrix:
 class SymplecticTransform:
     """Linear symplectic transform S; pure_state(S) is the state S S^T it makes from vacuum.
 
-    One matrix or a stack of them, like CovarianceMatrix.  Validates
+    One 2N x 2N matrix or a stack of them, like CovarianceMatrix.  Validates
     S Omega S^T = Omega within SYMPLECTIC_TOL for every matrix.
     """
 
-    n_modes: int
     data: np.ndarray
 
     def __post_init__(self) -> None:
         arr = _as_finite_float_array(self.data, "symplectic matrix")
-        omega = symplectic_form(self.n_modes)
+        omega = symplectic_form(arr.shape[-1] // 2)
         # entries past ~1e154 overflow the product: no warning is printed, and
         # the overflow still ends in a ValueError, here or on the finiteness
         # check of the state the transform produces
@@ -155,21 +153,8 @@ class SymplecticTransform:
         object.__setattr__(self, "data", arr)
 
 
-@dataclass(frozen=True)
-class ModePartition:
-    """Bipartition of a set of modes into two disjoint non-empty sides."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-    def __post_init__(self) -> None:
-        a, b = frozenset(self.side_a), frozenset(self.side_b)
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-
-    @property
-    def modes(self) -> frozenset[int]:
-        return self.side_a | self.side_b
+ModePartition = namedtuple("ModePartition", "side_a side_b")
+ModePartition.__doc__ = """Bipartition of some modes into two disjoint non-empty sets, side_a and side_b."""
 
 
 @functools.cache
@@ -210,7 +195,7 @@ def two_mode_squeezer(i: int, j: int, r, n_modes: int) -> SymplecticTransform:
         mat[..., y, y] = c
         mat[..., x, y] = sign * sh
         mat[..., y, x] = sign * sh
-    return SymplecticTransform(n_modes, mat)
+    return SymplecticTransform(mat)
 
 
 def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
@@ -218,22 +203,22 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     total = transforms[0].data
     for t in transforms[1:]:
         total = total @ t.data
-    return SymplecticTransform(transforms[0].n_modes, total)
+    return SymplecticTransform(total)
 
 
 def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
     """The state S S^T that S makes from the vacuum, per matrix of a stack; the one setter of `pure`."""
-    return CovarianceMatrix(transform.n_modes, transform.data @ transform.data.swapaxes(-1, -2), pure=True)
+    return CovarianceMatrix(transform.data @ transform.data.swapaxes(-1, -2), pure=True)
 
 
 @functools.cache
 def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: bool = False) -> tuple:
-    # the kept mode count, the q/p row and column indices and the +/-1
-    # factors (None if `transposed` is) of the gather of an N-mode matrix
-    # onto `modes`, a mode tuple or a tuple of equal-length ones, each
-    # block keeping its modes in ascending order, or as given if
-    # `ordered`.  The factors negate each block's p rows and columns of
-    # its `transposed` modes, except where both are
+    # the q/p row and column indices and the +/-1 factors (None if
+    # `transposed` is) of the gather of an N-mode matrix onto `modes`, a
+    # mode tuple or a tuple of equal-length ones, each block keeping its
+    # modes in ascending order, or as given if `ordered`; the kept mode
+    # count is read off the view's shape.  The factors negate each block's
+    # p rows and columns of its `transposed` modes, except where both are
     stacked = isinstance(modes[0], tuple)
     blocks, sides = (modes, transposed) if stacked else ((modes,), (transposed,))
     if not ordered:
@@ -250,7 +235,7 @@ def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: 
         signs.flags.writeable = False
         signs = signs if stacked else signs[0]
     idx.flags.writeable = False
-    return k, idx[..., :, None], idx[..., None, :], signs
+    return idx[..., :, None], idx[..., None, :], signs
 
 
 def _gather(
@@ -258,13 +243,12 @@ def _gather(
 ) -> CovarianceMatrix:
     # the one view constructor: the unflagged CovarianceMatrix of the
     # entries of sigma that _plan gathers and signs
-    k, rows, cols, signs = _plan(sigma.n_modes, modes, transposed, ordered)
+    rows, cols, signs = _plan(sigma.n_modes, modes, transposed, ordered)
     data = sigma.data[..., rows, cols]
     if signs is not None:
         data *= signs
     data.flags.writeable = False
     view = object.__new__(CovarianceMatrix)
-    object.__setattr__(view, "n_modes", k)
     object.__setattr__(view, "data", data)
     object.__setattr__(view, "pure", False)
     return view
@@ -302,7 +286,7 @@ def partial_transpose(sigma: CovarianceMatrix, partition: ModePartition) -> Cova
     p-column belonging to side_b, which is exact (no arithmetic beyond
     sign changes), hence involutive on full covers.
     """
-    return _gather(sigma, tuple(partition.modes), tuple(partition.side_b))
+    return _gather(sigma, tuple(partition.side_a | partition.side_b), tuple(partition.side_b))
 
 
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> np.ndarray:

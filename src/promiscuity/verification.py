@@ -271,14 +271,15 @@ def suite_bounding_state(grid: Grid) -> SuiteResult:
 def suite_shape(grid: Grid) -> SuiteResult:
     """Trend checks along fixed-s rays of the (a, s) grid.
 
-    The residual grows strictly with a whenever s > 0 and stays flat at
-    zero for s = 0.  The tripartite bound is NOT globally monotone in a:
-    it vanishes identically at a = 0 (the probe mode decouples there, so
-    the genuine tripartite entanglement it caps is zero), climbs to a
-    single interior peak as the middle pair approaches disentanglement,
-    and decays toward zero beyond it.  Each row is therefore checked for
-    exact zero at a = 0, unimodality (non-decreasing up to the row peak,
-    non-increasing after), and a decaying far tail.
+    The residual grows strictly with a whenever s > 0 and stays flat,
+    within SLACK, for s = 0.  The tripartite bound is NOT globally
+    monotone in a: it vanishes identically at a = 0 (the probe mode
+    decouples there, so the genuine tripartite entanglement it caps is
+    zero), climbs to a single interior peak as the middle pair approaches
+    disentanglement, and decays toward zero beyond it.  Each row is
+    therefore checked for exact zero at a = 0, unimodality
+    (non-decreasing up to the row peak, non-increasing after), and a
+    decaying far tail.
     """
     result = SuiteResult("shape")
     a_values = grid.cfg.a_values()

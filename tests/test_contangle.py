@@ -184,9 +184,11 @@ def test_tripartite_bound_values():
 
 
 def test_tripartite_bound_vanishes_without_arm_squeezing():
-    # probe mode decouples at a = 0, so the capped quantity is exactly zero
+    # probe mode decouples at a = 0, so the capped quantity is exactly zero,
+    # and so is the residual
     for s in (0.0, 0.5, 1.0, 2.5):
         assert _bound(0.0, s) == 0.0
+        assert _residual(0.0, s) == 0.0
 
 
 def test_tripartite_bound_rises_to_an_interior_peak():

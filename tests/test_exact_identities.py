@@ -8,7 +8,8 @@ and no tolerance: S is symplectic, each one-mode reduction has
 determinant m_k^2 with the m_k that contangle's closed forms use, and the
 {1, 2} reduction has determinant cosh^2 2s.  The float64 transform
 four_mode.build_state writes out is then compared with the exact one
-entry by entry.
+entry by entry, and the exact PPT verdict of the middle pair {2, 3} with
+the closed forms' pair contangle being 0.
 """
 import itertools
 import math
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from promiscuity.contangle import SqueezingParams, closed_forms
 from promiscuity.four_mode import _transform_entries
 
 N_MODES = 4
@@ -113,3 +115,48 @@ def test_float_transform_entries_match_the_exact_transform(x, y):
             assert (value, math.copysign(1.0, value)) == (0.0, 1.0), k
         else:
             assert abs(Fraction(value) - want) <= bound * abs(want), k
+
+
+# the module's points, then x, y in {5/4, 6/4, ..., 11/4}: both sides of the
+# middle-pair separability threshold
+GRID = [Fraction(k, 4) for k in range(5, 12)]
+VERDICT_POINTS = POINTS + [
+    pytest.param(x, y, id=f"grid-x={x},y={y}") for x, y in itertools.product(GRID, GRID)
+]
+# points outside closed_forms' float64 domain, by (x, y)
+CLOSED_FORM_RAISES = {
+    (Fraction(1), Fraction(2) ** 64): (ArithmeticError, "rounds to 1"),
+    (Fraction(1), Fraction(2) ** 200): (ArithmeticError, "rounds to 1"),
+    (Fraction(2) ** 64, Fraction(2) ** 200): (OverflowError, None),
+    (Fraction(2) ** 200, Fraction(2) ** 64): (OverflowError, None),
+    (Fraction(2) ** 200, Fraction(2) ** 200): (OverflowError, None),
+}
+
+
+@pytest.mark.parametrize("x, y", VERDICT_POINTS)
+def test_middle_pair_ppt_verdict_matches_the_closed_form(x, y):
+    params = SqueezingParams(math.log(x), math.log(y))
+    if (x, y) in CLOSED_FORM_RAISES:
+        error, message = CLOSED_FORM_RAISES[x, y]
+        with pytest.raises(error, match=message):
+            closed_forms(params)
+        return
+    # the {2, 3} block of sigma from the rows of S for 0-based modes 1 and 2,
+    # in qqpp order (q2, q3, p2, p3), with mode 3's p row and column negated
+    s = _transform(x, y)
+    rows = [s[i] for i in (1, 2, 1 + N_MODES, 2 + N_MODES)]
+    flip = (1, 1, 1, -1)
+    block = [
+        [fi * fj * sum(u * v for u, v in zip(ri, rj)) for rj, fj in zip(rows, flip)]
+        for ri, fi in zip(rows, flip)
+    ]
+
+    def det(r: tuple, c: tuple) -> Fraction:
+        return _det([[block[i][j] for j in c] for i in r])
+
+    mode_2, mode_3 = (0, 2), (1, 3)
+    delta = det(mode_2, mode_2) + det(mode_3, mode_3) + 2 * det(mode_2, mode_3)
+    # the smallest PT symplectic eigenvalue squared is (delta - sqrt(delta^2 - 4 D)) / 2,
+    # which is at least 1 iff both hold
+    separable = 1 - delta + _det(block) >= 0 and delta >= 2
+    assert separable == (closed_forms(params).pairwise_contangle[(2, 3)] == 0.0)

@@ -194,7 +194,7 @@ def test_stacked_route_equals_stacks_of_one_and_single_states():
     stacked = _spectral_quantities(build_state(points))
     of_one = [_spectral_quantities(build_state([p])) for p in points]
     # one 2-D matrix, row 0 of a stack of one, through the trailing-axes rule
-    single = [_spectral_quantities(gaussian.CovarianceMatrix(4, build_state([p]).data[0], pure=True)) for p in points]
+    single = [_spectral_quantities(gaussian.CovarianceMatrix(build_state([p]).data[0], pure=True)) for p in points]
     assert not stacked["pure"].all() and stacked["pure"].any()
     for name, values in stacked.items():
         assert values.shape[0] == len(points)
@@ -230,7 +230,7 @@ def _reference_report(params: SqueezingParams) -> EntanglementReport:
             or 0.0 < tau <= four_mode.FAINT_TAU
             or 0.0 < 1.0 - nu_min <= four_mode.PPT_MARGIN
         )
-        if not skipped and (nu_min >= 1.0 - gaussian.SEPARABILITY_TOL) != (tau == 0.0):
+        if not skipped and (nu_min >= 1.0 - four_mode.SEPARABILITY_TOL) != (tau == 0.0):
             verdicts_ok = False
     return EntanglementReport(
         **forms._asdict(),
@@ -311,7 +311,7 @@ def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
     assert four_mode._PROBE_SIDES == [[0], [1], [2], [3]]
     assert sides == [[0, 1], [0, 2], [0, 3]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
     plan = gaussian._plan(4, tuple(map(tuple, sides)), tuple(map(tuple, transposed)))
-    signs = plan[3]
+    signs = plan[2]
     flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
     assert np.array_equal(signs, [np.ones((4, 4))] * 3 + [flip] * 6)
     with pytest.raises(ValueError, match="read-only"):
@@ -350,7 +350,7 @@ def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
 def test_spectral_forms_refuse_a_state_not_built_pure():
     state = build_state([SqueezingParams(0.4, 0.3)])
     with pytest.raises(ValueError, match="built pure"):
-        spectral_forms(gaussian.CovarianceMatrix(4, state.data))
+        spectral_forms(gaussian.CovarianceMatrix(state.data))
 
 
 def _squeezer_product(a, s) -> gaussian.SymplecticTransform:
@@ -444,7 +444,7 @@ def test_views_equal_validated_matrices(monkeypatch):
     negative_zeros = 0
     for view in views:
         assert not view.data.flags.writeable
-        checked = gaussian.CovarianceMatrix(view.n_modes, view.data)
+        checked = gaussian.CovarianceMatrix(view.data)
         assert checked.data.shape == view.data.shape
         assert checked.data.tobytes() == view.data.tobytes()
         negative_zeros += np.count_nonzero((view.data == 0.0) & np.signbit(view.data))

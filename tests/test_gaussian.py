@@ -28,7 +28,7 @@ squeezings = st.floats(min_value=0.0, max_value=2.5, allow_nan=False)
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
-    return pure_state(SymplecticTransform(n_modes, np.eye(2 * n_modes)))
+    return pure_state(SymplecticTransform(np.eye(2 * n_modes)))
 
 
 def tmsv(r: float) -> CovarianceMatrix:
@@ -49,15 +49,16 @@ def test_cached_plans_are_read_only():
     # columns of its transposed side
     omega = symplectic_form(2)
     plan = gaussian._plan(4, ((0, 1), (1, 3)), ((), (3,)))
-    k, rows, cols, signs = plan
-    assert k == 2
+    rows, cols, signs = plan
+    # two blocks of two kept modes: four q/p indices each
+    assert rows.shape == (2, 4, 1)
     assert rows[..., 0].tolist() == cols[..., 0, :].tolist() == [[0, 1, 4, 5], [1, 3, 5, 7]]
     flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
     assert np.array_equal(signs, [np.ones((4, 4)), flip])
     one_block = gaussian._plan(3, (0, 2), (0,))
-    assert np.array_equal(one_block[3], np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0]))
-    assert gaussian._plan(4, ((0, 1), (1, 3)))[3] is None
-    for array in (omega, rows, cols, rows.base, signs, one_block[3], one_block[3].base):
+    assert np.array_equal(one_block[2], np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0]))
+    assert gaussian._plan(4, ((0, 1), (1, 3)))[2] is None
+    for array in (omega, rows, cols, rows.base, signs, one_block[2], one_block[2].base):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0, 0] = 7
     assert gaussian._plan(4, ((0, 1), (1, 3)), ((), (3,))) is plan
@@ -66,23 +67,33 @@ def test_cached_plans_are_read_only():
 def test_vacuum_is_identity():
     vac = vacuum(4)
     assert vac.n_modes == 4
-    assert vac.dim == 8
+    assert vac.data.shape == (8, 8)
     assert np.array_equal(vac.data, np.eye(8))
     assert symplectic_eigenvalues(vac).min() >= 1 - 1e-9
     assert vac.is_pure()
+
+
+def test_mode_count_is_read_off_the_array():
+    # a 4 x 4 matrix holds two modes, (q1, q2, p1, p2): mode 0 keeps q1 and p1,
+    # and the noise floor scales with the full dimension 4
+    cm = CovarianceMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert cm.n_modes == 2
+    assert np.array_equal(reduce(cm, {0}).data, np.diag([1.0, 3.0]))
+    assert cm.spectral_noise_floor() == 2e-13 * 4 * 4
+    assert pure_state(SymplecticTransform(np.eye(6))).n_modes == 3
 
 
 def test_covariance_matrix_rejects_asymmetry():
     data = np.eye(2)
     data[0, 1] = 1e-6
     with pytest.raises(ValueError, match="asymmetric"):
-        CovarianceMatrix(1, data)
+        CovarianceMatrix(data)
 
 
 def test_covariance_matrix_symmetrizes_within_tolerance():
     data = np.eye(2)
     data[0, 1] = 3e-11
-    cm = CovarianceMatrix(1, data)
+    cm = CovarianceMatrix(data)
     assert cm.data[0, 1] == cm.data[1, 0]
     assert not cm.data.flags.writeable
 
@@ -101,8 +112,8 @@ def test_entries_past_half_the_float64_range_are_refused_without_warning(data, m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            CovarianceMatrix(1, data)
-        kept = CovarianceMatrix(1, [[8.9e307, 0.0], [0.0, 1.0]])
+            CovarianceMatrix(data)
+        kept = CovarianceMatrix([[8.9e307, 0.0], [0.0, 1.0]])
     assert kept.data[0, 0] == 8.9e307
 
 
@@ -120,7 +131,7 @@ def test_two_mode_squeezer_entries():
 
 def test_symplectic_transform_validates():
     with pytest.raises(ValueError, match="not symplectic"):
-        SymplecticTransform(1, np.diag([2.0, 3.0]))
+        SymplecticTransform(np.diag([2.0, 3.0]))
 
 
 def test_compose_applies_rightmost_first():
@@ -162,7 +173,7 @@ def test_partial_transpose_involution():
 
 def test_symplectic_eigenvalues_known_values():
     assert np.allclose(symplectic_eigenvalues(vacuum(2)), [1.0, 1.0], atol=1e-12)
-    thermal = CovarianceMatrix(1, 2.0 * np.eye(2))
+    thermal = CovarianceMatrix(2.0 * np.eye(2))
     assert np.allclose(symplectic_eigenvalues(thermal), [2.0], atol=1e-12)
     assert np.allclose(symplectic_eigenvalues(tmsv(1.3)), [1.0, 1.0], atol=1e-9)
 
@@ -189,7 +200,7 @@ def test_symplectic_eigenvalues_refuse_an_indefinite_matrix(monkeypatch):
     _forbid_general_eigensolver(monkeypatch)
     for bad in (np.diag([1.0, -0.5]), np.diag([1.0, 3.0, -0.5, 2.0])):
         with pytest.raises(ValueError, match="positive definite"):
-            symplectic_eigenvalues(CovarianceMatrix(bad.shape[-1] // 2, bad))
+            symplectic_eigenvalues(CovarianceMatrix(bad))
     assert not re.search(r"\beigvals\b", inspect.getsource(gaussian))
 
 
@@ -201,11 +212,11 @@ def test_one_indefinite_matrix_makes_the_whole_stack_raise(monkeypatch):
     indefinite = np.diag([1.0, 3.0, -0.5, 2.0])
     stack = np.stack([tmsv(0.3).data, indefinite, tmsv(1.1).data, 2.0 * np.eye(4)])
     with pytest.raises(ValueError, match="positive definite"):
-        symplectic_eigenvalues(CovarianceMatrix(2, stack))
+        symplectic_eigenvalues(CovarianceMatrix(stack))
     valid = np.delete(stack, 1, axis=0)
-    nu = symplectic_eigenvalues(CovarianceMatrix(2, valid))
+    nu = symplectic_eigenvalues(CovarianceMatrix(valid))
     for k, matrix in enumerate(valid):
-        assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(2, matrix)))
+        assert np.array_equal(nu[k], symplectic_eigenvalues(CovarianceMatrix(matrix)))
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.5])
@@ -225,7 +236,7 @@ def test_log_negativity_vacuum_and_swap():
 
 def test_log_negativity_refuses_an_unflagged_mixed_state():
     # a thermal two-mode product state is mixed and not flagged pure: refused
-    thermal = CovarianceMatrix(2, 2.0 * np.eye(4))
+    thermal = CovarianceMatrix(2.0 * np.eye(4))
     part = ModePartition(frozenset({0}), frozenset({1}))
     assert not thermal.is_pure()
     with pytest.raises(ValueError, match="built pure"):
@@ -253,7 +264,7 @@ def test_physicality_of_partial_transpose():
 
 def test_spectral_noise_floor_scales():
     small = vacuum(2).spectral_noise_floor()
-    big = CovarianceMatrix(2, 1e4 * np.eye(4)).spectral_noise_floor()
+    big = CovarianceMatrix(1e4 * np.eye(4)).spectral_noise_floor()
     assert 0 < small < big
 
 
@@ -308,19 +319,19 @@ def test_stack_with_one_asymmetric_matrix_raises_its_own_error():
     bad = np.eye(2)
     bad[0, 1] = 1e-6
     with pytest.raises(ValueError) as alone:
-        CovarianceMatrix(1, bad)
+        CovarianceMatrix(bad)
     with pytest.raises(ValueError) as stacked:
-        CovarianceMatrix(1, np.stack([np.eye(2), bad, 3.0 * np.eye(2)]))
+        CovarianceMatrix(np.stack([np.eye(2), bad, 3.0 * np.eye(2)]))
     assert str(stacked.value) == str(alone.value)
 
 
 def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
     bad = np.diag([2.0, 3.0])
     with pytest.raises(ValueError) as alone:
-        SymplecticTransform(1, bad)
+        SymplecticTransform(bad)
     squeezer = np.diag([2.0, 0.5])
     with pytest.raises(ValueError) as stacked:
-        SymplecticTransform(1, np.stack([np.eye(2), squeezer, bad, squeezer]))
+        SymplecticTransform(np.stack([np.eye(2), squeezer, bad, squeezer]))
     assert str(stacked.value) == str(alone.value)
     assert "not symplectic" in str(alone.value)
 
@@ -328,8 +339,8 @@ def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
 def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypatch):
     part = ModePartition(frozenset({0}), frozenset({1}))
     data = np.stack([tmsv(0.9).data, tmsv(0.05).data, tmsv(2.5).data])
-    flagged = CovarianceMatrix(2, data, pure=True)
-    unflagged = CovarianceMatrix(2, data)
+    flagged = CovarianceMatrix(data, pure=True)
+    unflagged = CovarianceMatrix(data)
 
     def no_purity_test(self, tol=None):
         raise AssertionError("log_negativity must not run a purity test")
@@ -358,7 +369,7 @@ def test_pure_flag_follows_provenance():
     assert not reduce(squeezed, {0, 1, 2}).pure
     assert not gaussian.reductions(squeezed, [[0], [1]]).pure
     assert not partial_transpose(squeezed, part).pure
-    assert not CovarianceMatrix(3, squeezed.data).pure
+    assert not CovarianceMatrix(squeezed.data).pure
 
 
 def test_reductions_stack_the_reductions_of_each_subset():

@@ -20,3 +20,21 @@ def test_scripts_run_and_agree_with_the_cli(tmp_path):
     assert len(summary.splitlines()) == 1 + 1 + 6
     _run("-m", "promiscuity", "fourmode", "sweep", "--steps", "6", "--out", str(cli_csv))
     assert script_csv.read_bytes() == cli_csv.read_bytes()
+
+
+def test_reach_scan_lists_each_module_after_the_calls_it_is_given():
+    calls = ["fourmode report --a 1.5 --s 1", "fourmode sweep --steps 3 --out {tmp}/sweep.csv",
+             "qudit report --d 4", "verify --grid-density 2"]
+    argv = [str(SCRIPTS / "reach_scan.py")]
+    for call in calls:
+        argv += ["--call", call]
+    lines = _run(*argv).stdout.splitlines()
+    assert lines[:4] == [f"exit 0: {call}" for call in calls]
+    package = SCRIPTS.parent / "src" / "promiscuity"
+    modules = sorted(package.glob("*.py"))
+    assert [line.split(":")[0] for line in lines[4:]] == [path.name for path in modules]
+    for line, path in zip(lines[4:], modules):
+        count, listed = line.split(": ", 1)[1].split(" unreached: ")
+        missed = [] if listed == "-" else [int(n) for n in listed.split(", ")]
+        # each count matches its list, and every listed line is a line of the module
+        assert len(missed) == int(count) and all(0 < n <= len(path.read_text().splitlines()) for n in missed)

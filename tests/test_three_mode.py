@@ -49,7 +49,7 @@ def three_mode_state(r: np.ndarray):
         squeezers[:, k, k] = factor
     mixer = np.zeros((6, 6))
     mixer[:3, :3] = mixer[3:, 3:] = TRITTER
-    return pure_state(SymplecticTransform(3, mixer @ squeezers))
+    return pure_state(SymplecticTransform(mixer @ squeezers))
 
 
 def local_eigenvalue_squared(r: np.ndarray) -> np.ndarray:
