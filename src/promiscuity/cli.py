@@ -107,9 +107,9 @@ def _format_table(row: dict, style: str) -> str:
         values = ",".join(_text(value) for value in row.values())
         return f"{header}\n{values}\n"
     import json  # only a rendered report needs it, so sweep, --help and argument errors skip it
-
+    # the bytes of json.dumps(payload, indent=2) + "\n" for a flat row, from the C encoder that indent= rules out
     payload = {name: _json_ready(value) for name, value in row.items()}
-    return json.dumps(payload, indent=2) + "\n"
+    return "{\n  " + json.dumps(payload, separators=(",\n  ", ": "))[1:-1] + "\n}\n"
 
 
 def _failed_at(exc: Exception, a: float, s: float) -> ArithmeticError:

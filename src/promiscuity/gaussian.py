@@ -16,20 +16,15 @@ Conventions
   axes and gives one numpy value per matrix, shaped like the leading
   axes; a single 2-D matrix is a stack with no leading axes.  Each
   matrix of a stack is computed exactly as it would be alone.
-* A covariance matrix is validated where its numbers are made: direct
-  construction and pure_state.  reduce, reductions, partial_transpose
-  and permute_modes are one gather: the q/p rows and columns of a mode
-  tuple, or of a stack of equal-length ones, with each block's p rows
-  and columns on its transposed side (side_b) negated.  The index
-  arrays and +/-1 factors are one cached read-only plan per mode count,
-  modes and transposed sides (_plan).  Gathered and sign-flipped
-  entries of a validated matrix are exactly symmetric and finite, so
-  the gather returns a read-only view (_gather) that skips the check
-  and equals what the constructor would store from its data, bit for
-  bit.
-* Every state is made as pure_state(S) = S S^T, the vacuum under a
-  symplectic transform, and only pure_state flags a matrix pure; views
-  of a pure state are unflagged.
+* Direct construction validates a covariance matrix.  Every other
+  record is exactly symmetric and finite by construction and comes
+  unchecked and read-only from _record: each state, pure_state(S) =
+  S S^T (numpy's one symmetric rank-k update, checked only for
+  finiteness), and the views of reduce, reductions, partial_transpose
+  and permute_modes, one gather (_gather) of the q/p rows and columns
+  of a mode tuple, or of a stack of equal-length ones, each block's p
+  rows and columns on its transposed side (side_b) negated, by one
+  cached read-only plan per mode count, modes and sides (_plan).
 
 All mode indices in this module are 0-based.
 """
@@ -70,11 +65,10 @@ class CovarianceMatrix:
     constructor validates finiteness and symmetry (within SYMMETRY_TOL,
     for every matrix of a stack) and stores an exactly symmetrized copy;
     input whose symmetrized copy would overflow is refused as non-finite.
-    This is the module's one validation of covariance entries (see the
-    module docstring for its views).  Physicality is deliberately not
-    enforced here: partial transposition produces valid instances that
-    violate the uncertainty bound, which is precisely the signal the
-    entanglement tests read off.
+    pure_state and the views skip it (see the module docstring).
+    Physicality is deliberately not enforced: partial transposition
+    produces valid instances that violate the uncertainty bound, which is
+    precisely the signal the entanglement tests read off.
 
     `pure` records provenance, not a measurement: True promises that
     every matrix of the stack is a pure state.  Only pure_state sets it;
@@ -206,9 +200,20 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     return SymplecticTransform(total)
 
 
+def _record(data: np.ndarray) -> CovarianceMatrix:
+    # the one unchecked maker: an unflagged record of exactly symmetric, finite data, made read-only
+    data.flags.writeable = False
+    record = object.__new__(CovarianceMatrix)
+    object.__setattr__(record, "data", data)
+    object.__setattr__(record, "pure", False)
+    return record
+
+
 def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
     """The state S S^T that S makes from the vacuum, per matrix of a stack; the one setter of `pure`."""
-    return CovarianceMatrix(transform.data @ transform.data.swapaxes(-1, -2), pure=True)
+    state = _record(_as_finite_float_array(transform.data @ transform.data.swapaxes(-1, -2), "covariance matrix"))
+    object.__setattr__(state, "pure", True)
+    return state
 
 
 @functools.cache
@@ -241,17 +246,12 @@ def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: 
 def _gather(
     sigma: CovarianceMatrix, modes: tuple, transposed: tuple | None = None, ordered: bool = False
 ) -> CovarianceMatrix:
-    # the one view constructor: the unflagged CovarianceMatrix of the
-    # entries of sigma that _plan gathers and signs
+    # the unflagged view of the entries of sigma that _plan gathers and signs
     rows, cols, signs = _plan(sigma.n_modes, modes, transposed, ordered)
     data = sigma.data[..., rows, cols]
     if signs is not None:
         data *= signs
-    data.flags.writeable = False
-    view = object.__new__(CovarianceMatrix)
-    object.__setattr__(view, "data", data)
-    object.__setattr__(view, "pure", False)
-    return view
+    return _record(data)
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:

@@ -17,6 +17,9 @@ and brute-force routes they are checked against.
 
 No module reads another module's underscore name: what one module needs
 of another is public.
+
+One helper, gaussian._record, makes every CovarianceMatrix that skips
+the constructor's checks.
 """
 import ast
 import sys
@@ -199,6 +202,44 @@ def test_no_module_forks():
     )
     sample.module_name = "jobs"
     assert _fork_sites([sample]) == ["jobs.good", "jobs.bad (no os._exit)", "jobs.10 (no os._exit)"]
+
+
+def _unchecked_makers(trees) -> list[tuple[str, list[str]]]:
+    """(module.name, callers) for each `object.__new__(CovarianceMatrix)`.
+
+    name is the top-level definition holding it, and callers the top-level
+    functions of the same module that call that definition by name.
+    """
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            name = getattr(node, "name", node.lineno)
+            callers = [
+                other.name for other in tree.body
+                if isinstance(other, ast.FunctionDef)
+                and any(isinstance(call, ast.Call) and ast.unparse(call.func) == name for call in ast.walk(other))
+            ]
+            found += [
+                (f"{tree.module_name}.{name}", callers) for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call) == "object.__new__(CovarianceMatrix)"
+            ]
+    return found
+
+
+def test_one_helper_makes_unchecked_covariance_records():
+    # pure_state and the gather skip the constructor's checks, their entries
+    # being exactly symmetric by construction; no other code may
+    assert _unchecked_makers(_trees()) == [("gaussian._record", ["pure_state", "_gather"])]
+    sample = ast.parse(
+        "def _make(d):\n    return object.__new__(CovarianceMatrix)\n\n"
+        "def view(d):\n    return _make(d)\n\n"
+        "def twice():\n    return object.__new__(CovarianceMatrix), object.__new__(CovarianceMatrix)\n\n"
+        "EMPTY = object.__new__(CovarianceMatrix)\n"
+    )
+    sample.module_name = "gaussian"
+    assert _unchecked_makers([sample]) == [
+        ("gaussian._make", ["view"]), ("gaussian.twice", []), ("gaussian.twice", []), ("gaussian.10", []),
+    ]
 
 
 def _foreign_private_reads(trees) -> list[str]:

@@ -272,6 +272,30 @@ def test_report_bytes_are_pinned(capsys):
     assert digest.hexdigest() == "866bed8d058bcf2eb2998bcffbc76f0c4a35a62d00b5b55f77e4212f7d7a9d7a"
 
 
+def test_json_report_is_json_dumps_with_indent_2(monkeypatch, capsys):
+    # the rows the report handlers hand to _format_table, then a synthetic flat row
+    rows, render = [], cli._format_table
+
+    def recording(row, style):
+        rows.append(dict(row))
+        return render(row, style)
+
+    monkeypatch.setattr(cli, "_format_table", recording)
+    for argv in (["fourmode", "report", "--a", "1.5", "--s", "1.0"], ["qudit", "report", "--d", "4"],
+                 ["qudit", "report", "--d", "1456"]):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    rows.append({
+        "true": True, "false": False, "int": 7, "negative_zero": -0.0, "subnormal": 5e-324,
+        "large": 1e16, "inf": float("inf"), "minus_inf": float("-inf"), "nan": float("nan"),
+        "quote": 'say "hi"', "backslash": "a\\b", "newline": "one\ntwo", "non_ascii": "\u03c4_23 \u2265 0",
+    })
+    for row in rows:
+        expected = json.dumps({name: cli._json_ready(value) for name, value in row.items()}, indent=2) + "\n"
+        assert cli._format_table(row, "json") == expected
+
+
 def test_sweep_rejects_single_step(run_cli, tmp_path):
     code, _, err = run_cli(
         "fourmode", "sweep", "--steps", "1", "--out", str(tmp_path / "x.csv")

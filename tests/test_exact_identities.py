@@ -9,7 +9,9 @@ determinant m_k^2 with the m_k that contangle's closed forms use, and the
 {1, 2} reduction has determinant cosh^2 2s.  The float64 transform
 four_mode.build_state writes out is then compared with the exact one
 entry by entry, and the exact PPT verdict of the middle pair {2, 3} with
-the closed forms' pair contangle being 0.
+the closed forms' pair contangle being 0.  Where that pair is entangled,
+contangle's m_23 must give the smaller root of the characteristic
+polynomial of its partially transposed block.
 """
 import itertools
 import math
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from promiscuity.contangle import SqueezingParams, closed_forms
+from promiscuity.contangle import SqueezingParams, _m_23, a_terms, closed_forms, s_terms
 from promiscuity.four_mode import _transform_entries
 
 N_MODES = 4
@@ -133,16 +135,10 @@ CLOSED_FORM_RAISES = {
 }
 
 
-@pytest.mark.parametrize("x, y", VERDICT_POINTS)
-def test_middle_pair_ppt_verdict_matches_the_closed_form(x, y):
-    params = SqueezingParams(math.log(x), math.log(y))
-    if (x, y) in CLOSED_FORM_RAISES:
-        error, message = CLOSED_FORM_RAISES[x, y]
-        with pytest.raises(error, match=message):
-            closed_forms(params)
-        return
-    # the {2, 3} block of sigma from the rows of S for 0-based modes 1 and 2,
-    # in qqpp order (q2, q3, p2, p3), with mode 3's p row and column negated
+def _middle_pair_invariants(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+    """(D, delta): the determinant and seralian of the partially transposed {2, 3} block of sigma."""
+    # the block from the rows of S for 0-based modes 1 and 2, in qqpp order
+    # (q2, q3, p2, p3), with mode 3's p row and column negated
     s = _transform(x, y)
     rows = [s[i] for i in (1, 2, 1 + N_MODES, 2 + N_MODES)]
     flip = (1, 1, 1, -1)
@@ -155,8 +151,59 @@ def test_middle_pair_ppt_verdict_matches_the_closed_form(x, y):
         return _det([[block[i][j] for j in c] for i in r])
 
     mode_2, mode_3 = (0, 2), (1, 3)
-    delta = det(mode_2, mode_2) + det(mode_3, mode_3) + 2 * det(mode_2, mode_3)
+    return _det(block), det(mode_2, mode_2) + det(mode_3, mode_3) + 2 * det(mode_2, mode_3)
+
+
+def _separable(x: Fraction, y: Fraction) -> bool:
     # the smallest PT symplectic eigenvalue squared is (delta - sqrt(delta^2 - 4 D)) / 2,
     # which is at least 1 iff both hold
-    separable = 1 - delta + _det(block) >= 0 and delta >= 2
-    assert separable == (closed_forms(params).pairwise_contangle[(2, 3)] == 0.0)
+    det, delta = _middle_pair_invariants(x, y)
+    return 1 - delta + det >= 0 and delta >= 2
+
+
+@pytest.mark.parametrize("x, y", VERDICT_POINTS)
+def test_middle_pair_ppt_verdict_matches_the_closed_form(x, y):
+    params = SqueezingParams(math.log(x), math.log(y))
+    if (x, y) in CLOSED_FORM_RAISES:
+        error, message = CLOSED_FORM_RAISES[x, y]
+        with pytest.raises(error, match=message):
+            closed_forms(params)
+        return
+    assert _separable(x, y) == (closed_forms(params).pairwise_contangle[(2, 3)] == 0.0)
+
+
+def _exact_m_23(x: Fraction, y: Fraction) -> Fraction:
+    # contangle._m_23's formula, each of cosh 2a, cosh s, cosh 2s, sinh 2s and e^2s rational
+    cosh_a, sinh_a = _cosh_sinh(x)
+    cosh_2a, _ = _cosh_sinh(x * x)
+    cosh_s, _ = _cosh_sinh(y)
+    cosh_2s, sinh_2s = _cosh_sinh(y * y)
+    num = -1 + 2 * cosh_2a ** 2 * cosh_s ** 2 + 3 * cosh_2s - 4 * sinh_a ** 2 * sinh_2s
+    return num / (4 * (cosh_a ** 2 + y * y * sinh_a ** 2))
+
+
+# the verdict points inside closed_forms' domain where the middle pair is entangled
+ENTANGLED_POINTS = [
+    point for point in VERDICT_POINTS if point.values not in CLOSED_FORM_RAISES and not _separable(*point.values)
+]
+# float _m_23 against the exact value, in units of the exact value's float64 ulp;
+# the 33 points measure at most 3.4
+M_23_ULPS = 8
+
+
+@pytest.mark.parametrize("x, y", ENTANGLED_POINTS)
+def test_m_23_makes_the_smaller_root_of_the_middle_pair_polynomial(x, y):
+    # nu~^2, the squared smallest PT symplectic eigenvalue of the {2, 3} block,
+    # is the smaller root of z^2 - delta z + D; m_23 is right iff it gives that root
+    det, delta = _middle_pair_invariants(x, y)
+    m = _exact_m_23(x, y)
+    if x == 1:
+        # at a = 0 the pair is a pure two-mode squeezed state, D = 1, and z is 0/0:
+        # m = cosh 2r and nu~^2 = e^-4r, so delta = 2 cosh 4r = 4 m^2 - 2
+        assert (det, delta) == (1, 4 * m ** 2 - 2)
+    else:
+        z = (det - 1) / (delta - 4 * m ** 2 + 2)
+        assert z * z - delta * z + det == 0
+        assert 2 * z <= delta
+    value = _m_23(a_terms(math.log(x)), s_terms(math.log(y)))
+    assert abs(Fraction(value) - m) <= M_23_ULPS * math.ulp(float(m))

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promiscuity import gaussian
+from promiscuity.four_mode import _transform_entries
 from promiscuity.gaussian import (
     CovarianceMatrix,
     ModePartition,
@@ -370,6 +372,63 @@ def test_pure_flag_follows_provenance():
     assert not gaussian.reductions(squeezed, [[0], [1]]).pure
     assert not partial_transpose(squeezed, part).pure
     assert not CovarianceMatrix(squeezed.data).pure
+
+
+def _one_mode_squeezer(k: int, r: np.ndarray, n_modes: int) -> SymplecticTransform:
+    # q_k scaled by e^r and p_k by e^-r, one transform per degree of the stack r
+    diag = np.ones(r.shape + (2 * n_modes,))
+    diag[..., k], diag[..., n_modes + k] = np.exp(r), np.exp(-r)
+    return SymplecticTransform(diag[..., :, None] * np.eye(2 * n_modes))
+
+
+def _random_squeezer_stack(rng: np.random.Generator, n_modes: int, size: int) -> SymplecticTransform:
+    # a stack of `size` products of three random one-mode and two-mode squeezers
+    factors = []
+    for _ in range(3):
+        r = rng.uniform(-1.0, 1.0, size)
+        if n_modes == 1 or rng.random() < 0.5:
+            factors.append(_one_mode_squeezer(int(rng.integers(n_modes)), r, n_modes))
+        else:
+            i, j = rng.choice(n_modes, 2, replace=False)
+            factors.append(two_mode_squeezer(int(i), int(j), r, n_modes))
+    return compose(*factors)
+
+
+def _assert_pure_state_needs_no_symmetrizing(transform: SymplecticTransform) -> None:
+    # S @ S^T is exactly symmetric, so the validated copy of it is the product itself
+    product = transform.data @ transform.data.swapaxes(-1, -2)
+    assert np.array_equal(product, product.swapaxes(-1, -2))
+    state = pure_state(transform)
+    assert np.array_equal(state.data, state.data.swapaxes(-1, -2))
+    assert state.data.tobytes() == CovarianceMatrix(product).data.tobytes()
+
+
+def test_pure_state_of_the_family_grid_is_exactly_symmetric():
+    # build_state's transforms on the 0.25 grid over [0, 7]^2, stacked and alone,
+    # leaving out the points whose transform check refuses
+    transforms = []
+    for a, s in itertools.product(np.arange(29) / 4, repeat=2):
+        try:
+            transforms.append(SymplecticTransform(np.reshape(_transform_entries(a, s), (8, 8))))
+        except ValueError:
+            continue
+    assert len(transforms) > 400  # 512 of the 841 points today
+    for transform in transforms:
+        _assert_pure_state_needs_no_symmetrizing(transform)
+    _assert_pure_state_needs_no_symmetrizing(SymplecticTransform(np.stack([t.data for t in transforms])))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_pure_state_of_random_squeezer_stacks_is_exactly_symmetric(n_modes):
+    rng = np.random.default_rng(n_modes)
+    for size in (1, 7, 300):
+        _assert_pure_state_needs_no_symmetrizing(_random_squeezer_stack(rng, n_modes, size))
+
+
+def test_pure_state_refuses_a_product_past_the_float64_range():
+    squeezer = SymplecticTransform(np.diag([1e200, 1e-200]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="covariance matrix contains non-finite entries"):
+        pure_state(squeezer)
 
 
 def test_reductions_stack_the_reductions_of_each_subset():
