@@ -61,6 +61,8 @@ def load_config(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

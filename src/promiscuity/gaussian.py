@@ -16,15 +16,16 @@ Conventions
   axes and gives one numpy value per matrix, shaped like the leading
   axes; a single 2-D matrix is a stack with no leading axes.  Each
   matrix of a stack is computed exactly as it would be alone.
-* Direct construction validates a covariance matrix.  Every other
-  record is exactly symmetric and finite by construction and comes
-  unchecked and read-only from _record: each state, pure_state(S) =
-  S S^T (numpy's one symmetric rank-k update, checked only for
-  finiteness), and the views of reduce, reductions, partial_transpose
-  and permute_modes, one gather (_gather) of the q/p rows and columns
-  of a mode tuple, or of a stack of equal-length ones, each block's p
-  rows and columns on its transposed side (side_b) negated, by one
-  cached read-only plan per mode count, modes and sides (_plan).
+* Every record comes read-only from the CovarianceMatrix constructor,
+  which checks nothing: the caller vouches that its matrices are
+  symmetric and finite, as it does for its mode tuples.  Each state is
+  pure_state(S) = S S^T (numpy's one symmetric rank-k update, checked
+  only for finiteness), and the views of reduce, reductions,
+  partial_transpose and permute_modes are one gather (_gather) of the
+  q/p rows and columns of a mode tuple, or of a stack of equal-length
+  ones, each block's p rows and columns on its transposed side (side_b)
+  negated, by one cached read-only plan per mode count, modes and sides
+  (_plan).
 
 All mode indices in this module are 0-based.
 """
@@ -38,7 +39,6 @@ from typing import Iterable
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
@@ -50,30 +50,22 @@ def _as_finite_float_array(data, what: str) -> np.ndarray:
     return arr
 
 
-def _check_defect(defect: np.ndarray, tol: float, message: str) -> None:
-    # per-matrix defects; the first matrix of the stack beyond tol is reported
-    bad = defect > tol
-    if bad.any():
-        raise ValueError(f"{message} {defect[bad].flat[0]:.3e}")
-
-
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric 2N x 2N covariance matrix in qqpp ordering, or a stack of them.
 
     N, the n_modes property, is read off the array's last axis.  The
-    constructor validates finiteness and symmetry (within SYMMETRY_TOL,
-    for every matrix of a stack) and stores an exactly symmetrized copy;
-    input whose symmetrized copy would overflow is refused as non-finite.
-    pure_state and the views skip it (see the module docstring).
-    Physicality is deliberately not enforced: partial transposition
-    produces valid instances that violate the uncertainty bound, which is
-    precisely the signal the entanglement tests read off.
+    constructor checks nothing and makes the caller's array itself
+    read-only: the caller vouches that every matrix of it is symmetric
+    and finite (see the module docstring).  Physicality is deliberately
+    not enforced: partial transposition produces valid instances that
+    violate the uncertainty bound, which is precisely the signal the
+    entanglement tests read off.
 
     `pure` records provenance, not a measurement: True promises that
     every matrix of the stack is a pure state.  Only pure_state sets it;
-    views and direct construction leave it False.  log_negativity
-    accepts only flagged states.  is_pure() is the numerical check,
+    every other record, a view of a pure state included, is unflagged.
+    log_negativity accepts only flagged states.  is_pure() is the numerical check,
     which float64 cannot settle at deep squeezing.
     """
 
@@ -81,20 +73,7 @@ class CovarianceMatrix:
     pure: bool = False
 
     def __post_init__(self) -> None:
-        arr = _as_finite_float_array(self.data, "covariance matrix")
-        # entries past half the float64 range overflow the difference or the
-        # sum: no warning is printed, and the overflow ends in a ValueError
-        with np.errstate(over="ignore"):
-            _check_defect(
-                np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)),
-                SYMMETRY_TOL,
-                "covariance matrix asymmetric beyond tolerance:",
-            )
-            arr = (arr + arr.swapaxes(-1, -2)) / 2.0
-        if not np.isfinite(arr).all():
-            raise ValueError("covariance matrix contains non-finite entries")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        self.data.flags.writeable = False
 
     @property
     def n_modes(self) -> int:
@@ -142,7 +121,10 @@ class SymplecticTransform:
         # check of the state the transform produces
         with np.errstate(over="ignore", invalid="ignore"):
             defect = np.abs(arr @ omega @ arr.swapaxes(-1, -2) - omega).max(axis=(-2, -1))
-        _check_defect(defect, SYMPLECTIC_TOL, "matrix is not symplectic: defect")
+        # per-matrix defects; the first matrix of the stack beyond tolerance is reported
+        bad = defect > SYMPLECTIC_TOL
+        if bad.any():
+            raise ValueError(f"matrix is not symplectic: defect {defect[bad].flat[0]:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -200,20 +182,10 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
     return SymplecticTransform(total)
 
 
-def _record(data: np.ndarray) -> CovarianceMatrix:
-    # the one unchecked maker: an unflagged record of exactly symmetric, finite data, made read-only
-    data.flags.writeable = False
-    record = object.__new__(CovarianceMatrix)
-    object.__setattr__(record, "data", data)
-    object.__setattr__(record, "pure", False)
-    return record
-
-
 def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
     """The state S S^T that S makes from the vacuum, per matrix of a stack; the one setter of `pure`."""
-    state = _record(_as_finite_float_array(transform.data @ transform.data.swapaxes(-1, -2), "covariance matrix"))
-    object.__setattr__(state, "pure", True)
-    return state
+    product = _as_finite_float_array(transform.data @ transform.data.swapaxes(-1, -2), "covariance matrix")
+    return CovarianceMatrix(product, pure=True)
 
 
 @functools.cache
@@ -251,7 +223,7 @@ def _gather(
     data = sigma.data[..., rows, cols]
     if signs is not None:
         data *= signs
-    return _record(data)
+    return CovarianceMatrix(data)
 
 
 def reduce(sigma: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:

@@ -590,6 +590,10 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
             "got GridConfig(a_min=5.0, a_max=3.0, s_min=0.0, s_max=2.5, density=26)",
         ),
         (["verify", "--config", "{cfg}"], "a_min = 1\na_max = 1\n", 2, "a_min = a_max = 1.0"),
+        (
+            ["verify", "--config", "{cfg}"], b"\xff\xfea_max = 1\n", 2,
+            "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
         (["qudit", "report", "--d", "5"], None, 2, "positive multiple of 4 (d = 2N with N even), got 5"),
     ],
     ids=[
@@ -598,15 +602,18 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
         "sweep_degenerate_a_axis", "a_nan", "a_inf", "a_negative", "single_step", "single_grid_point",
         "flag_bound_a_inf", "flag_bound_s_inf", "file_line_without_equals", "file_bound_inf",
         "verify_file_bound_inf", "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis",
-        "qudit_d_5",
+        "verify_file_not_utf8", "qudit_d_5",
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, config, code, fragment):
     # 0 ok, 1 a failure at a valid input (one error line), 2 a broken argument rule
-    out_file = tmp_path / "sweep.csv"
-    if config is not None:
-        (tmp_path / "grid.cfg").write_text(config)
-    argv = [arg.format(out=out_file, cfg=tmp_path / "grid.cfg") for arg in argv]
+    out_file, cfg = tmp_path / "sweep.csv", tmp_path / "grid.cfg"
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    elif config is not None:
+        cfg.write_text(config)
+    argv = [arg.format(out=out_file, cfg=cfg) for arg in argv]
+    fragment = fragment.replace("{cfg}", str(cfg))
     assert _main_exit_code(argv) == code
     captured = capsys.readouterr()
     # a sweep opens --out only once every point has succeeded

@@ -399,29 +399,41 @@ def _count_validations(monkeypatch) -> dict:
     "params", [[SqueezingParams(1.5, 1.0)], [SqueezingParams(1.5, 1.0), SqueezingParams(0.5, 2.0)]]
 )
 def test_build_state_checks_one_transform(monkeypatch, params):
-    # the state S S^T is exactly symmetric, so pure_state checks only its finiteness
+    # one checked transform makes one record: the state S S^T, whatever the stack size
     counts = _count_validations(monkeypatch)
     build_state(params)
-    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 0}
+    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 1}
 
 
-def test_full_report_validates_one_transform_and_no_state(monkeypatch):
-    # the state comes from pure_state, and the reductions, partial transposes
-    # and signed blocks are views of it, so only build_state's transform is checked
+def test_full_report_checks_one_transform_and_makes_three_records(monkeypatch):
+    # the state from build_state, then spectral_forms' probe stack and its signed
+    # nine-block stack, both views of the state
     counts = _count_validations(monkeypatch)
     assert full_report(SqueezingParams(1.5, 1.0)).consistent
-    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 0}
+    assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 3}
 
 
-def test_verify_validates_no_covariance_matrix(monkeypatch):
-    # every state verify reads is a pure_state or a view of one
-    counts = _count_validations(monkeypatch)
+def test_every_record_verify_makes_is_symmetric_and_read_only(monkeypatch):
+    # the constructor checks nothing: every state verify reads is a pure_state
+    # or a view of one, exactly symmetric by construction
+    records = []
+    make = gaussian.CovarianceMatrix.__post_init__
+
+    def recording(self):
+        records.append(self.data)
+        make(self)
+
+    monkeypatch.setattr(gaussian.CovarianceMatrix, "__post_init__", recording)
     results = verification.run_all(GridConfig())
     assert all(result.ok for result in results)
-    assert counts["CovarianceMatrix"] == 0
+    assert records
+    for data in records:
+        assert np.array_equal(data, data.swapaxes(-1, -2))
+        assert np.isfinite(data).all()
+        assert not data.flags.writeable
 
 
-def test_views_equal_validated_matrices(monkeypatch):
+def test_views_are_exactly_symmetric_and_read_only(monkeypatch):
     points = [(0.0, 0.0), (0.0, 1.3), (1.0, 0.0), (4.75, 0.5), (2.5, 2.5)]
     state = build_state([SqueezingParams(a, s) for a, s in points])
     views = [
@@ -446,9 +458,8 @@ def test_views_equal_validated_matrices(monkeypatch):
     negative_zeros = 0
     for view in views:
         assert not view.data.flags.writeable
-        checked = gaussian.CovarianceMatrix(view.data)
-        assert checked.data.shape == view.data.shape
-        assert checked.data.tobytes() == view.data.tobytes()
+        # exactly symmetric bit for bit, signed zeros included
+        assert view.data.tobytes() == view.data.swapaxes(-1, -2).copy().tobytes()
         negative_zeros += np.count_nonzero((view.data == 0.0) & np.signbit(view.data))
     # the a = 0 points put signed zeros in the views, which must survive as they are
     assert negative_zeros > 0

@@ -1,4 +1,5 @@
 """The experiment scripts in scripts/ run end to end, each in a fresh interpreter."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,14 @@ def test_reach_scan_lists_each_module_after_the_calls_it_is_given():
         missed = [] if listed == "-" else [int(n) for n in listed.split(", ")]
         # each count matches its list, and every listed line is a line of the module
         assert len(missed) == int(count) and all(0 < n <= len(path.read_text().splitlines()) for n in missed)
+
+
+def test_reach_scan_calls_exit_as_their_group_promises():
+    # CALLS_BY_EXIT groups the default calls by the exit code each promises
+    spec = importlib.util.spec_from_file_location("reach_scan", SCRIPTS / "reach_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    expected = [f"exit {code}: {call}" for code, calls in scan.CALLS_BY_EXIT.items() for call in calls]
+    assert sorted(scan.CALLS_BY_EXIT) == [0, 1, 2]
+    lines = _run(str(SCRIPTS / "reach_scan.py")).stdout.splitlines()
+    assert lines[: len(expected)] == expected
