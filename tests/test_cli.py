@@ -589,6 +589,18 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
             "grid ranges must satisfy min <= max, "
             "got GridConfig(a_min=5.0, a_max=3.0, s_min=0.0, s_max=2.5, density=26)",
         ),
+        (
+            [*SWEEP, "--a-min", "5", "--a-max", "3"], None, 2,
+            "grid ranges must satisfy min <= max, "
+            "got GridConfig(a_min=5.0, a_max=3.0, s_min=0.0, s_max=2.5, density=26)",
+        ),
+        ([*SWEEP, "--config", "{cfg}"], "steps = 3\n", 2, "grid.cfg:1: unknown config key 'steps'"),
+        (
+            [*SWEEP, "--config", "{cfg}"], "grid_density = x\n", 2,
+            "grid.cfg:1: invalid literal for int() with base 10: 'x'",
+        ),
+        ([*SWEEP, "--config", "{cfg}"], "grid_density = 1\n", 2, "grid.cfg:1: grid density must be >= 2, got 1"),
+        ([*SWEEP, "--config", "{cfg}"], "s_max = inf\n", 2, "grid.cfg:1: grid bound s_max must be finite, got inf"),
         (["verify", "--config", "{cfg}"], "a_min = 1\na_max = 1\n", 2, "a_min = a_max = 1.0"),
         (
             ["verify", "--config", "{cfg}"], b"\xff\xfea_max = 1\n", 2,
@@ -601,7 +613,9 @@ SWEEP = ["fourmode", "sweep", "--out", "{out}"]
         "nonfinite_709_3", "overflow_1000_0", "file_density_over_steps", "file_lines_in_any_order", "flag_and_file_bounds",
         "sweep_degenerate_a_axis", "a_nan", "a_inf", "a_negative", "single_step", "single_grid_point",
         "flag_bound_a_inf", "flag_bound_s_inf", "file_line_without_equals", "file_bound_inf",
-        "verify_file_bound_inf", "file_bound_negative", "file_min_over_max", "verify_degenerate_a_axis",
+        "verify_file_bound_inf", "file_bound_negative", "file_min_over_max", "flag_min_over_max",
+        "file_unknown_key", "file_density_not_int", "file_single_grid_point", "file_bound_s_inf",
+        "verify_degenerate_a_axis",
         "verify_file_not_utf8", "qudit_d_5",
     ],
 )
