@@ -5,11 +5,11 @@ middle pair and then the outer pairs:
 
     gamma = S S^T,  S = S_34(a) S_12(a) S_23(s)
 
-with 1-based mode labels as in the contangle module.  build_state writes
-S out entry by entry, each nonzero entry one libm value or a product of
-two; it equals the product of the three squeezers bit for bit and is
-checked once.  Every state is pure and invariant under the simultaneous
-exchange 1<->4, 2<->3.
+with 1-based mode labels as in the contangle module.  build_transform
+writes S out entry by entry, each nonzero entry one libm value or a
+product of two; it equals the product of the three squeezers bit for bit
+and is checked once.  Every state is pure, being S S^T, and invariant
+under the simultaneous exchange 1<->4, 2<->3.
 
 User-facing mode labels are 1-based; the gaussian layer underneath is
 0-based.
@@ -66,18 +66,21 @@ def _transform_entries(a: float, s: float) -> list[float]:
     ]
 
 
-def build_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
-    """Stack of the covariance matrices gamma(a, s) of a sequence of points, in order.
+def build_transform(params: Sequence[SqueezingParams]) -> gaussian.SymplecticTransform:
+    """Stack of the transforms S of a sequence of points, in order.
 
     The transform S of each point is written out from math.cosh and
     math.sinh of a and s, the libm values two_mode_squeezer uses, so it
     equals two_mode_squeezer(2, 3, a) @ two_mode_squeezer(0, 1, a) @
-    two_mode_squeezer(1, 2, s) bit for bit.  The stack of transforms is
-    checked once, as one SymplecticTransform, and gives the states
-    through gaussian.pure_state.
+    two_mode_squeezer(1, 2, s) bit for bit.  The stack is checked once.
     """
     data = np.array([_transform_entries(p.a, p.s) for p in params]).reshape(-1, 8, 8)
-    return gaussian.pure_state(gaussian.SymplecticTransform(data))
+    return gaussian.SymplecticTransform(data)
+
+
+def build_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
+    """Stack of the covariance matrices gamma(a, s) = S S^T of a sequence of points, in order."""
+    return gaussian.pure_state(build_transform(params))
 
 
 def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.CovarianceMatrix:
@@ -114,14 +117,14 @@ _TWO_MODE_TRANSPOSED = [[]] * 3 + [[j - 1] for i, j in contangle.PAIRS]
 
 
 class SpectralForms(NamedTuple):
-    """The spectral side of every cross-check, for one state or a stack of them."""
+    """The spectral side of every cross-check, one row per point of a sequence."""
 
     cut_ln: np.ndarray  # log-negativity across each cut, GLOBAL_CUTS along a new last axis
     pair_nu_min: np.ndarray  # smallest PT symplectic eigenvalue, pairs in contangle.PAIRS order
 
 
-def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
-    """The SpectralForms of a state built pure (build_state), from two spectrum calls.
+def spectral_forms(params: Sequence[SqueezingParams]) -> SpectralForms:
+    """The SpectralForms of the states of a sequence of points (build_state), from two spectrum calls.
 
     One call covers the four one-mode reductions, whose spectra give the
     probe log-negativities, the other the stack of nine two-mode blocks:
@@ -130,11 +133,9 @@ def spectral_forms(state: gaussian.CovarianceMatrix) -> SpectralForms:
     pair blocks.  Each log-negativity is the one gaussian.log_negativity
     gives for its cut of GLOBAL_CUTS; verify's gaussian_invariants suite
     checks the record against that route and each pair's partial
-    transpose, bit for bit.  A state not flagged pure raises ValueError,
-    as in log_negativity.
+    transpose, bit for bit.
     """
-    if not state.pure:
-        raise ValueError("spectral forms need a state built pure (pure_state)")
+    state = build_state(params)
     probes = gaussian.reductions(state, _PROBE_SIDES)
     one_mode_ln = gaussian.spectrum_log_negativity(
         gaussian.symplectic_eigenvalues(probes), probes.spectral_noise_floor()
@@ -208,13 +209,13 @@ def pair_verdicts(forms: contangle.ClosedForms, nu_min_row: Sequence[float]) -> 
 def full_report(params: SqueezingParams) -> EntanglementReport:
     """All contangle statistics of gamma(a, s), cross-checked spectrally.
 
-    The closed forms fill the report, and the state's spectral_forms record (a stack of one
-    built pure) is the second route.  A route_deviation beyond ROUTE_TOL, or a pair verdict
+    The closed forms fill the report, and the spectral_forms record of the point (a stack of
+    one) is the second route.  A route_deviation beyond ROUTE_TOL, or a pair verdict
     that disagrees and has no skip reason, marks the report inconsistent instead of raising.
     """
-    state = build_state([params])
+    # the spectral route first: at a point past float64 its symplectic refusal is the error
+    spectral = spectral_forms([params])
     forms = contangle.closed_forms(params)
-    spectral = spectral_forms(state)
     max_deviation = max(route_deviations(forms, spectral.cut_ln[0].tolist()))
     verdicts_ok = all(agree or skip for agree, skip in pair_verdicts(forms, spectral.pair_nu_min[0].tolist()))
     return EntanglementReport(

@@ -8,7 +8,8 @@ Conventions
   by a global factor of 2.
 * The symplectic form is Omega = [[0, I], [-I, 0]].
 * A covariance matrix sigma is physical iff sigma + i*Omega >= 0, and it
-  describes a pure state iff every symplectic eigenvalue equals 1.
+  describes a pure state iff every symplectic eigenvalue equals 1, as
+  S S^T does for every symplectic S: log_negativity takes S, not a state.
 * Logarithmic negativity uses the natural logarithm, so a two-mode
   squeezed vacuum with squeezing r has log-negativity exactly 2r.
 * Matrices are 2N x 2N, with N read off the last axis, and may be
@@ -61,16 +62,9 @@ class CovarianceMatrix:
     not enforced: partial transposition produces valid instances that
     violate the uncertainty bound, which is precisely the signal the
     entanglement tests read off.
-
-    `pure` records provenance, not a measurement: True promises that
-    every matrix of the stack is a pure state.  Only pure_state sets it;
-    every other record, a view of a pure state included, is unflagged.
-    log_negativity accepts only flagged states.  is_pure() is the numerical check,
-    which float64 cannot settle at deep squeezing.
     """
 
     data: np.ndarray
-    pure: bool = False
 
     def __post_init__(self) -> None:
         self.data.flags.writeable = False
@@ -94,9 +88,8 @@ class CovarianceMatrix:
     def is_pure(self) -> np.ndarray:
         """Numerical purity check: every symplectic eigenvalue within max(PHYSICALITY_TOL, noise floor) of 1.
 
-        A check only; no route reads it (see the `pure` field).  At deep
-        squeezing the float64 spectrum strays past the band, so a state
-        built pure can fail it.
+        A check only, which no route reads (log_negativity takes a transform):
+        at deep squeezing the float64 spectrum of S S^T strays past the band.
         """
         band = np.maximum(PHYSICALITY_TOL, self.spectral_noise_floor())
         deviation = np.abs(symplectic_eigenvalues(self) - 1.0).max(axis=-1)
@@ -183,9 +176,9 @@ def compose(*transforms: SymplecticTransform) -> SymplecticTransform:
 
 
 def pure_state(transform: SymplecticTransform) -> CovarianceMatrix:
-    """The state S S^T that S makes from the vacuum, per matrix of a stack; the one setter of `pure`."""
+    """The state S S^T that S makes from the vacuum, per matrix of a stack."""
     product = _as_finite_float_array(transform.data @ transform.data.swapaxes(-1, -2), "covariance matrix")
-    return CovarianceMatrix(product, pure=True)
+    return CovarianceMatrix(product)
 
 
 @functools.cache
@@ -218,7 +211,7 @@ def _plan(n_modes: int, modes: tuple, transposed: tuple | None = None, ordered: 
 def _gather(
     sigma: CovarianceMatrix, modes: tuple, transposed: tuple | None = None, ordered: bool = False
 ) -> CovarianceMatrix:
-    # the unflagged view of the entries of sigma that _plan gathers and signs
+    # the view of the entries of sigma that _plan gathers and signs
     rows, cols, signs = _plan(sigma.n_modes, modes, transposed, ordered)
     data = sigma.data[..., rows, cols]
     if signs is not None:
@@ -306,8 +299,8 @@ def spectrum_log_negativity(nu: np.ndarray, floor) -> np.ndarray:
     return np.arccosh(nu).sum(axis=-1)
 
 
-def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndarray:
-    """Logarithmic negativity of a state built pure across a partition, in natural-log units.
+def log_negativity(transform: SymplecticTransform, partition: ModePartition) -> np.ndarray:
+    """Logarithmic negativity of the pure state pure_state(transform) across a partition, in natural-log units.
 
     -sum(ln nu_k) over the partially transposed symplectic eigenvalues
     below 1.  Symmetric under swapping the two sides in exact arithmetic;
@@ -320,14 +313,11 @@ def log_negativity(sigma: CovarianceMatrix, partition: ModePartition) -> np.ndar
     giving sum(arccosh nu_k) over the smaller side
     (spectrum_log_negativity).  The direct route would lose 1e-7 to 1e-6
     at deep squeezing, where the smallest PT eigenvalue sits far below
-    the matrix norm.  An unflagged matrix (sigma.pure False) raises
-    ValueError; no numerical purity test stands in for the flag, since
-    at deep squeezing the float64 spectrum of a pure state strays
-    outside any band the noise floor justifies.
+    the matrix norm.  The transform makes the state pure, so no numerical
+    purity test is run: at deep squeezing the float64 spectrum of a pure
+    state strays outside any band the noise floor justifies.
     """
-    if not sigma.pure:
-        raise ValueError("log-negativity needs a state built pure (pure_state)")
-    reduced = reduce(sigma, min(partition.side_a, partition.side_b, key=len))
+    reduced = reduce(pure_state(transform), min(partition.side_a, partition.side_b, key=len))
     return spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
 
 

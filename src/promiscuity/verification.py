@@ -67,7 +67,7 @@ def _ends_and_middle(values: list[float]) -> list[float]:
 class Grid:
     """The a-major points of one verify run and its 3x3 samples, with each
     point's closed record, the grid's spectral record and route
-    deviations, the samples' states and spectral record, and the
+    deviations, the samples' transform and spectral record, and the
     brute-force per-copy values of the qudit family, each computed once
     on first use.
     A computation that raises is not cached, so each reader fails alone.
@@ -75,8 +75,9 @@ class Grid:
 
     def __init__(self, cfg: GridConfig) -> None:
         self.cfg = cfg
-        self.points = [contangle.SqueezingParams(a, s) for a in cfg.a_values() for s in cfg.s_values()]
-        a_samples, s_samples = _ends_and_middle(cfg.a_values()), _ends_and_middle(cfg.s_values())
+        a_values, s_values = cfg.a_values(), cfg.s_values()
+        self.points = [contangle.SqueezingParams(a, s) for a in a_values for s in s_values]
+        a_samples, s_samples = _ends_and_middle(a_values), _ends_and_middle(s_values)
         self.samples = [contangle.SqueezingParams(a, s) for a in a_samples for s in s_samples]
         self._closed = {}
 
@@ -93,7 +94,7 @@ class Grid:
     @functools.cached_property
     def spectral(self) -> four_mode.SpectralForms:
         # one record, taken in blocks of BLOCK_POINTS points and joined once
-        records = [four_mode.spectral_forms(four_mode.build_state(chunk)) for chunk in _blocks(self.points)]
+        records = [four_mode.spectral_forms(chunk) for chunk in _blocks(self.points)]
         return four_mode.SpectralForms(*map(np.concatenate, zip(*records)))
 
     @functools.cached_property
@@ -105,12 +106,12 @@ class Grid:
         return deviations
 
     @functools.cached_property
-    def sample_states(self) -> gaussian.CovarianceMatrix:
-        return four_mode.build_state(self.samples)
+    def sample_transform(self) -> gaussian.SymplecticTransform:
+        return four_mode.build_transform(self.samples)
 
     @functools.cached_property
     def sample_spectral(self) -> four_mode.SpectralForms:
-        return four_mode.spectral_forms(self.sample_states)
+        return four_mode.spectral_forms(self.samples)
 
     @functools.cached_property
     def per_copy(self) -> tuple[float, float, float, float, float]:
@@ -132,8 +133,8 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     """
     result = SuiteResult("gaussian_invariants")
     probe = four_mode.GLOBAL_CUTS[0]
-    states = grid.sample_states
-    # the written-out transform of build_state against the product of its
+    states = gaussian.pure_state(grid.sample_transform)
+    # the written-out transform of build_transform against the product of its
     # three squeezers, S_34(a) S_12(a) S_23(s), byte for byte
     a, s = [params.a for params in grid.samples], [params.s for params in grid.samples]
     product = gaussian.compose(
@@ -148,7 +149,7 @@ def suite_gaussian_invariants(grid: Grid) -> SuiteResult:
     # the general routes: log_negativity on every cut, and each pair's
     # partial transpose
     record = grid.sample_spectral
-    ln = np.stack([gaussian.log_negativity(states, cut) for cut in four_mode.GLOBAL_CUTS], axis=-1)
+    ln = np.stack([gaussian.log_negativity(grid.sample_transform, cut) for cut in four_mode.GLOBAL_CUTS], axis=-1)
     pair_cuts = [gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1})) for i, j in contangle.PAIRS]
     nu_min = np.stack(
         [gaussian.symplectic_eigenvalues(gaussian.partial_transpose(states, cut)).min(axis=-1) for cut in pair_cuts],
@@ -211,7 +212,7 @@ def suite_pair_separability(grid: Grid) -> SuiteResult:
     ]
     middle = contangle.PAIRS.index((2, 3))
     for block in _blocks(at_threshold):
-        nu_min = four_mode.spectral_forms(four_mode.build_state(block)).pair_nu_min[:, middle]
+        nu_min = four_mode.spectral_forms(block).pair_nu_min[:, middle]
         for params, value in zip(block, nu_min.tolist()):
             result.check(abs(value - 1.0) <= 1e-7, f"threshold nu_min at s={params.s:.6g}")
     return result

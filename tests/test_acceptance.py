@@ -31,9 +31,9 @@ def test_acceptance_01_benchmark_point():
     tau_12 = contangle.closed_forms(params).pairwise_contangle[(1, 2)]
     tau_34 = contangle.closed_forms(params).pairwise_contangle[(3, 4)]
     strong = contangle.closed_forms(params)
-    pure_pair = gaussian.pure_state(gaussian.two_mode_squeezer(0, 1, 1.5, 2))
+    pair_squeezer = gaussian.two_mode_squeezer(0, 1, 1.5, 2)
     spectral = gaussian.log_negativity(
-        pure_pair, gaussian.ModePartition(frozenset({0}), frozenset({1}))
+        pair_squeezer, gaussian.ModePartition(frozenset({0}), frozenset({1}))
     )
     elapsed = time.perf_counter() - start
 
@@ -60,7 +60,7 @@ def test_acceptance_02_interpair_block():
     start = time.perf_counter()
     for a, s in points:
         params = contangle.SqueezingParams(a, s)
-        spectral = gaussian.log_negativity(four_mode.build_state([params]), pairblock)[0]
+        spectral = gaussian.log_negativity(four_mode.build_transform([params]), pairblock)[0]
         if abs(spectral * spectral - 4.0 * s * s) > 1e-8:
             failures.append(f"off 4s^2 by > 1e-8 at a={a} s={s}")
     elapsed = time.perf_counter() - start
@@ -118,7 +118,7 @@ def test_acceptance_05_pair_separability():
     for a in GRID:
         for s in GRID:
             params = contangle.SqueezingParams(a, s)
-            nu_min = four_mode.spectral_forms(four_mode.build_state([params])).pair_nu_min[0]
+            nu_min = four_mode.spectral_forms([params]).pair_nu_min[0]
             verdicts = dict(zip(contangle.PAIRS, four_mode.ppt_separable(nu_min).tolist()))
             threshold = contangle.separability_threshold(s)
             for pair in always_separable:
@@ -224,14 +224,19 @@ def _spectral_tripartite_bound(a: float, s: float) -> float:
     # second route to the tripartite bound of contangle.closed_forms:
     # squared log-negativities of the pure bounding state across 1|23 and
     # 3|12 in place of the g[m^2] closed forms, less the pair contangles
-    # tau_12 and tau_23
+    # tau_12 and tau_23.  log_negativity takes the bounding state's transform,
+    # whose state is four_mode.bounding_tripartite_state's
     params = contangle.SqueezingParams(a, s)
-    sigma_p = four_mode.bounding_tripartite_state([params])
+    bounding = gaussian.compose(
+        gaussian.two_mode_squeezer(0, 1, [a], 3),
+        gaussian.two_mode_squeezer(1, 2, [contangle.bounding_squeezing_degree(params)], 3),
+    )
+    assert np.array_equal(gaussian.pure_state(bounding).data, four_mode.bounding_tripartite_state([params]).data)
     cut_1 = gaussian.ModePartition(frozenset({0}), frozenset({1, 2}))
     cut_3 = gaussian.ModePartition(frozenset({2}), frozenset({0, 1}))
     tau = contangle.closed_forms(params).pairwise_contangle
-    term1 = gaussian.log_negativity(sigma_p, cut_1).item() ** 2 - tau[(1, 2)]
-    term2 = gaussian.log_negativity(sigma_p, cut_3).item() ** 2 - tau[(2, 3)]
+    term1 = gaussian.log_negativity(bounding, cut_1).item() ** 2 - tau[(1, 2)]
+    term2 = gaussian.log_negativity(bounding, cut_3).item() ** 2 - tau[(2, 3)]
     return max(0.0, min(term1, term2))
 
 

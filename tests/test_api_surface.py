@@ -18,8 +18,10 @@ and brute-force routes they are checked against.
 No module reads another module's underscore name: what one module needs
 of another is public.
 
-Every CovarianceMatrix is made by its constructor: no code makes one
-through object.__new__.
+Every CovarianceMatrix and every SymplecticTransform is made by its
+constructor: no code makes one through object.__new__.  A transform's
+constructor checks that it is symplectic, and that check is what makes
+every state S S^T that log_negativity measures pure.
 """
 import ast
 import sys
@@ -116,44 +118,6 @@ def test_a_field_of_the_same_name_does_not_count_as_using_a_function():
     assert _unused(trees) == ["report.describe", "shapes._SPARE", "shapes._orphan", "shapes.area"]
 
 
-def _pure_setters(trees) -> list[str]:
-    """module:line of each call outside gaussian.pure_state that sets the `pure` flag.
-
-    A call sets it by a `pure=` keyword, or by a setattr (or
-    `__setattr__`) of "pure" to anything but the constant False.
-    """
-    found = []
-    for tree in trees:
-        maker = set()
-        for node in tree.body:
-            if tree.module_name == "gaussian" and isinstance(node, ast.FunctionDef) and node.name == "pure_state":
-                maker.update(id(inner) for inner in ast.walk(node))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in maker:
-                continue
-            sets = any(keyword.arg == "pure" for keyword in node.keywords)
-            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if func in ("setattr", "__setattr__") and len(node.args) >= 2:
-                attr, value = node.args[-2:]
-                unflagged = isinstance(value, ast.Constant) and value.value is False
-                sets = sets or (isinstance(attr, ast.Constant) and attr.value == "pure" and not unflagged)
-            if sets:
-                found.append(f"{tree.module_name}:{node.lineno}")
-    return found
-
-
-def test_only_pure_state_flags_a_matrix_pure():
-    setters = _pure_setters(_trees())
-    assert not setters, f"the pure flag is set outside gaussian.pure_state at {setters}"
-    sample = ast.parse(
-        "def pure_state(s):\n    return Cm(s, pure=True)\n\n"
-        "def view(d):\n    v = Cm(d, pure=d.pure)\n"
-        "    object.__setattr__(v, 'pure', False)\n    setattr(v, 'pure', d.pure)\n"
-    )
-    sample.module_name = "gaussian"
-    assert _pure_setters([sample]) == ["gaussian:5", "gaussian:7"]
-
-
 def _imported_modules(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -204,8 +168,8 @@ def test_no_module_forks():
     assert _fork_sites([sample]) == ["jobs.good", "jobs.bad (no os._exit)", "jobs.10 (no os._exit)"]
 
 
-def _unchecked_makers(trees) -> list[tuple[str, list[str]]]:
-    """(module.name, callers) for each `object.__new__(CovarianceMatrix)`.
+def _unchecked_makers(trees, cls: str) -> list[tuple[str, list[str]]]:
+    """(module.name, callers) for each `object.__new__(<cls>)`.
 
     name is the top-level definition holding it, and callers the top-level
     functions of the same module that call that definition by name.
@@ -221,25 +185,29 @@ def _unchecked_makers(trees) -> list[tuple[str, list[str]]]:
             ]
             found += [
                 (f"{tree.module_name}.{name}", callers) for call in ast.walk(node)
-                if isinstance(call, ast.Call) and ast.unparse(call) == "object.__new__(CovarianceMatrix)"
+                if isinstance(call, ast.Call) and ast.unparse(call) == f"object.__new__({cls})"
             ]
     return found
 
 
 def test_no_code_makes_unchecked_covariance_records():
     # the constructor is the one way to make a record, so that tracing or
-    # counting it sees every record
-    assert _unchecked_makers(_trees()) == []
+    # counting it sees every record; a transform made without its symplectic
+    # check could make a state that is not pure
+    for cls in ("CovarianceMatrix", "SymplecticTransform"):
+        assert _unchecked_makers(_trees(), cls) == [], cls
     sample = ast.parse(
         "def _make(d):\n    return object.__new__(CovarianceMatrix)\n\n"
         "def view(d):\n    return _make(d)\n\n"
         "def twice():\n    return object.__new__(CovarianceMatrix), object.__new__(CovarianceMatrix)\n\n"
-        "EMPTY = object.__new__(CovarianceMatrix)\n"
+        "EMPTY = object.__new__(CovarianceMatrix)\n\n"
+        "def squeezer(d):\n    return object.__new__(SymplecticTransform)\n"
     )
     sample.module_name = "gaussian"
-    assert _unchecked_makers([sample]) == [
+    assert _unchecked_makers([sample], "CovarianceMatrix") == [
         ("gaussian._make", ["view"]), ("gaussian.twice", []), ("gaussian.twice", []), ("gaussian.10", []),
     ]
+    assert _unchecked_makers([sample], "SymplecticTransform") == [("gaussian.squeezer", [])]
 
 
 def _foreign_private_reads(trees) -> list[str]:

@@ -135,13 +135,13 @@ def test_one_vs_rest_contangle_spectral_cross_check():
     from promiscuity import four_mode
 
     params = SqueezingParams(0.9, 1.3)
-    state = four_mode.build_state([params])
+    transform = four_mode.build_transform([params])
     closed = closed_forms(params).one_vs_rest_contangle
     for probe in (1, 2, 3, 4):
         part = gaussian.ModePartition(
             frozenset({probe - 1}), frozenset({0, 1, 2, 3}) - {probe - 1}
         )
-        spectral = gaussian.log_negativity(state, part)[0] ** 2
+        spectral = gaussian.log_negativity(transform, part)[0] ** 2
         assert closed[probe] == pytest.approx(spectral, abs=1e-9)
 
 

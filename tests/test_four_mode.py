@@ -14,6 +14,7 @@ from promiscuity.four_mode import (
     EntanglementReport,
     bounding_tripartite_state,
     build_state,
+    build_transform,
     full_report,
     fully_inseparable,
     ppt_separable,
@@ -56,8 +57,7 @@ def test_build_state_swap_symmetry():
 
 def test_pair_ppt_separable_follows_closed_rules():
     params = SqueezingParams(0.5, 1.0)
-    state = build_state([params])
-    verdicts = dict(zip(contangle.PAIRS, ppt_separable(spectral_forms(state).pair_nu_min[0]).tolist()))
+    verdicts = dict(zip(contangle.PAIRS, ppt_separable(spectral_forms([params]).pair_nu_min[0]).tolist()))
     assert not verdicts[(1, 2)]
     assert not verdicts[(3, 4)]
     for i, j in [(1, 3), (1, 4), (2, 4)]:
@@ -65,7 +65,7 @@ def test_pair_ppt_separable_follows_closed_rules():
     # below threshold 0.788 the middle pair is still entangled
     assert not verdicts[(2, 3)]
     middle = contangle.PAIRS.index((2, 3))
-    assert ppt_separable(spectral_forms(build_state([SqueezingParams(1.0, 1.0)])).pair_nu_min[0, middle])
+    assert ppt_separable(spectral_forms([SqueezingParams(1.0, 1.0)]).pair_nu_min[0, middle])
 
 
 def test_full_report_benchmark_numbers():
@@ -107,7 +107,7 @@ def test_full_report_consistency_across_regimes():
 
 def test_full_inseparability_truth_table():
     points = [SqueezingParams(a, s) for a, s in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0))]
-    cut_ln = spectral_forms(build_state(points)).cut_ln
+    cut_ln = spectral_forms(points).cut_ln
     assert fully_inseparable(cut_ln).tolist() == [True, False, False, False]
 
 
@@ -129,11 +129,12 @@ def test_global_cuts_are_the_seven_bipartitions_in_order():
      ((1e-9, 0.5), False), ((0.5, 3e-8), False)],
 )
 def test_fully_inseparable_reads_log_negativity_on_every_cut(monkeypatch, point, verdict):
-    state = build_state([SqueezingParams(*point)])
-    witnessed = all(gaussian.log_negativity(state, cut)[0] > four_mode.WITNESS_TOL for cut in GLOBAL_CUTS)
+    params = [SqueezingParams(*point)]
+    transform = build_transform(params)
+    witnessed = all(gaussian.log_negativity(transform, cut)[0] > four_mode.WITNESS_TOL for cut in GLOBAL_CUTS)
     calls = []
     monkeypatch.setattr(gaussian, "log_negativity", lambda *args: calls.append(args))
-    assert fully_inseparable(spectral_forms(state).cut_ln).tolist() == [witnessed] == [verdict]
+    assert fully_inseparable(spectral_forms(params).cut_ln).tolist() == [witnessed] == [verdict]
     assert calls == []
 
 
@@ -157,7 +158,7 @@ def test_reports_are_consistent_on_random_draws(a, s):
        s=st.floats(min_value=0.05, max_value=2.5, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_positive_squeezing_gives_full_inseparability(a, s):
-    assert fully_inseparable(spectral_forms(build_state([SqueezingParams(a, s)])).cut_ln).tolist() == [True]
+    assert fully_inseparable(spectral_forms([SqueezingParams(a, s)]).cut_ln).tolist() == [True]
 
 
 def _seeded_points() -> list[SqueezingParams]:
@@ -177,29 +178,31 @@ def _seeded_points() -> list[SqueezingParams]:
     return points + [SqueezingParams(0.0, 0.0), SqueezingParams(1.5, 1.0)]
 
 
-def _spectral_quantities(states: gaussian.CovarianceMatrix) -> dict:
+def _spectral_quantities(transform: gaussian.SymplecticTransform) -> dict:
+    states = gaussian.pure_state(transform)
     values = {
         "state": states.data,
         "spectrum": gaussian.symplectic_eigenvalues(states),
         "pure": states.is_pure(),
         "floor": states.spectral_noise_floor(),
     }
-    values.update({f"ln {cut}": gaussian.log_negativity(states, cut) for cut in GLOBAL_CUTS})
-    values.update(spectral_forms(states)._asdict())
+    values.update({f"ln {cut}": gaussian.log_negativity(transform, cut) for cut in GLOBAL_CUTS})
     return {name: np.asarray(value) for name, value in values.items()}
 
 
 def test_stacked_route_equals_stacks_of_one_and_single_states():
     points = _seeded_points()
-    stacked = _spectral_quantities(build_state(points))
-    of_one = [_spectral_quantities(build_state([p])) for p in points]
-    # one 2-D matrix, row 0 of a stack of one, through the trailing-axes rule
-    single = [_spectral_quantities(gaussian.CovarianceMatrix(build_state([p]).data[0], pure=True)) for p in points]
+    stacked = _spectral_quantities(build_transform(points)) | spectral_forms(points)._asdict()
+    of_one = [_spectral_quantities(build_transform([p])) | spectral_forms([p])._asdict() for p in points]
+    # one 2-D transform, row 0 of a stack of one, through the trailing-axes rule;
+    # spectral_forms takes points, so its record has no 2-D form
+    single = [_spectral_quantities(gaussian.SymplecticTransform(build_transform([p]).data[0])) for p in points]
     assert not stacked["pure"].all() and stacked["pure"].any()
     for name, values in stacked.items():
         assert values.shape[0] == len(points)
         assert np.array_equal(values, np.concatenate([row[name] for row in of_one])), name
-        assert np.array_equal(values, np.stack([row[name] for row in single])), name
+        if name in single[0]:
+            assert np.array_equal(values, np.stack([row[name] for row in single])), name
     # the record's log-negativity of each cut is the general route's, bit for bit
     for k, cut in enumerate(GLOBAL_CUTS):
         assert stacked["cut_ln"][..., k].tobytes() == stacked[f"ln {cut}"].tobytes(), cut
@@ -213,10 +216,11 @@ def _reference_report(params: SqueezingParams) -> EntanglementReport:
     # full_report's cross-checks through the general routes: log_negativity
     # across each probe cut and {1,2}|{3,4}, and each pair's reduction
     # partially transposed
-    state = build_state([params])
+    transform = build_transform([params])
+    state = gaussian.pure_state(transform)
     forms = contangle.closed_forms(params)
-    probes = [gaussian.log_negativity(state, GLOBAL_CUTS[p - 1]).item() for p in contangle.PROBES]
-    pairblock = gaussian.log_negativity(state, GLOBAL_CUTS[4]).item()
+    probes = [gaussian.log_negativity(transform, GLOBAL_CUTS[p - 1]).item() for p in contangle.PROBES]
+    pairblock = gaussian.log_negativity(transform, GLOBAL_CUTS[4]).item()
     deviations = [abs(ln**2 - forms.one_vs_rest_contangle[p]) for p, ln in zip(contangle.PROBES, probes)]
     deviations.append(abs(pairblock**2 - forms.interpair_contangle))
     near = four_mode.near_threshold(params)
@@ -278,7 +282,7 @@ def test_full_report_bytes_are_pinned(point, deviation, consistent):
 def _shared_rule(a: float, s: float):
     # route_deviations and pair_verdicts of one point, pairs keyed by label
     params = SqueezingParams(a, s)
-    forms, record = contangle.closed_forms(params), spectral_forms(build_state([params]))
+    forms, record = contangle.closed_forms(params), spectral_forms([params])
     verdicts = dict(zip(contangle.PAIRS, four_mode.pair_verdicts(forms, record.pair_nu_min[0].tolist())))
     return four_mode.route_deviations(forms, record.cut_ln[0].tolist()), verdicts
 
@@ -345,12 +349,6 @@ def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
     assert report.consistent
     assert calls["spectra"] == 2
     assert calls["purity"] == 0
-
-
-def test_spectral_forms_refuse_a_state_not_built_pure():
-    state = build_state([SqueezingParams(0.4, 0.3)])
-    with pytest.raises(ValueError, match="built pure"):
-        spectral_forms(gaussian.CovarianceMatrix(state.data))
 
 
 def _squeezer_product(a, s) -> gaussian.SymplecticTransform:
@@ -434,8 +432,8 @@ def test_every_record_verify_makes_is_symmetric_and_read_only(monkeypatch):
 
 
 def test_views_are_exactly_symmetric_and_read_only(monkeypatch):
-    points = [(0.0, 0.0), (0.0, 1.3), (1.0, 0.0), (4.75, 0.5), (2.5, 2.5)]
-    state = build_state([SqueezingParams(a, s) for a, s in points])
+    points = [SqueezingParams(a, s) for a, s in [(0.0, 0.0), (0.0, 1.3), (1.0, 0.0), (4.75, 0.5), (2.5, 2.5)]]
+    state = build_state(points)
     views = [
         gaussian.reduce(state, [0, 2]),
         gaussian.reduce(state, {3}),
@@ -452,7 +450,7 @@ def test_views_are_exactly_symmetric_and_read_only(monkeypatch):
         return spectrum(sigma)
 
     monkeypatch.setattr(gaussian, "symplectic_eigenvalues", recording)
-    spectral_forms(state)
+    spectral_forms(points)
     assert len(views) == 5 + len(GLOBAL_CUTS) + 2
     assert views[-1].data.shape == (len(points), 9, 4, 4)
     negative_zeros = 0

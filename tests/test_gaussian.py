@@ -189,25 +189,16 @@ def test_one_indefinite_matrix_makes_the_whole_stack_raise(monkeypatch):
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.5])
 def test_log_negativity_of_tmsv(r):
     part = ModePartition(frozenset({0}), frozenset({1}))
-    assert log_negativity(tmsv(r), part) == pytest.approx(2 * r, abs=1e-10)
+    assert log_negativity(two_mode_squeezer(0, 1, r, 2), part) == pytest.approx(2 * r, abs=1e-10)
 
 
 def test_log_negativity_vacuum_and_swap():
     part = ModePartition(frozenset({0}), frozenset({1}))
-    assert log_negativity(vacuum(2), part) == 0.0
-    state = tmsv(0.8)
-    assert log_negativity(state, part) == pytest.approx(
-        log_negativity(state, ModePartition(part.side_b, part.side_a)), abs=1e-10
-    )
-
-
-def test_log_negativity_refuses_an_unflagged_mixed_state():
-    # a thermal two-mode product state is mixed and not flagged pure: refused
-    thermal = CovarianceMatrix(2.0 * np.eye(4))
-    part = ModePartition(frozenset({0}), frozenset({1}))
-    assert not thermal.is_pure()
-    with pytest.raises(ValueError, match="built pure"):
-        log_negativity(thermal, part)
+    assert log_negativity(SymplecticTransform(np.eye(4)), part) == 0.0
+    squeezer = two_mode_squeezer(0, 1, 0.8, 2)
+    value = log_negativity(squeezer, part)
+    assert value == pytest.approx(1.6, abs=1e-10)
+    assert value == pytest.approx(log_negativity(squeezer, ModePartition(part.side_b, part.side_a)), abs=1e-10)
 
 
 def test_permute_modes_round_trip():
@@ -239,7 +230,7 @@ def test_spectral_noise_floor_scales():
 @settings(max_examples=40, deadline=None)
 def test_tmsv_negativity_matches_closed_form(r):
     part = ModePartition(frozenset({0}), frozenset({1}))
-    value = log_negativity(tmsv(r), part)
+    value = log_negativity(two_mode_squeezer(0, 1, r, 2), part)
     # near r = 0 the signal nu - 1 = 2r^2 sinks below the spectral noise
     # floor, so only resolution-limited accuracy ~sqrt(floor) is promised
     assert value == pytest.approx(2 * r, abs=2e-6)
@@ -293,40 +284,19 @@ def test_stack_with_one_non_symplectic_matrix_raises_its_own_error():
     assert "not symplectic" in str(alone.value)
 
 
-def test_log_negativity_route_follows_the_pure_flag_of_the_whole_stack(monkeypatch):
+def test_log_negativity_of_a_stack_of_transforms_is_the_kernel_without_a_purity_test(monkeypatch):
     part = ModePartition(frozenset({0}), frozenset({1}))
-    data = np.stack([tmsv(0.9).data, tmsv(0.05).data, tmsv(2.5).data])
-    flagged = CovarianceMatrix(data, pure=True)
-    unflagged = CovarianceMatrix(data)
+    squeezers = two_mode_squeezer(0, 1, [0.9, 0.05, 2.5], 2)
 
     def no_purity_test(self, tol=None):
         raise AssertionError("log_negativity must not run a purity test")
 
     monkeypatch.setattr(CovarianceMatrix, "is_pure", no_purity_test)
-    pure_route = log_negativity(flagged, part)
-    reduced = reduce(flagged, {0})
+    pure_route = log_negativity(squeezers, part)
+    reduced = reduce(pure_state(squeezers), {0})
     kernel = gaussian.spectrum_log_negativity(symplectic_eigenvalues(reduced), reduced.spectral_noise_floor())
     assert np.array_equal(pure_route, kernel)
     assert np.allclose(pure_route, [1.8, 0.1, 5.0], atol=1e-9)
-    # the same pure matrices unflagged are refused, not measured another way
-    with pytest.raises(ValueError, match="built pure"):
-        log_negativity(unflagged, part)
-
-
-def test_pure_flag_follows_provenance():
-    # pure_state is the one setter of the flag; every view of its state,
-    # a permutation or a full-cover reduction included, is unflagged
-    assert vacuum(3).pure
-    squeezed = pure_state(two_mode_squeezer(0, 1, [0.7, 1.2], 3))
-    assert squeezed.pure
-    part = ModePartition(frozenset({0}), frozenset({1, 2}))
-    assert not permute_modes(squeezed, [2, 0, 1]).pure
-    assert not permute_modes(squeezed, [0, 1, 2]).pure
-    assert not reduce(squeezed, {0, 1}).pure
-    assert not reduce(squeezed, {0, 1, 2}).pure
-    assert not gaussian.reductions(squeezed, [[0], [1]]).pure
-    assert not partial_transpose(squeezed, part).pure
-    assert not CovarianceMatrix(squeezed.data).pure
 
 
 def _one_mode_squeezer(k: int, r: np.ndarray, n_modes: int) -> SymplecticTransform:

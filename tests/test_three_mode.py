@@ -41,15 +41,15 @@ TRITTER = np.column_stack([
 PAIR_CONTANGLE_LIMIT = math.log(3.0) ** 2 / 4
 
 
-def three_mode_state(r: np.ndarray):
-    """The symmetric pure three-mode state at each squeezing in r, as one stack."""
+def three_mode_transform(r: np.ndarray) -> SymplecticTransform:
+    """The transform of the symmetric pure three-mode state at each squeezing in r, as one stack."""
     grow, shrink = np.exp(r), np.exp(-r)
     squeezers = np.zeros((len(r), 6, 6))
     for k, factor in enumerate((grow, shrink, shrink, shrink, grow, grow)):
         squeezers[:, k, k] = factor
     mixer = np.zeros((6, 6))
     mixer[:3, :3] = mixer[3:, 3:] = TRITTER
-    return pure_state(SymplecticTransform(mixer @ squeezers))
+    return SymplecticTransform(mixer @ squeezers)
 
 
 def local_eigenvalue_squared(r: np.ndarray) -> np.ndarray:
@@ -70,10 +70,11 @@ def one_vs_rest_contangle(r: np.ndarray) -> np.ndarray:
 def spectral():
     """The spectral route on R: each pair's smallest partially transposed
     symplectic eigenvalue, and the squared log-negativity across 1|23."""
-    state = three_mode_state(R)
+    transform = three_mode_transform(R)
+    state = pure_state(transform)
     pair_nu = [symplectic_eigenvalues(partial_transpose(state, ModePartition({i}, {j})))[:, 0]
                for i, j in PAIRS]
-    return pair_nu, log_negativity(state, ModePartition({0}, {1, 2})) ** 2
+    return pair_nu, log_negativity(transform, ModePartition({0}, {1, 2})) ** 2
 
 
 def test_every_pair_has_the_closed_smallest_pt_eigenvalue(spectral):
