@@ -290,7 +290,3 @@ def main(argv=None) -> int:
     except (ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

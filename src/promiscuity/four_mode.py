@@ -101,19 +101,19 @@ def bounding_tripartite_state(params: Sequence[SqueezingParams]) -> gaussian.Cov
     return gaussian.pure_state(transform)
 
 
-# the seven bipartitions of the four modes: the probe cuts in the order of
-# contangle.PROBES, then {1,2}|{3,4}, {1,3}|{2,4} and {1,4}|{2,3}.  Each
+# the five cuts the closed forms check, in route_deviations' order: the
+# probe cuts in the order of contangle.PROBES, then {1,2}|{3,4}.  Each
 # side_a is the side log_negativity reduces its cut to
 GLOBAL_CUTS = tuple(
     gaussian.ModePartition(frozenset(side), frozenset(range(4)).difference(side))
-    for side in [[p - 1] for p in contangle.PROBES] + [[0, 1], [0, 2], [0, 3]]
+    for side in [[p - 1] for p in contangle.PROBES] + [[0, 1]]
 )
 _PROBE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[:4]]
-# spectral_forms' stack of nine two-mode blocks: the side_a reductions of
-# the last three cuts as they are, then each pair of contangle.PAIRS
-# transposed across its two modes
-_TWO_MODE_SIDES = [sorted(cut.side_a) for cut in GLOBAL_CUTS[4:]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
-_TWO_MODE_TRANSPOSED = [[]] * 3 + [[j - 1] for i, j in contangle.PAIRS]
+# spectral_forms' stack of seven two-mode blocks: the side_a reduction of
+# {1,2}|{3,4} as it is, then each pair of contangle.PAIRS transposed
+# across its two modes
+_TWO_MODE_SIDES = [sorted(GLOBAL_CUTS[4].side_a)] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+_TWO_MODE_TRANSPOSED = [[]] + [[j - 1] for i, j in contangle.PAIRS]
 
 
 class SpectralForms(NamedTuple):
@@ -127,13 +127,12 @@ def spectral_forms(params: Sequence[SqueezingParams]) -> SpectralForms:
     """The SpectralForms of the states of a sequence of points (build_state), from two spectrum calls.
 
     One call covers the four one-mode reductions, whose spectra give the
-    probe log-negativities, the other the stack of nine two-mode blocks:
-    the {1,2}, {1,3} and {1,4} reductions, whose spectra give the
-    log-negativities across the last three cuts, then the six transposed
-    pair blocks.  Each log-negativity is the one gaussian.log_negativity
-    gives for its cut of GLOBAL_CUTS; verify's gaussian_invariants suite
-    checks the record against that route and each pair's partial
-    transpose, bit for bit.
+    probe log-negativities, the other the stack of seven two-mode blocks:
+    the {1,2} reduction, whose spectrum gives the log-negativity across
+    {1,2}|{3,4}, then the six transposed pair blocks.  Each
+    log-negativity is the one gaussian.log_negativity gives for its cut
+    of GLOBAL_CUTS; verify's gaussian_invariants suite checks the record
+    against that route and each pair's partial transpose, bit for bit.
     """
     state = build_state(params)
     probes = gaussian.reductions(state, _PROBE_SIDES)
@@ -142,8 +141,8 @@ def spectral_forms(params: Sequence[SqueezingParams]) -> SpectralForms:
     )
     blocks = gaussian.reductions(state, _TWO_MODE_SIDES, transposed=_TWO_MODE_TRANSPOSED)
     nu = gaussian.symplectic_eigenvalues(blocks)
-    two_mode_ln = gaussian.spectrum_log_negativity(nu[..., :3, :], blocks.spectral_noise_floor()[..., :3])
-    return SpectralForms(np.concatenate([one_mode_ln, two_mode_ln], axis=-1), nu[..., 3:, :].min(axis=-1))
+    two_mode_ln = gaussian.spectrum_log_negativity(nu[..., :1, :], blocks.spectral_noise_floor()[..., :1])
+    return SpectralForms(np.concatenate([one_mode_ln, two_mode_ln], axis=-1), nu[..., 1:, :].min(axis=-1))
 
 
 def ppt_separable(nu_min):
@@ -158,13 +157,15 @@ def ppt_separable(nu_min):
 def fully_inseparable(cut_ln):
     """True iff every cut of GLOBAL_CUTS carries entanglement, from a SpectralForms.cut_ln, elementwise.
 
-    Each log-negativity is witnessed above WITNESS_TOL.  In exact terms
-    that holds iff both squeezing degrees are strictly positive, but the
-    record resolves less: spectrum_log_negativity reads a reduced
-    symplectic eigenvalue within the noise floor of 1 as exactly 1, so a
-    cut whose log-negativity is below about 1e-6 reads 0.  The verdict is
-    therefore False at faint points such as (a, s) = (1e-9, 0.5), whose
-    1|234 cut carries 2.3e-9, and (0.5, 3e-8), whose 12|34 cut carries 6e-8.
+    Each log-negativity is witnessed above WITNESS_TOL.  The five cuts
+    decide all seven bipartitions of the four modes: in exact terms 1|234
+    is entangled iff a > 0, 12|34 iff s > 0, and every bipartition is
+    entangled iff both hold.  The record resolves less:
+    spectrum_log_negativity reads a reduced symplectic eigenvalue within
+    the noise floor of 1 as exactly 1, so a cut whose log-negativity is
+    below about 1e-6 reads 0.  The verdict is therefore False at faint
+    points such as (a, s) = (1e-9, 0.5), whose 1|234 cut carries 2.3e-9,
+    and (0.5, 3e-8), whose 12|34 cut carries 6e-8.
     """
     return (cut_ln > WITNESS_TOL).all(axis=-1)
 

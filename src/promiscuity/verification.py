@@ -100,10 +100,8 @@ class Grid:
     @functools.cached_property
     def deviations(self) -> np.ndarray:
         # four_mode.route_deviations of each point, one row of five per point
-        deviations = np.empty((len(self.points), 5))
-        for k, (forms, row) in enumerate(zip(self.forms, self.spectral.cut_ln[:, :5].tolist())):
-            deviations[k] = four_mode.route_deviations(forms, row)
-        return deviations
+        rows = zip(self.forms, self.spectral.cut_ln.tolist())
+        return np.array([four_mode.route_deviations(forms, row) for forms, row in rows])
 
     @functools.cached_property
     def sample_transform(self) -> gaussian.SymplecticTransform:

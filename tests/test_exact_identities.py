@@ -10,8 +10,8 @@ determinant m_k^2 with the m_k that contangle's closed forms use, and the
 contangle is arccosh^2 of the square root of its exact determinant, which
 tells the outer probes' m from the middle ones'.  The float64 transform
 four_mode.build_transform writes out is then compared with the exact one
-entry by entry, and the exact PPT verdict of the middle pair {2, 3} with
-the closed forms' pair contangle being 0.  Where that pair is entangled,
+entry by entry, and the exact PPT verdict of each pair with the closed
+forms' pair contangle being 0.  Where the middle pair {2, 3} is entangled,
 contangle's m_23 must give the smaller root of the characteristic
 polynomial of its partially transposed block.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from promiscuity.contangle import SqueezingParams, _m_23, a_terms, closed_forms, s_terms
+from promiscuity.contangle import PAIRS, SqueezingParams, _m_23, a_terms, closed_forms, s_terms
 from promiscuity.four_mode import _transform_entries
 
 N_MODES = 4
@@ -154,12 +154,13 @@ def test_one_vs_rest_contangle_is_arccosh_squared_of_the_exact_one_mode_determin
         assert abs(closed[probe] - exact) <= ONE_VS_REST_REL_TOL * exact, probe
 
 
-def _middle_pair_invariants(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-    """(D, delta): the determinant and seralian of the partially transposed {2, 3} block of sigma."""
-    # the block from the rows of S for 0-based modes 1 and 2, in qqpp order
-    # (q2, q3, p2, p3), with mode 3's p row and column negated
-    s = _transform(x, y)
-    rows = [s[i] for i in (1, 2, 1 + N_MODES, 2 + N_MODES)]
+def _pair_invariants(s: list, pair: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """(D, delta): the determinant and seralian of the partially transposed block of a pair
+    (1-based modes i < j) of sigma = S S^T, from the exact transform S."""
+    # the block from the rows of S for the pair's modes, in qqpp order
+    # (q_i, q_j, p_i, p_j), with mode j's p row and column negated
+    i, j = pair[0] - 1, pair[1] - 1
+    rows = [s[k] for k in (i, j, i + N_MODES, j + N_MODES)]
     flip = (1, 1, 1, -1)
     block = [
         [fi * fj * sum(u * v for u, v in zip(ri, rj)) for rj, fj in zip(rows, flip)]
@@ -169,14 +170,14 @@ def _middle_pair_invariants(x: Fraction, y: Fraction) -> tuple[Fraction, Fractio
     def det(r: tuple, c: tuple) -> Fraction:
         return _det([[block[i][j] for j in c] for i in r])
 
-    mode_2, mode_3 = (0, 2), (1, 3)
-    return _det(block), det(mode_2, mode_2) + det(mode_3, mode_3) + 2 * det(mode_2, mode_3)
+    mode_i, mode_j = (0, 2), (1, 3)
+    return _det(block), det(mode_i, mode_i) + det(mode_j, mode_j) + 2 * det(mode_i, mode_j)
 
 
-def _separable(x: Fraction, y: Fraction) -> bool:
+def _separable(s: list, pair: tuple[int, int]) -> bool:
     # the smallest PT symplectic eigenvalue squared is (delta - sqrt(delta^2 - 4 D)) / 2,
     # which is at least 1 iff both hold
-    det, delta = _middle_pair_invariants(x, y)
+    det, delta = _pair_invariants(s, pair)
     return 1 - delta + det >= 0 and delta >= 2
 
 
@@ -188,7 +189,14 @@ def test_middle_pair_ppt_verdict_matches_the_closed_form(x, y):
         with pytest.raises(error, match=message):
             closed_forms(params)
         return
-    assert _separable(x, y) == (closed_forms(params).pairwise_contangle[(2, 3)] == 0.0)
+    assert _separable(_transform(x, y), (2, 3)) == (closed_forms(params).pairwise_contangle[(2, 3)] == 0.0)
+
+
+@pytest.mark.parametrize("x, y", [point for point in VERDICT_POINTS if point.values not in CLOSED_FORM_RAISES])
+def test_every_pair_ppt_verdict_matches_the_closed_forms(x, y):
+    s = _transform(x, y)
+    closed = closed_forms(SqueezingParams(math.log(x), math.log(y))).pairwise_contangle
+    assert {pair: _separable(s, pair) for pair in PAIRS} == {pair: closed[pair] == 0.0 for pair in PAIRS}
 
 
 def _exact_m_23(x: Fraction, y: Fraction) -> Fraction:
@@ -203,7 +211,8 @@ def _exact_m_23(x: Fraction, y: Fraction) -> Fraction:
 
 # the verdict points inside closed_forms' domain where the middle pair is entangled
 ENTANGLED_POINTS = [
-    point for point in VERDICT_POINTS if point.values not in CLOSED_FORM_RAISES and not _separable(*point.values)
+    point for point in VERDICT_POINTS
+    if point.values not in CLOSED_FORM_RAISES and not _separable(_transform(*point.values), (2, 3))
 ]
 # float _m_23 against the exact value, in units of the exact value's float64 ulp;
 # the 33 points measure at most 3.4
@@ -214,7 +223,7 @@ M_23_ULPS = 8
 def test_m_23_makes_the_smaller_root_of_the_middle_pair_polynomial(x, y):
     # nu~^2, the squared smallest PT symplectic eigenvalue of the {2, 3} block,
     # is the smaller root of z^2 - delta z + D; m_23 is right iff it gives that root
-    det, delta = _middle_pair_invariants(x, y)
+    det, delta = _pair_invariants(_transform(x, y), (2, 3))
     m = _exact_m_23(x, y)
     if x == 1:
         # at a = 0 the pair is a pure two-mode squeezed state, D = 1, and z is 0/0:

@@ -115,18 +115,20 @@ def _partition(*side_a: int) -> gaussian.ModePartition:
     return gaussian.ModePartition(frozenset(side_a), frozenset({0, 1, 2, 3}) - frozenset(side_a))
 
 
-def test_global_cuts_are_the_seven_bipartitions_in_order():
-    # probes 1..4 against the rest, then {1,2}|{3,4}, {1,3}|{2,4}, {1,4}|{2,3}
-    sides = [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)]
+def test_global_cuts_are_the_five_checked_cuts_in_order():
+    # probes 1..4 against the rest, then {1,2}|{3,4}: the cuts route_deviations compares
+    sides = [(0,), (1,), (2,), (3,), (0, 1)]
     assert GLOBAL_CUTS == tuple(_partition(*side) for side in sides)
 
 
 @pytest.mark.parametrize(
     "point, verdict",
-    # the last two are faint: a cut whose log-negativity is below about 1e-6
-    # reads 0 (fully_inseparable's docstring), although both degrees are positive
+    # (1e-9, 0.5) and (0.5, 3e-8) are faint: a cut whose log-negativity is below
+    # about 1e-6 reads 0 (fully_inseparable's docstring), although both degrees
+    # are positive.  At the last two the five cuts are witnessed, while the
+    # clamp reads the {1,4}|{2,3} log-negativity, which no verdict needs, as 0
     [((1.0, 1.0), True), ((0.0, 1.0), False), ((1.0, 0.0), False), ((4.75, 0.5), True),
-     ((1e-9, 0.5), False), ((0.5, 3e-8), False)],
+     ((1e-9, 0.5), False), ((0.5, 3e-8), False), ((4e-7, 1.0), True), ((5e-7, 0.5), True)],
 )
 def test_fully_inseparable_reads_log_negativity_on_every_cut(monkeypatch, point, verdict):
     params = [SqueezingParams(*point)]
@@ -303,21 +305,22 @@ def test_pair_verdicts_name_the_first_skip_reason_at_the_pinned_points():
     assert all(skip is None for pair, (_, skip) in verdicts.items() if pair != (2, 3))
     deviations, verdicts = _shared_rule(1.5, 1.0)
     assert list(verdicts.values()) == [(True, None)] * len(contangle.PAIRS)
-    assert len(deviations) == 5
+    # one cut of the record per deviation: no cut without a closed twin
+    assert spectral_forms([SqueezingParams(1.5, 1.0)]).cut_ln.shape[-1] == len(deviations) == 5
     assert max(deviations).hex() == PINNED_REPORTS[0][1]
 
 
 def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
-    # the {1,2}, {1,3} and {1,4} reductions as they are, then the six pairs
+    # the {1,2} reduction as it is, then the six pairs
     # transposed: the cached plan of the stack negates only each pair block's
     # second-mode p row and column, and the stack is a read-only view
     sides, transposed = four_mode._TWO_MODE_SIDES, four_mode._TWO_MODE_TRANSPOSED
     assert four_mode._PROBE_SIDES == [[0], [1], [2], [3]]
-    assert sides == [[0, 1], [0, 2], [0, 3]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
+    assert sides == [[0, 1]] + [[i - 1, j - 1] for i, j in contangle.PAIRS]
     plan = gaussian._plan(4, tuple(map(tuple, sides)), tuple(map(tuple, transposed)))
     signs = plan[2]
     flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
-    assert np.array_equal(signs, [np.ones((4, 4))] * 3 + [flip] * 6)
+    assert np.array_equal(signs, [np.ones((4, 4))] + [flip] * 6)
     with pytest.raises(ValueError, match="read-only"):
         signs[3, 3, 3] = 1.0
     state = build_state([SqueezingParams(1.5, 1.0), SqueezingParams(0.0, 2.5)])
@@ -327,7 +330,7 @@ def test_two_mode_signs_transpose_only_the_pair_blocks_and_are_read_only():
     assert blocks.data.tobytes() == (gaussian.reductions(state, sides).data * signs).tobytes()
     for k, (i, j) in enumerate(contangle.PAIRS):
         cut = gaussian.ModePartition(frozenset({i - 1}), frozenset({j - 1}))
-        assert blocks.data[:, 3 + k].tobytes() == gaussian.partial_transpose(state, cut).data.tobytes()
+        assert blocks.data[:, 1 + k].tobytes() == gaussian.partial_transpose(state, cut).data.tobytes()
 
 
 def test_full_report_makes_two_spectra_and_no_purity_test(monkeypatch):
@@ -405,7 +408,7 @@ def test_build_state_checks_one_transform(monkeypatch, params):
 
 def test_full_report_checks_one_transform_and_makes_three_records(monkeypatch):
     # the state from build_state, then spectral_forms' probe stack and its signed
-    # nine-block stack, both views of the state
+    # seven-block stack, both views of the state
     counts = _count_validations(monkeypatch)
     assert full_report(SqueezingParams(1.5, 1.0)).consistent
     assert counts == {"SymplecticTransform": 1, "CovarianceMatrix": 3}
@@ -442,7 +445,7 @@ def test_views_are_exactly_symmetric_and_read_only(monkeypatch):
         gaussian.partial_transpose(state, PAIR_CUT),
     ]
     views += [gaussian.partial_transpose(state, cut) for cut in GLOBAL_CUTS]
-    # spectral_forms' probe reductions and signed nine-block stack
+    # spectral_forms' probe reductions and signed seven-block stack
     spectrum = gaussian.symplectic_eigenvalues
 
     def recording(sigma):
@@ -452,7 +455,7 @@ def test_views_are_exactly_symmetric_and_read_only(monkeypatch):
     monkeypatch.setattr(gaussian, "symplectic_eigenvalues", recording)
     spectral_forms(points)
     assert len(views) == 5 + len(GLOBAL_CUTS) + 2
-    assert views[-1].data.shape == (len(points), 9, 4, 4)
+    assert views[-1].data.shape == (len(points), 7, 4, 4)
     negative_zeros = 0
     for view in views:
         assert not view.data.flags.writeable

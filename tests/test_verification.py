@@ -209,9 +209,9 @@ def test_verify_work_is_pinned(monkeypatch):
     assert all(result.ok for result in verification.run_all(GridConfig()))
     # spectra: two per spectral_forms record (6 grid blocks, 1 threshold
     # block, 9 reports, 1 stack of the samples), then gaussian_invariants'
-    # purity test, its log_negativity on the 7 cuts and its 6 pair
+    # purity test, its log_negativity on the 5 cuts and its 6 pair
     # transposes.  build_state as in test_each_grid_point_is_computed_once
-    assert calls == {"symplectic_eigenvalues": 2 * 17 + 1 + 7 + 6, "log_negativity": 7, "build_state": 22}
+    assert calls == {"symplectic_eigenvalues": 2 * 17 + 1 + 5 + 6, "log_negativity": 5, "build_state": 22}
 
 
 def test_closed_form_crash_stays_in_the_suites_that_read_records(monkeypatch):
@@ -266,7 +266,7 @@ def test_record_fault_that_only_the_record_check_sees(monkeypatch):
     # pair is separable, so its untransposed nu_min >= 1 gives the same
     # verdict, and only the record check against partial_transpose sees it
     transposed = list(four_mode._TWO_MODE_TRANSPOSED)
-    transposed[3 + contangle.PAIRS.index((1, 3))] = []
+    transposed[1 + contangle.PAIRS.index((1, 3))] = []
     monkeypatch.setattr(four_mode, "_TWO_MODE_TRANSPOSED", transposed)
     counts = _counts(verification.run_all(GridConfig()))
     assert counts.pop("gaussian_invariants")[1] > 0
